@@ -93,12 +93,13 @@ def to_jsonable(value):
     into plain JSON types (arrays become matrix payloads)."""
     if isinstance(value, np.ndarray):
         return matrix_to_payload(value)
+    # bool before int: ``bool`` is a subclass of ``int``
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     if isinstance(value, dict):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

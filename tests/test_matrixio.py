@@ -10,6 +10,7 @@ from openmap.matrixio import (
     matrices_to_payload,
     matrix_from_payload,
     matrix_to_payload,
+    to_jsonable,
 )
 
 
@@ -57,3 +58,8 @@ def test_matrix_list_round_trip():
 def test_dump_json_refuses_inf():
     with pytest.raises(ValueError):
         dump_json({"x": float("inf")})
+
+
+def test_to_jsonable_keeps_booleans_boolean():
+    out = to_jsonable({"a": True, "b": np.bool_(False), "c": 1, "d": np.int64(2)})
+    assert json.dumps(out) == '{"a": true, "b": false, "c": 1, "d": 2}'
