@@ -41,7 +41,6 @@ from .matrixio import (
     dump_json,
     load_matrices,
     load_matrix,
-    matrix_to_payload,
     to_jsonable,
 )
 from .numcore import Tolerances
@@ -93,15 +92,6 @@ class ExperimentReport:
     aggregates: dict
     wall_clock_seconds: float
     version: str = __version__
-
-    def to_payload(self):
-        return {
-            "config": to_jsonable(self.config),
-            "records": to_jsonable(self.records),
-            "aggregates": to_jsonable(self.aggregates),
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "version": self.version,
-        }
 
 
 def _env_int(name, default):
@@ -203,21 +193,17 @@ def _sample_matrix(rng, rows, cols, rank_deficient_fraction):
 
 
 def _gd_trial(payload):
-    (trial, seed, dims, depth, dim_cap, n_samples, x_list, y_list,
-     tol_kwargs, max_iter, rank_deficient_fraction) = payload
-    tol = Tolerances(**tol_kwargs)
+    (trial, seed, dims, depth, dim_cap, n_samples, x, y,
+     tol, max_iter, rank_deficient_fraction) = payload
     rng = np.random.default_rng([seed, trial])
     if dims is None:
         dims = tuple(int(d) for d in rng.integers(1, dim_cap + 1, size=depth + 1))
     n = n_samples if n_samples else int(rng.integers(1, dim_cap + 1))
-    if x_list is not None:
-        x = np.asarray(x_list)
+    if x is not None:
         n = x.shape[1]
     else:
         x = _sample_matrix(rng, dims[-1], n, rank_deficient_fraction)
-    if y_list is not None:
-        y = np.asarray(y_list)
-    else:
+    if y is None:
         y = _sample_matrix(rng, dims[0], n, rank_deficient_fraction)
     weights = [
         rng.uniform(-1.0, 1.0, size=(dims[i], dims[i + 1]))
@@ -253,19 +239,11 @@ def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, n_samples=None,
              rank_deficient_fraction=0.3):
     """Random-restart gradient-descent endpoint classification sweep."""
     start = time.perf_counter()
-    tol_kwargs = {
-        "rank_rel": tol.rank_rel,
-        "grad_abs": tol.grad_abs,
-        "residual_abs": tol.residual_abs,
-        "probe_radius_schedule": tol.probe_radius_schedule,
-        "probe_samples": tol.probe_samples,
-        "rng_seed": tol.rng_seed,
-    }
-    x_list = None if x is None else np.asarray(x).tolist()
-    y_list = None if y is None else np.asarray(y).tolist()
+    x = None if x is None else np.asarray(x, dtype=float)
+    y = None if y is None else np.asarray(y, dtype=float)
     payloads = [
         (t, seed, tuple(dims) if dims else None, depth, dim_cap, n_samples,
-         x_list, y_list, tol_kwargs, max_iter, rank_deficient_fraction)
+         x, y, tol, max_iter, rank_deficient_fraction)
         for t in range(trials)
     ]
     if jobs > 1 and trials > 1:
@@ -308,12 +286,11 @@ def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, n_samples=None,
 def _cmd_openness_check(args):
     config = _config_from(args, "openness check")
     pair = FactorPair(load_matrix(args.w1), load_matrix(args.w2))
-    report = check_openness(pair, config.tolerances)
+    payload = to_jsonable(check_openness(pair, config.tolerances))
     if args.witnesses:
         wt1, wt2 = construct_witnesses(pair, config.tolerances, seed=config.seed)
-        report.witness_w1_tilde = wt1
-        report.witness_w2_tilde = wt2
-    _emit(config, report.to_payload())
+        payload.update(witness_w1_tilde=wt1, witness_w2_tilde=wt2)
+    _emit(config, payload)
     return 0
 
 
@@ -331,7 +308,7 @@ def _cmd_openness_probe(args):
         aggregates=result,
         wall_clock_seconds=time.perf_counter() - start,
     )
-    _emit(config, report.to_payload())
+    _emit(config, report)
     return 0
 
 
@@ -339,10 +316,7 @@ def _cmd_openness_witnesses(args):
     config = _config_from(args, "openness witnesses")
     pair = FactorPair(load_matrix(args.w1), load_matrix(args.w2))
     wt1, wt2 = construct_witnesses(pair, config.tolerances, seed=config.seed)
-    _emit(config, {
-        "witness_w1_tilde": matrix_to_payload(wt1),
-        "witness_w2_tilde": matrix_to_payload(wt2),
-    })
+    _emit(config, {"witness_w1_tilde": wt1, "witness_w2_tilde": wt2})
     return 0
 
 
@@ -350,7 +324,7 @@ def _cmd_realize(args):
     config = _config_from(args, "realize")
     pair = FactorPair(load_matrix(args.w1), load_matrix(args.w2))
     witness = realize(pair, load_matrix(args.target), config.tolerances)
-    _emit(config, witness.to_payload())
+    _emit(config, witness)
     return 0
 
 
@@ -372,7 +346,7 @@ def _cmd_ratio_sweep(args):
         },
         wall_clock_seconds=time.perf_counter() - start,
     )
-    _emit(config, report.to_payload())
+    _emit(config, report)
     return 0
 
 
@@ -392,7 +366,7 @@ def _cmd_sym_solve(args):
     config = _config_from(args, "sym solve")
     sigma = _load_sigma_diag(args.sigma)
     result = solve_p(sigma, load_matrix(args.r), config.tolerances)
-    _emit(config, result.to_payload())
+    _emit(config, result)
     return 0
 
 
@@ -401,14 +375,14 @@ def _cmd_sym_realize(args):
     witness = sym_realize(
         load_matrix(args.w), load_matrix(args.target), config.tolerances
     )
-    _emit(config, witness.to_payload())
+    _emit(config, witness)
     return 0
 
 
 def _cmd_sym_certify(args):
     config = _config_from(args, "sym certify")
     cert = certify_bm_transfer(load_matrix(args.w), config.tolerances)
-    _emit(config, cert.to_payload())
+    _emit(config, cert)
     return 0
 
 
@@ -421,7 +395,7 @@ def _cmd_net_classify(args):
     config = _config_from(args, "net classify")
     point = _load_point(args)
     report = classify(point, tol=config.tolerances, seed=config.seed)
-    _emit(config, report.to_payload())
+    _emit(config, report)
     return 0
 
 
@@ -431,9 +405,9 @@ def _cmd_net_counterexample(args):
     x, y, point = counterexample_factory(dims, config.tolerances)
     _emit(config, {
         "dims": list(dims),
-        "x": matrix_to_payload(x),
-        "y": matrix_to_payload(y),
-        "weights": [matrix_to_payload(w) for w in point.weights],
+        "x": x,
+        "y": y,
+        "weights": point.weights,
         "objective": objective(point),
         "gradient_norm": gradient_norm(gradient(point)),
         "global_value": global_value(point.spec(), x, y, config.tolerances),
@@ -452,12 +426,12 @@ def _cmd_net_fixture(args):
     report = classify(point, tol=config.tolerances, seed=config.seed)
     _emit(config, {
         "name": args.name,
-        "x": matrix_to_payload(x),
-        "y": matrix_to_payload(y),
-        "weights": [matrix_to_payload(w) for w in point.weights],
+        "x": x,
+        "y": y,
+        "weights": point.weights,
         "objective": objective(point),
         "gradient_norm": gradient_norm(gradient(point)),
-        "classification": report.to_payload(),
+        "classification": report,
     })
     return 0
 
@@ -468,7 +442,7 @@ def _cmd_net_probe(args):
     report = local_min_probe(
         point, point.spec(), config.tolerances, seed=config.seed
     )
-    _emit(config, report.to_payload())
+    _emit(config, report)
     return 0
 
 
@@ -489,7 +463,7 @@ def _cmd_net_gd_sweep(args):
         jobs=config.jobs,
         max_iter=args.max_iter,
     )
-    _emit(config, report.to_payload())
+    _emit(config, report)
     return 0
 
 
@@ -504,10 +478,9 @@ def _cmd_selftest(args):
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] criterion {res.number}: "
               f"{res.name} ({res.seconds:.1f}s)")
-    payload = [to_jsonable(res.to_payload()) for res in results]
     if config.out:
         with open(config.out, "w") as fh:
-            fh.write(dump_json(payload))
+            fh.write(dump_json(to_jsonable(results)))
             fh.write("\n")
     return 0
 

@@ -206,14 +206,6 @@ class ProbeReport:
     locally_minimal: bool
     samples: int
 
-    def to_payload(self):
-        return {
-            "radii": list(self.radii),
-            "min_deltas": list(self.min_deltas),
-            "locally_minimal": self.locally_minimal,
-            "samples": self.samples,
-        }
-
 
 def _sphere_direction(rng, shapes, radius):
     sizes = [int(np.prod(s)) for s in shapes]
@@ -271,17 +263,6 @@ class DirectionTuple:
     construction_case: str
     decrease: float
 
-    def to_payload(self):
-        from .matrixio import matrices_to_payload
-
-        return {
-            "directions": matrices_to_payload(self.directions),
-            "order": self.order,
-            "step": self.step,
-            "construction_case": self.construction_case,
-            "decrease": self.decrease,
-        }
-
 
 @dataclass
 class ClassificationReport:
@@ -292,21 +273,6 @@ class ClassificationReport:
     global_value: float | None
     descent_direction: DirectionTuple | None
     certificates: list
-
-    def to_payload(self):
-        return {
-            "status": self.status,
-            "degenerate": self.degenerate,
-            "gradient_norm": self.gradient_norm,
-            "objective": self.objective,
-            "global_value": self.global_value,
-            "descent_direction": (
-                self.descent_direction.to_payload()
-                if self.descent_direction
-                else None
-            ),
-            "certificates": self.certificates,
-        }
 
 
 def _objective_along(point, loss, dirs, t):
@@ -859,15 +825,6 @@ class PyramidalCertificate:
     x_full_column_rank: bool
     locally_open: bool
     local_minima_global: bool
-
-    def to_payload(self):
-        return {
-            "pyramidal_structure": self.pyramidal_structure,
-            "full_row_rank": list(self.full_row_rank),
-            "x_full_column_rank": self.x_full_column_rank,
-            "locally_open": self.locally_open,
-            "local_minima_global": self.local_minima_global,
-        }
 
 
 def pyramidal_check(point, activations, tol=DEFAULT_TOL):

@@ -8,6 +8,7 @@ Every matrix crossing a process boundary uses the same payload::
 round-trip bit-exactly.  NaN/Inf are rejected on both directions.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -48,10 +49,6 @@ def matrix_from_payload(obj, name="matrix"):
     return as_matrix(arr, name=name)
 
 
-def matrices_to_payload(mats):
-    return [matrix_to_payload(m) for m in mats]
-
-
 def matrices_from_payload(obj, name="matrices"):
     if not isinstance(obj, list):
         raise InputError(f"{name}: expected a JSON array of matrix objects")
@@ -89,8 +86,8 @@ def dump_json(obj, indent=2):
 
 
 def to_jsonable(value):
-    """Recursively convert numpy scalars/arrays and dataclass-ish values
-    into plain JSON types (arrays become matrix payloads)."""
+    """Recursively convert a report into plain JSON types: arrays become
+    matrix payloads, dataclass instances dicts of their fields."""
     if isinstance(value, np.ndarray):
         return matrix_to_payload(value)
     # bool before int: ``bool`` is a subclass of ``int``
@@ -104,4 +101,7 @@ def to_jsonable(value):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {f.name: to_jsonable(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
     return value

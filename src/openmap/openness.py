@@ -84,28 +84,8 @@ class OpennessReport:
     rank_w1: int
     rank_w2: int
     rank_product: int
-    intersection_dim_value: int
+    intersection_dim: int
     condition_flags: dict
-    witness_w1_tilde: np.ndarray | None = None
-    witness_w2_tilde: np.ndarray | None = None
-
-    def to_payload(self):
-        from .matrixio import matrix_to_payload
-
-        out = {
-            "regime": self.regime,
-            "open": self.open,
-            "rank_w1": self.rank_w1,
-            "rank_w2": self.rank_w2,
-            "rank_product": self.rank_product,
-            "intersection_dim": self.intersection_dim_value,
-            "condition_flags": dict(self.condition_flags),
-        }
-        if self.witness_w1_tilde is not None:
-            out["witness_w1_tilde"] = matrix_to_payload(self.witness_w1_tilde)
-        if self.witness_w2_tilde is not None:
-            out["witness_w2_tilde"] = matrix_to_payload(self.witness_w2_tilde)
-        return out
 
 
 def check_openness(pair, tol=DEFAULT_TOL):
@@ -171,7 +151,7 @@ def check_openness(pair, tol=DEFAULT_TOL):
         rank_w1=r1,
         rank_w2=r2,
         rank_product=rp,
-        intersection_dim_value=int(d_nc),
+        intersection_dim=int(d_nc),
         condition_flags=flags,
     )
 

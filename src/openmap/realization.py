@@ -51,19 +51,6 @@ class RealizationWitness:
     delta0: float | None = None
     guarantee_eps: float | None = None
 
-    def to_payload(self):
-        from .matrixio import matrix_to_payload
-
-        return {
-            "delta_w1": matrix_to_payload(self.delta_w1),
-            "delta_w2": matrix_to_payload(self.delta_w2),
-            "target_residual": self.target_residual,
-            "delta_norm": self.delta_norm,
-            "input_delta": self.input_delta,
-            "delta0": self.delta0,
-            "guarantee_eps": self.guarantee_eps,
-        }
-
 
 def _witness(pair, dw1, dw2, z_tilde, input_delta, tol, delta0, eps=None):
     residual = float(

@@ -26,10 +26,9 @@ from .landscape import (
     rank_deficient_y_fixture,
 )
 from .numcore import DEFAULT_TOL, EPS, Tolerances, bounded_basis, rank
-from .openness import FactorPair, check_openness, probe_openness
+from .openness import FactorPair, check_openness, probe_openness, sample_feasible_target
 from .realization import realize
 from .symmetric import gauss_newton_sym_recover, solve_p, solve_p_delta0, sym_realize
-from .openness import sample_feasible_target
 
 
 @dataclass
@@ -40,23 +39,19 @@ class CriterionResult:
     seconds: float
     details: dict
 
-    def to_payload(self):
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "seconds": self.seconds,
-            "details": self.details,
-        }
 
-
-def _result(number, name, start, checks, **details):
+def _result(number, name, start, checks, budget_s, **details):
+    """Close a criterion: time it from ``start`` and add the check
+    ``runtime_under_<budget>`` (``1s`` ... ``10min``) to ``checks``."""
+    seconds = time.perf_counter() - start
+    label = f"{budget_s // 60:g}min" if budget_s >= 60 else f"{budget_s:g}s"
+    checks[f"runtime_under_{label}"] = seconds < budget_s
     details["checks"] = checks
     return CriterionResult(
         number=number,
         name=name,
         passed=all(checks.values()),
-        seconds=time.perf_counter() - start,
+        seconds=seconds,
         details=details,
     )
 
@@ -76,16 +71,12 @@ def criterion_1():
         "global_value_zero": abs(gv) <= 1e-12,
         "probe_locally_minimal": probe.locally_minimal,
         "classified_spurious": report.status == SPURIOUS_LOCAL_MIN,
-        "runtime_under_1s": True,
     }
-    res = _result(
-        1, "corner-target fixture", start, checks,
+    return _result(
+        1, "corner-target fixture", start, checks, budget_s=1.0,
         objective=obj, gradient_norm=gnorm, global_value=gv,
         probe_min_deltas=probe.min_deltas, status=report.status,
     )
-    res.details["checks"]["runtime_under_1s"] = res.seconds < 1.0
-    res.passed = all(res.details["checks"].values())
-    return res
 
 
 def criterion_2():
@@ -101,15 +92,11 @@ def criterion_2():
         "left_identity": float(np.abs(w3.T @ delta).max()) <= 1e-12,
         "right_identity": float(np.abs(delta @ w1.T).max()) <= 1e-12,
         "classified_spurious": report.status == SPURIOUS_LOCAL_MIN,
-        "runtime_under_1s": True,
     }
-    res = _result(
-        2, "rank-two-target fixture", start, checks,
+    return _result(
+        2, "rank-two-target fixture", start, checks, budget_s=1.0,
         objective=obj, status=report.status,
     )
-    res.details["checks"]["runtime_under_1s"] = res.seconds < 1.0
-    res.passed = all(res.details["checks"].values())
-    return res
 
 
 def _grid_matrices(rows, cols):
@@ -190,16 +177,12 @@ def criterion_3(probe_trials=50, sample_cap=600, seed=0):
         "agreement_at_least_99pct": agreement >= 0.99,
         "all_disagreements_flagged": (probed - agreed - flagged) == 0,
         "decision_procedure_consistent": verdict_mismatch == 0,
-        "runtime_under_5min": True,
     }
-    res = _result(
-        3, "openness oracle agreement", start, checks,
+    return _result(
+        3, "openness oracle agreement", start, checks, budget_s=300.0,
         enumerated_pairs=enumerated, probed_pairs=probed,
         agreement=agreement, flagged=flagged, per_shape=per_shape,
     )
-    res.details["checks"]["runtime_under_5min"] = res.seconds < 300.0
-    res.passed = all(res.details["checks"].values())
-    return res
 
 
 def criterion_4(seed=0):
@@ -245,16 +228,12 @@ def criterion_4(seed=0):
         "no_failures": not failures,
         "residual_within_1e-10": worst_residual <= 1e-10,
         "ratio_spread_under_10x": worst_spread < 10.0,
-        "runtime_under_1min": True,
     }
-    res = _result(
-        4, "realization bound", start, checks,
+    return _result(
+        4, "realization bound", start, checks, budget_s=60.0,
         worst_residual=worst_residual, worst_ratio_spread=worst_spread,
         failures=failures[:10],
     )
-    res.details["checks"]["runtime_under_1min"] = res.seconds < 60.0
-    res.passed = all(res.details["checks"].values())
-    return res
 
 
 def criterion_5(seed=0):
@@ -286,15 +265,11 @@ def criterion_5(seed=0):
         "per_equation_residual_1e-12": worst_eq <= 1e-12,
         "inf_norm_within_3x": bound_ok,
         "sharp_ratio_within_2.2": sharp_ratio <= 2.2,
-        "runtime_under_10s": True,
     }
-    res = _result(
-        5, "triangular quadratic solver", start, checks,
+    return _result(
+        5, "triangular quadratic solver", start, checks, budget_s=10.0,
         worst_equation_residual=worst_eq, sharp_ratio=sharp_ratio,
     )
-    res.details["checks"]["runtime_under_10s"] = res.seconds < 10.0
-    res.passed = all(res.details["checks"].values())
-    return res
 
 
 def criterion_6(seed=0):
@@ -346,16 +321,12 @@ def criterion_6(seed=0):
     checks = {
         "residual_within_1e-10": worst_residual <= 1e-10,
         "oracle_agreement_all": disagreements == 0,
-        "runtime_under_1min": True,
     }
-    res = _result(
-        6, "symmetric realization", start, checks,
+    return _result(
+        6, "symmetric realization", start, checks, budget_s=60.0,
         worst_relative_residual=worst_residual,
         disagreements=disagreements, refusals=gate_refusals,
     )
-    res.details["checks"]["runtime_under_1min"] = res.seconds < 60.0
-    res.passed = all(res.details["checks"].values())
-    return res
 
 
 def criterion_7(seed=0, jobs=1):
@@ -387,16 +358,12 @@ def criterion_7(seed=0, jobs=1):
     checks = {
         "all_converged_accounted": not bad,
         "zero_spurious": spurious == 0,
-        "runtime_under_2min": True,
     }
-    res = _result(
-        7, "two-layer endpoint sweep", start, checks,
+    return _result(
+        7, "two-layer endpoint sweep", start, checks, budget_s=120.0,
         converged=converged, total=len(report.records),
         unexplained_trials=bad[:10], status_counts=report.aggregates["status_counts"],
     )
-    res.details["checks"]["runtime_under_2min"] = res.seconds < 120.0
-    res.passed = all(res.details["checks"].values())
-    return res
 
 
 def _has_valid_pair(dims):
@@ -458,16 +425,12 @@ def criterion_8(seed=0, jobs=1):
             c["probe_locally_minimal"] for c in factory_checks.values()
         ),
         "zero_spurious_on_lacking_tuples": spurious_total == 0,
-        "runtime_under_10min": True,
     }
-    res = _result(
-        8, "width dichotomy sweep", start, checks,
+    return _result(
+        8, "width dichotomy sweep", start, checks, budget_s=600.0,
         lacking_tuples=len(lacking), sweeps=sweeps,
         factory=factory_checks, spurious=spurious_total,
     )
-    res.details["checks"]["runtime_under_10min"] = res.seconds < 600.0
-    res.passed = all(res.details["checks"].values())
-    return res
 
 
 def criterion_9(seed=0):
@@ -504,11 +467,10 @@ def criterion_9(seed=0):
                 err2 += (fd - exact[idx][pos]) ** 2
         rel = np.sqrt(err2) / max(1e-9, gradient_norm(exact))
         worst = max(worst, rel)
-    checks = {"relative_error_1e-6": worst <= 1e-6, "runtime_under_10s": True}
-    res = _result(9, "gradient correctness", start, checks, worst_relative=worst)
-    res.details["checks"]["runtime_under_10s"] = res.seconds < 10.0
-    res.passed = all(res.details["checks"].values())
-    return res
+    checks = {"relative_error_1e-6": worst <= 1e-6}
+    return _result(
+        9, "gradient correctness", start, checks, budget_s=10.0, worst_relative=worst
+    )
 
 
 def criterion_10(seed=0):
@@ -539,14 +501,11 @@ def criterion_10(seed=0):
     checks = {
         "reconstruction_1e-10": worst_res <= 1e-10,
         "coefficient_bound": bound_ok,
-        "runtime_under_5s": True,
     }
-    res = _result(
-        10, "bounded basis selection", start, checks, worst_residual=worst_res
+    return _result(
+        10, "bounded basis selection", start, checks, budget_s=5.0,
+        worst_residual=worst_res,
     )
-    res.details["checks"]["runtime_under_5s"] = res.seconds < 5.0
-    res.passed = all(res.details["checks"].values())
-    return res
 
 
 CRITERIA = {

@@ -46,15 +46,6 @@ class SymSolveResult:
     residual: float
     p_inf_norm: float
 
-    def to_payload(self):
-        from .matrixio import matrix_to_payload
-
-        return {
-            "p": matrix_to_payload(self.p),
-            "residual": self.residual,
-            "p_inf_norm": self.p_inf_norm,
-        }
-
 
 @dataclass
 class SymRealizationWitness:
@@ -63,17 +54,6 @@ class SymRealizationWitness:
     a_norm: float
     input_delta: float
     bound_coefficient: float | None = None
-
-    def to_payload(self):
-        from .matrixio import matrix_to_payload
-
-        return {
-            "a_eps": matrix_to_payload(self.a_eps),
-            "residual": self.residual,
-            "a_norm": self.a_norm,
-            "input_delta": self.input_delta,
-            "bound_coefficient": self.bound_coefficient,
-        }
 
 
 def solve_p_delta0(sigma_diag):
@@ -272,16 +252,6 @@ class TransferCertificate:
     bound_coefficient: float | None
     zero_rank_degraded: bool
     statement: str
-
-    def to_payload(self):
-        return {
-            "open": self.open,
-            "rank": self.rank,
-            "sigma_min": self.sigma_min,
-            "bound_coefficient": self.bound_coefficient,
-            "zero_rank_degraded": self.zero_rank_degraded,
-            "statement": self.statement,
-        }
 
 
 def certify_bm_transfer(w, tol=DEFAULT_TOL):

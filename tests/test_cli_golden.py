@@ -148,7 +148,9 @@ def strip_timing(obj):
 
 
 def assert_matches(got, want, path="$"):
-    assert type(got) is type(want), f"{path}: {type(got).__name__} != {type(want).__name__}"
+    assert type(got) is type(want), (
+        f"{path}: {type(got).__name__} != {type(want).__name__}"
+    )
     if isinstance(want, dict):
         assert list(got) == list(want), f"{path}: keys {list(got)} != {list(want)}"
         for key in want:

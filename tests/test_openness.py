@@ -27,7 +27,7 @@ class TestCheckOpenness:
         assert rep.regime == REGIME_DEFICIENT
         assert rep.open
         assert rep.rank_w1 == rep.rank_w2 == 1
-        assert rep.intersection_dim_value == 0
+        assert rep.intersection_dim == 0
 
     def test_unequal_ranks_not_open(self):
         rep = check_openness(pair([[1.0], [1.0]], [[0.0, 0.0]]))
@@ -40,7 +40,7 @@ class TestCheckOpenness:
         assert rep.regime == REGIME_DEFICIENT
         assert rep.open
         assert rep.rank_w1 == rep.rank_w2 == 0
-        assert rep.intersection_dim_value == 0
+        assert rep.intersection_dim == 0
 
     def test_full_rank_regime_with_witness(self):
         w1 = np.array([[1.0, 0.0]])
@@ -59,7 +59,7 @@ class TestCheckOpenness:
         rep = check_openness(pair(w1, w2))
         assert rep.regime == REGIME_DEFICIENT
         assert rep.condition_flags["rank_equal"]
-        assert rep.intersection_dim_value == 1
+        assert rep.intersection_dim == 1
         assert not rep.open
 
     def test_full_rank_factors_always_open(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from openmap.errors import DeltaTooLarge, NotOpen, RankInfeasible
+from openmap.matrixio import to_jsonable
 from openmap.numcore import DEFAULT_TOL, Tolerances, rank, svd
 from openmap.openness import FactorPair, gauss_newton_recover, sample_feasible_target
 from openmap.realization import RealizationWitness, measure_delta_ratio, realize
@@ -156,6 +157,6 @@ class TestWitnessPayload:
     def test_payload_round_trip(self):
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
         wit = realize(p, p.product)
-        payload = wit.to_payload()
+        payload = to_jsonable(wit)
         assert payload["delta_norm"] == 0.0
         assert payload["delta_w1"]["rows"] == 2
