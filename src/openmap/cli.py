@@ -473,8 +473,16 @@ def _cmd_selftest(args):
     config = _config_from(args, "selftest")
     only = None
     if args.only:
-        only = {int(tok) for tok in args.only.split(",")}
-    results = selftest.run_all(only=only)
+        try:
+            only = {int(tok) for tok in args.only.split(",")}
+        except ValueError as exc:
+            raise InputError(f"--only must be comma-separated integers: {exc}") from exc
+        unknown = sorted(only - set(selftest.CRITERIA))
+        if unknown:
+            raise InputError(
+                f"--only: no criteria {unknown}; choose from {sorted(selftest.CRITERIA)}"
+            )
+    results = selftest.run_all(only=only, jobs=config.jobs)
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] criterion {res.number}: "
               f"{res.name} ({res.seconds:.1f}s)")

@@ -5,7 +5,13 @@ Every matrix crossing a process boundary uses the same payload::
     {"rows": m, "cols": n, "data": [row-major reals]}
 
 ``json`` emits shortest-representation decimals, so IEEE-754 doubles
-round-trip bit-exactly.  NaN/Inf are rejected on both directions.
+round-trip bit-exactly.  NaN/Inf are rejected on both directions, and
+``data`` must be a flat list of numbers.
+
+Reports reach the wire through ``to_jsonable`` alone: a dataclass
+instance becomes ``{field.name: value}`` in field order, so a field's
+name is its wire name; arrays become matrix payloads; Python and numpy
+booleans become JSON ``true``/``false``, never ``1``/``0``.
 """
 
 import dataclasses
@@ -41,11 +47,18 @@ def matrix_from_payload(obj, name="matrix"):
         raise InputError(f"{name}: malformed matrix payload: {exc}") from exc
     if rows <= 0 or cols <= 0:
         raise InputError(f"{name}: rows and cols must be positive")
+    if not isinstance(data, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in data
+    ):
+        raise InputError(f"{name}: data must be a flat list of numbers")
     if len(data) != rows * cols:
         raise InputError(
             f"{name}: data length {len(data)} != rows*cols = {rows * cols}"
         )
-    arr = np.array(data, dtype=float).reshape(rows, cols)
+    try:
+        arr = np.array(data, dtype=float).reshape(rows, cols)
+    except OverflowError as exc:
+        raise InputError(f"{name}: entry out of floating-point range") from exc
     return as_matrix(arr, name=name)
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from openmap.cli import main
 from openmap.errors import InputError
 from openmap.matrixio import (
     dump_json,
@@ -41,6 +42,31 @@ def test_rejects_nan():
 def test_rejects_bad_length():
     with pytest.raises(InputError):
         matrix_from_payload({"rows": 2, "cols": 2, "data": [1.0]})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        ["a", "b"],  # non-numeric entries
+        5,  # not a list
+        [[1.0], [2.0]],  # nested lists, even with the right element count
+        [True, False],  # JSON booleans are not numbers
+        [1.0, 10**400],  # beyond the double range
+    ],
+)
+def test_rejects_data_that_is_not_a_flat_list_of_numbers(data):
+    with pytest.raises(InputError):
+        matrix_from_payload({"rows": 1, "cols": 2, "data": data})
+
+
+def test_cli_exits_2_on_a_malformed_matrix_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rows": 1, "cols": 2, "data": ["a", "b"]}')
+    good = tmp_path / "good.json"
+    good.write_text('{"rows": 2, "cols": 1, "data": [1.0, 2.0]}')
+    code = main(["openness", "check", "--w1", str(good), "--w2", str(bad)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InputError"
 
 
 def test_rejects_nonpositive_dims():
