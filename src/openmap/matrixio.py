@@ -114,7 +114,7 @@ def to_jsonable(value):
         return {str(k): to_jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_jsonable(v) for v in value]
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    if dataclasses.is_dataclass(value):
         return {f.name: to_jsonable(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
     return value
