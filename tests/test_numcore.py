@@ -16,6 +16,7 @@ from openmap.numcore import (
     svd,
     truncated_svd,
 )
+from openmap.selftest import _batched_rank
 
 
 def reconstruct(u, s, v, shape):
@@ -93,6 +94,20 @@ class TestRank:
                 m = truncated_svd(m, r)
             assert rank(m) == rank(m.T)
             assert rank(m) <= min(m.shape)
+
+    def test_stack_matches_per_matrix(self):
+        # every 2x2 matrix over {-1, 0, 1} (zero included), random low-rank
+        # matrices across sixteen decades of scale, and a stack of zeros
+        grid = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=4)))
+        rng = np.random.default_rng(5)
+        low = np.stack([
+            truncated_svd(rng.standard_normal((3, 4)), r % 4)
+            * 10.0 ** rng.integers(-8, 9)
+            for r in range(40)
+        ])
+        for stack in (grid.reshape(-1, 2, 2), low, np.zeros((2, 3, 1))):
+            want = [rank(m) for m in stack]
+            assert _batched_rank(stack, DEFAULT_TOL)[0].tolist() == want
 
 
 class TestSubspaces:
