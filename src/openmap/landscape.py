@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedActivation,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, null_space, rank, svd
+from .numcore import DEFAULT_TOL, null_space, rank, spectrum
 
 GLOBAL_MIN = "GlobalMin"
 SECOND_ORDER_SADDLE = "SecondOrderSaddle"
@@ -188,12 +188,11 @@ def global_value(spec, x, y, tol=DEFAULT_TOL):
         raise InputError("the rank-constrained optimum is squared-error only")
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
-    u_x, s_x, v_x = svd(x)
-    r_x = rank(x, tol)
-    y_rot = y @ v_x
-    reachable = y_rot[:, :r_x]
-    constant = float(np.linalg.norm(y_rot[:, r_x:]) ** 2)
-    t = min(spec.min_width, r_x)
+    sp = spectrum(x, tol)
+    y_rot = y @ sp.v
+    reachable = y_rot[:, : sp.rank]
+    constant = float(np.linalg.norm(y_rot[:, sp.rank :]) ** 2)
+    t = min(spec.min_width, sp.rank)
     sing = np.linalg.svd(reachable, compute_uv=False) if reachable.size else np.zeros(0)
     tail = float(np.sum(sing[t:] ** 2))
     return 0.5 * (tail + constant)

@@ -1,6 +1,14 @@
 """Dense linear-algebra core: one rank-tolerance policy for the whole
 package, subspace bases, and bounded-coefficient row-basis selection.
 
+One rank rule: ``_sv_rank`` alone turns singular values (of one matrix
+or of a stack) into a rank by comparing them with
+``Tolerances.rank_cutoff``; ``rank``, ``rank_is_ambiguous``,
+``null_space``, ``column_space`` and ``spectrum`` all apply it.  A
+``Spectrum`` holds one full SVD with its rank and ambiguity flag, so a
+caller that needs several of a matrix's ranks, flags and subspace bases
+decomposes it once.
+
 All operations are pure functions of their arguments and safe to call
 concurrently.
 """
@@ -66,11 +74,28 @@ class SubspaceBasis:
     """Orthonormal basis of a subspace, stored column-wise."""
 
     columns: np.ndarray
-    dim: int
+
+    @property
+    def dim(self):
+        return self.columns.shape[1]
 
     @property
     def ambient(self):
         return self.columns.shape[0]
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """One full SVD ``mat == u @ diag(s) @ v.T`` with the rank and the
+    ambiguity flag read off it.  The four fundamental subspaces are
+    column slices: ``N(mat) = v[:, rank:]``, ``C(mat) = u[:, :rank]``,
+    ``N(mat.T) = u[:, rank:]`` and ``C(mat.T) = v[:, :rank]``."""
+
+    u: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+    rank: int
+    ambiguous: bool
 
 
 @dataclass
@@ -106,52 +131,57 @@ def svd(mat, full_matrices=True):
 
 
 def singular_values(mat):
-    mat = as_matrix(mat)
+    """Descending singular values of a matrix, or of each matrix of a
+    ``(..., m, n)`` stack."""
+    mat = np.asarray(mat, dtype=float)
+    # a stack passes the matrix checks as one tall matrix
+    as_matrix(mat.reshape(-1, mat.shape[-1]) if mat.ndim > 2 else mat)
     try:
         return np.linalg.svd(mat, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
 
 
+def _sv_rank(s, shape, tol, band=1.0):
+    """The rank rule: the number of singular values (descending along the
+    last axis of ``s``) above ``band`` times the cutoff of a ``shape``
+    matrix.  Returns an int, or an int array for a stack; an empty or zero
+    matrix has rank 0."""
+    count = (s > tol.rank_cutoff(shape, s[..., :1]) * band).sum(axis=-1)
+    return int(count) if count.ndim == 0 else count
+
+
 def rank(mat, tol=DEFAULT_TOL):
-    """Numerical rank: singular values above ``rank_rel * smax``."""
-    mat = as_matrix(mat)
-    s = singular_values(mat)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol.rank_cutoff(mat.shape, s[0])))
+    """Numerical rank: singular values above ``rank_rel * smax``; an int
+    array of ranks for a ``(..., m, n)`` stack."""
+    mat = np.asarray(mat, dtype=float)
+    return _sv_rank(singular_values(mat), mat.shape[-2:], tol)
 
 
 def rank_is_ambiguous(mat, tol=DEFAULT_TOL):
     """True when some singular value counted as nonzero sits inside the
     ambiguity band just above the rank cutoff."""
-    s = singular_values(as_matrix(mat))
-    if s.size == 0 or s[0] == 0.0:
-        return False
-    cutoff = tol.rank_cutoff(mat.shape, s[0])
-    return bool(np.any((s > cutoff) & (s <= cutoff * _AMBIGUITY_BAND)))
+    return spectrum(mat, tol).ambiguous
+
+
+def spectrum(mat, tol=DEFAULT_TOL):
+    """Full SVD of ``mat`` with its rank and ambiguity flag."""
+    mat = as_matrix(mat)
+    u, s, v = svd(mat)
+    r = _sv_rank(s, mat.shape, tol)
+    return Spectrum(u, s, v, r, r != _sv_rank(s, mat.shape, tol, _AMBIGUITY_BAND))
 
 
 def null_space(mat, tol=DEFAULT_TOL):
     """Orthonormal basis of ``{v : mat @ v = 0}``."""
-    mat = as_matrix(mat)
-    _, s, v = svd(mat)
-    r = 0
-    if s.size and s[0] > 0.0:
-        r = int(np.sum(s > tol.rank_cutoff(mat.shape, s[0])))
-    basis = v[:, r:]
-    return SubspaceBasis(columns=basis, dim=basis.shape[1])
+    sp = spectrum(mat, tol)
+    return SubspaceBasis(sp.v[:, sp.rank:])
 
 
 def column_space(mat, tol=DEFAULT_TOL):
     """Orthonormal basis of the range of ``mat``."""
-    mat = as_matrix(mat)
-    u, s, _ = svd(mat)
-    r = 0
-    if s.size and s[0] > 0.0:
-        r = int(np.sum(s > tol.rank_cutoff(mat.shape, s[0])))
-    basis = u[:, :r]
-    return SubspaceBasis(columns=basis, dim=r)
+    sp = spectrum(mat, tol)
+    return SubspaceBasis(sp.u[:, : sp.rank])
 
 
 def _principal_cosines(b1, b2):
@@ -258,3 +288,4 @@ def truncated_svd(mat, max_rank):
         return np.zeros_like(mat)
     u, s, v = svd(mat, full_matrices=False)
     return (u[:, :k] * s[:k]) @ v[:, :k].T
+

@@ -24,12 +24,13 @@ from .errors import GenericScaleFailed, IllConditioned, InputError, NotOpen
 from .matrixio import as_matrix
 from .numcore import (
     DEFAULT_TOL,
-    column_space,
+    SubspaceBasis,
+    _sv_rank,
     intersection_dim,
     null_space,
     rank,
-    rank_is_ambiguous,
     singular_values,
+    spectrum,
     truncated_svd,
 )
 
@@ -95,32 +96,30 @@ def check_openness(pair, tol=DEFAULT_TOL):
     ambiguity band or the two intersection-dimension computations
     disagree; near the rank threshold no verdict is trustworthy.
     """
-    w1, w2 = pair.w1, pair.w2
     m, k, n = pair.m, pair.k, pair.n
-    product = pair.product
-    for name, mat in (("w1", w1), ("w2", w2), ("product", product)):
-        if rank_is_ambiguous(mat, tol):
+    sp1, sp2, spp = (spectrum(mat, tol) for mat in (pair.w1, pair.w2, pair.product))
+    for name, sp in (("w1", sp1), ("w2", sp2), ("product", spp)):
+        if sp.ambiguous:
             raise IllConditioned(
                 f"{name} has a singular value too close to the rank cutoff"
             )
-    r1, r2, rp = rank(w1, tol), rank(w2, tol), rank(product, tol)
+    r1, r2, rp = sp1.rank, sp2.rank, spp.rank
 
-    # dim(N(w1) & C(w2)) via the rank identity, cross-checked against
-    # principal angles on explicit bases
-    d_nc = r2 - rp
-    d_angles = intersection_dim(null_space(w1, tol), column_space(w2, tol), tol)
-    if d_nc != d_angles:
-        raise IllConditioned(
-            f"intersection dim mismatch: rank identity {d_nc}, angles {d_angles}"
+    # dim(N(w1) & C(w2)) and dim(N(w2.T) & C(w1.T)) via the rank identity,
+    # each cross-checked against principal angles on bases read off the
+    # spectra
+    d_nc, d_cn = r2 - rp, r1 - rp
+    for label, d_id, null_cols, col_cols in (
+        ("intersection", d_nc, sp1.v[:, r1:], sp2.u[:, :r2]),
+        ("transposed intersection", d_cn, sp2.u[:, r2:], sp1.v[:, :r1]),
+    ):
+        d_angles = intersection_dim(
+            SubspaceBasis(null_cols), SubspaceBasis(col_cols), tol
         )
-    d_cn = r1 - rp
-    d_cn_angles = intersection_dim(
-        null_space(w2.T, tol), column_space(w1.T, tol), tol
-    )
-    if d_cn != d_cn_angles:
-        raise IllConditioned(
-            f"transposed intersection dim mismatch: {d_cn} vs {d_cn_angles}"
-        )
+        if d_id != d_angles:
+            raise IllConditioned(
+                f"{label} dim mismatch: rank identity {d_id}, angles {d_angles}"
+            )
 
     if k >= min(m, n):
         # image is the whole space; openness iff some one-sided completion
@@ -156,14 +155,6 @@ def check_openness(pair, tol=DEFAULT_TOL):
     )
 
 
-def _positive_sv_floor(mat, tol):
-    s = singular_values(mat)
-    if s.size == 0 or s[0] == 0.0:
-        return None
-    pos = s[s > tol.rank_cutoff(mat.shape, s[0])]
-    return float(pos.min()) if pos.size else None
-
-
 def null_completion(w1, w2, tol=DEFAULT_TOL, seed=0, scale=None):
     """Build ``wt2`` with columns in ``N(w1)`` such that ``w2 + wt2`` is
     full rank; the generic construction, verified and retried with seeded
@@ -172,15 +163,17 @@ def null_completion(w1, w2, tol=DEFAULT_TOL, seed=0, scale=None):
     w2 = as_matrix(w2, "w2")
     k, n = w2.shape
     target_rank = min(k, n)
-    if rank(w2, tol) == target_rank:
+    s2 = singular_values(w2)
+    r2 = _sv_rank(s2, w2.shape, tol)
+    if r2 == target_rank:
         return np.zeros_like(w2)
     basis = null_space(w1, tol)
     if basis.dim == 0:
         raise GenericScaleFailed("left factor has a trivial null space")
     d = basis.dim
     if scale is None:
-        floor = _positive_sv_floor(w2, tol)
-        scale = 0.5 * floor if floor is not None else 1.0
+        # half the smallest singular value of w2 counted in its rank
+        scale = 0.5 * float(s2[r2 - 1]) if r2 else 1.0
     order = np.argsort(np.linalg.norm(w2, axis=0))  # prefer empty columns
     rng = np.random.default_rng(seed)
     for attempt in range(8):

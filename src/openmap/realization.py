@@ -31,7 +31,7 @@ from .errors import (
     RankInfeasible,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, bounded_basis, null_space, rank, svd
+from .numcore import DEFAULT_TOL, bounded_basis, null_space, rank, spectrum
 from .openness import (
     REGIME_DEFICIENT,
     FactorPair,
@@ -76,10 +76,10 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, tol):
     """Direct completion in the regime where the image is everything."""
     w1, w2 = pair.w1, pair.w2
     r_delta = z_tilde - pair.product
-    if rank(w1, tol) == pair.m:
+    if rep.rank_w1 == pair.m:
         dw2 = np.linalg.pinv(w1) @ r_delta
         return _witness(pair, np.zeros_like(w1), dw2, z_tilde, input_delta, tol, None)
-    if rank(w2, tol) == pair.n:
+    if rep.rank_w2 == pair.n:
         dw1 = r_delta @ np.linalg.pinv(w2)
         return _witness(pair, dw1, np.zeros_like(w2), z_tilde, input_delta, tol, None)
 
@@ -152,9 +152,8 @@ def _column_classification(st, r, k, tol):
 def _realize_rank_deficient(pair, z_tilde, input_delta, tol):
     w1, w2 = pair.w1, pair.w2
     m, k, n = pair.m, pair.k, pair.n
-    z = pair.product
-    u, s, v = svd(z)
-    r = rank(z, tol)
+    sp = spectrum(pair.product, tol)
+    u, s, v, r = sp.u, sp.s, sp.v, sp.rank
 
     sigma_min = float(s[r - 1]) if r > 0 else None
     delta0 = sigma_min / 2.0 if sigma_min is not None else None
@@ -260,10 +259,9 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
             f"shape {(pair.m, pair.n)}"
         )
     rank_cap = min(pair.m, pair.n, pair.k)
-    if rank(z_tilde, tol) > rank_cap:
-        raise RankInfeasible(
-            f"target rank {rank(z_tilde, tol)} exceeds the image bound {rank_cap}"
-        )
+    r_target = rank(z_tilde, tol)
+    if r_target > rank_cap:
+        raise RankInfeasible(f"target rank {r_target} exceeds the image bound {rank_cap}")
     report = check_openness(pair, tol)
     if not report.open:
         raise NotOpen("the product map is not locally open at this pair")

@@ -153,10 +153,9 @@ def sym_realize(w, sigma_tilde, tol=DEFAULT_TOL):
     scale = max(1.0, float(np.abs(t_vals).max()))
     if t_vals.min() < -tol.residual_abs * scale:
         raise NotPSD(f"target has eigenvalue {t_vals.min():.3e} below tolerance")
-    if rank(sigma_tilde, tol) > k:
-        raise RankInfeasible(
-            f"target rank {rank(sigma_tilde, tol)} exceeds the factor width {k}"
-        )
+    r_target = rank(sigma_tilde, tol)
+    if r_target > k:
+        raise RankInfeasible(f"target rank {r_target} exceeds the factor width {k}")
 
     z = w @ w.T
     lam, u = _eigh_descending(z)

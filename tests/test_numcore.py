@@ -16,7 +16,6 @@ from openmap.numcore import (
     svd,
     truncated_svd,
 )
-from openmap.selftest import _batched_rank
 
 
 def reconstruct(u, s, v, shape):
@@ -105,9 +104,18 @@ class TestRank:
             * 10.0 ** rng.integers(-8, 9)
             for r in range(40)
         ])
-        for stack in (grid.reshape(-1, 2, 2), low, np.zeros((2, 3, 1))):
+        empty = np.zeros((2, 0, 3))
+        for stack in (grid.reshape(-1, 2, 2), low, np.zeros((2, 3, 1)), empty):
             want = [rank(m) for m in stack]
-            assert _batched_rank(stack, DEFAULT_TOL)[0].tolist() == want
+            assert rank(stack).tolist() == want
+        assert rank(low.reshape(4, 10, 3, 4)).tolist() == np.reshape(
+            [rank(m) for m in low], (4, 10)).tolist()
+
+    def test_stack_rejects_nonfinite(self):
+        stack = np.zeros((3, 2, 2))
+        stack[2, 1, 0] = np.inf
+        with pytest.raises(InputError):
+            rank(stack)
 
 
 class TestSubspaces:

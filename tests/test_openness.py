@@ -106,6 +106,23 @@ class TestCheckOpenness:
         with pytest.raises(InputError):
             pair(np.eye(2), np.eye(3))
 
+    def test_one_decomposition_per_matrix(self, monkeypatch):
+        # generic 4x2 . 2x5 pair: both subspace intersections are trivial,
+        # so the only SVDs are those of w1, w2 and the product
+        rng = np.random.default_rng(3)
+        p = pair(rng.standard_normal((4, 2)), rng.standard_normal((2, 5)))
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rep = check_openness(p)
+        assert rep.open and rep.regime == REGIME_DEFICIENT
+        assert calls == [(4, 2), (2, 5), (4, 5)]
+
 
 class TestConstructWitnesses:
     def test_full_rank_factors_trivial_witnesses(self):
