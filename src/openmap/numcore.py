@@ -289,3 +289,50 @@ def truncated_svd(mat, max_rank):
     u, s, v = svd(mat, full_matrices=False)
     return (u[:, :k] * s[:k]) @ v[:, :k].T
 
+
+def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
+    """Batched Levenberg-Marquardt on ``product(*blocks) = target``, one
+    slice of each matrix block of ``shapes`` per target.
+
+    Blocks start at zero, or at seeded normal jitter of scale
+    ``init_scale`` drawn block by block.  ``jacobian(*blocks)`` returns the
+    ``(targets, entries, unknowns)`` Jacobian with unknowns in block order.
+    Returns (blocks, residual_norms).
+    """
+    t_count = targets.shape[0]
+    rng = np.random.default_rng(seed)
+    if init_scale > 0.0:
+        blocks = [rng.normal(scale=init_scale, size=(t_count, *s)) for s in shapes]
+    else:
+        blocks = [np.zeros((t_count, *s)) for s in shapes]
+    offsets = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+    eye_p = np.eye(offsets[-1])
+    lam = np.full(t_count, 1e-4)
+    res = product(*blocks) - targets
+    res_norm = np.linalg.norm(res.reshape(t_count, -1), axis=1)
+    goal = 0.05 * tol.residual_abs
+    for _ in range(max_iter):
+        active = (res_norm > goal) & (lam < 1e14)
+        if not np.any(active):
+            break
+        jac = jacobian(*blocks)
+        rflat = res.reshape(t_count, -1)
+        grad = np.einsum("tri,tr->ti", jac, rflat)
+        hess = np.einsum("tri,trj->tij", jac, jac)
+        step = np.linalg.solve(
+            hess + lam[:, None, None] * eye_p[None], -grad[..., None]
+        )[..., 0]
+        tried = [
+            blk + step[:, lo:hi].reshape(blk.shape)
+            for blk, lo, hi in zip(blocks, offsets, offsets[1:])
+        ]
+        res_try = product(*tried) - targets
+        norm_try = np.linalg.norm(res_try.reshape(t_count, -1), axis=1)
+        improved = active & (norm_try < res_norm)
+        for blk, blk_try in zip(blocks, tried):
+            blk[improved] = blk_try[improved]
+        res[improved] = res_try[improved]
+        res_norm[improved] = norm_try[improved]
+        lam[improved] = np.maximum(lam[improved] * 0.3, 1e-14)
+        lam[active & ~improved] *= 10.0
+    return blocks, res_norm

@@ -27,6 +27,7 @@ from .numcore import (
     SubspaceBasis,
     _sv_rank,
     intersection_dim,
+    lm_fit,
     null_space,
     rank,
     singular_values,
@@ -251,97 +252,50 @@ def sample_feasible_target(z, rank_cap, delta, rng, iters=80):
     return zt
 
 
-def _lm_factor_fit(w1, w2, targets, tol, max_iter=80, init_scale=0.0, seed=0):
-    """Batched Levenberg-Marquardt on ``(w1+A)(w2+B) = target`` for a stack
-    of targets, started from ``A = B = 0`` plus optional seeded jitter.
-
-    Returns (A, B, residual_norms) with one slice per target.
-    """
-    m, k = w1.shape
-    n = w2.shape[1]
-    t_count = targets.shape[0]
-    rng = np.random.default_rng(seed)
-    if init_scale > 0.0:
-        a = rng.normal(scale=init_scale, size=(t_count, m, k))
-        b = rng.normal(scale=init_scale, size=(t_count, k, n))
-    else:
-        a = np.zeros((t_count, m, k))
-        b = np.zeros((t_count, k, n))
-    eye_m, eye_n = np.eye(m), np.eye(n)
-    eye_p = np.eye(m * k + k * n)
-    lam = np.full(t_count, 1e-4)
-
-    def residual(a_, b_):
-        return (w1[None] + a_) @ (w2[None] + b_) - targets
-
-    res = residual(a, b)
-    res_norm = np.linalg.norm(res.reshape(t_count, -1), axis=1)
-    goal = 0.05 * tol.residual_abs
-    for _ in range(max_iter):
-        active = (res_norm > goal) & (lam < 1e14)
-        if not np.any(active):
-            break
-        w2b = w2[None] + b
-        w1a = w1[None] + a
-        ja = np.einsum("ip,tqj->tijpq", eye_m, w2b).reshape(t_count, m * n, m * k)
-        jb = np.einsum("tip,jq->tijpq", w1a, eye_n).reshape(t_count, m * n, k * n)
-        jac = np.concatenate([ja, jb], axis=2)
-        rflat = res.reshape(t_count, -1)
-        grad = np.einsum("tri,tr->ti", jac, rflat)
-        hess = np.einsum("tri,trj->tij", jac, jac)
-        step = np.linalg.solve(
-            hess + lam[:, None, None] * eye_p[None], -grad[..., None]
-        )[..., 0]
-        da = step[:, : m * k].reshape(t_count, m, k)
-        db = step[:, m * k :].reshape(t_count, k, n)
-        a_try = a + da
-        b_try = b + db
-        res_try = residual(a_try, b_try)
-        norm_try = np.linalg.norm(res_try.reshape(t_count, -1), axis=1)
-        improved = active & (norm_try < res_norm)
-        a[improved] = a_try[improved]
-        b[improved] = b_try[improved]
-        res[improved] = res_try[improved]
-        res_norm[improved] = norm_try[improved]
-        lam[improved] = np.maximum(lam[improved] * 0.3, 1e-14)
-        rejected = active & ~improved
-        lam[rejected] *= 10.0
-    return a, b, res_norm
-
-
 def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
     """Independent factor-recovery oracle for a stack of targets.
 
-    Success means residual within ``residual_abs`` and combined factor
-    perturbation within ``PROBE_NORM_SLACK * delta``.  Trials that stall
-    from a degenerate start are retried once with seeded jitter at the
-    square-root-of-delta scale.
+    Solves ``(w1 + A)(w2 + B) = target`` by batched Levenberg-Marquardt
+    from ``A = B = 0``.  Success means residual within ``residual_abs``
+    and combined factor perturbation within ``PROBE_NORM_SLACK * delta``.
+    Trials that stall from the degenerate start are retried with seeded
+    jitter at a few square-root-of-delta scales.
     """
     targets = np.asarray(targets, dtype=float)
-    t_count = targets.shape[0]
+    m, k = w1.shape
+    n = w2.shape[1]
+    eye_m, eye_n = np.eye(m), np.eye(n)
     cap = PROBE_NORM_SLACK * delta
-    a, b, rn = _lm_factor_fit(w1, w2, targets, tol, seed=seed)
-    pair_norm = np.sqrt(
-        np.linalg.norm(a.reshape(t_count, -1), axis=1) ** 2
-        + np.linalg.norm(b.reshape(t_count, -1), axis=1) ** 2
-    )
-    success = (rn <= tol.residual_abs) & (pair_norm <= cap)
-    # a degenerate start stalls the solver at rank-boundary points; retry
-    # the failures from seeded jitter at a few square-root-of-delta scales
+
+    def product(a, b):
+        return (w1[None] + a) @ (w2[None] + b)
+
+    def jacobian(a, b):
+        t_count = a.shape[0]
+        ja = np.einsum("ip,tqj->tijpq", eye_m, w2[None] + b)
+        jb = np.einsum("tip,jq->tijpq", w1[None] + a, eye_n)
+        return np.concatenate([
+            ja.reshape(t_count, m * n, m * k), jb.reshape(t_count, m * n, k * n)
+        ], axis=2)
+
+    def fit(tgts, max_iter, init_scale, fit_seed):
+        (a, b), rn = lm_fit(product, jacobian, (w1.shape, w2.shape), tgts, tol,
+                            max_iter, init_scale, fit_seed)
+        norm = np.sqrt(
+            np.linalg.norm(a.reshape(len(a), -1), axis=1) ** 2
+            + np.linalg.norm(b.reshape(len(b), -1), axis=1) ** 2
+        )
+        return a, b, rn, norm, (rn <= tol.residual_abs) & (norm <= cap)
+
+    a, b, rn, pair_norm, success = fit(targets, 80, 0.0, seed)
     if delta > 0.0:
         for round_idx, factor in enumerate((0.5, 1.5, 0.25, 0.75)):
             retry = ~success
             if not np.any(retry):
                 break
-            a2, b2, rn2 = _lm_factor_fit(
-                w1, w2, targets[retry], tol, max_iter=120,
-                init_scale=factor * np.sqrt(delta), seed=seed + 1 + round_idx,
+            a2, b2, rn2, norm2, ok2 = fit(
+                targets[retry], 120, factor * np.sqrt(delta), seed + 1 + round_idx
             )
-            norm2 = np.sqrt(
-                np.linalg.norm(a2.reshape(a2.shape[0], -1), axis=1) ** 2
-                + np.linalg.norm(b2.reshape(b2.shape[0], -1), axis=1) ** 2
-            )
-            ok2 = (rn2 <= tol.residual_abs) & (norm2 <= cap)
             idx = np.flatnonzero(retry)[ok2]
             success[idx] = True
             a[idx], b[idx] = a2[ok2], b2[ok2]

@@ -32,7 +32,7 @@ from .errors import (
     RankInfeasible,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, null_space, rank
+from .numcore import DEFAULT_TOL, lm_fit, null_space, rank
 
 # safety floors from the diagonal recursion: radicands must stay above
 # 1/4 and pivots above 1/2 for the sweep to be well defined
@@ -283,71 +283,40 @@ def certify_bm_transfer(w, tol=DEFAULT_TOL):
     )
 
 
-def _lm_symmetric_fit(w, targets, tol, max_iter=100, init_scale=0.0, seed=0):
-    """Batched Levenberg-Marquardt on ``(w+A)(w+A).T = target``."""
-    n, k = w.shape
-    t_count = targets.shape[0]
-    rng = np.random.default_rng(seed)
-    if init_scale > 0.0:
-        a = rng.normal(scale=init_scale, size=(t_count, n, k))
-    else:
-        a = np.zeros((t_count, n, k))
-    eye_n = np.eye(n)
-    eye_p = np.eye(n * k)
-    lam = np.full(t_count, 1e-4)
-
-    def residual(a_):
-        wa = w[None] + a_
-        return wa @ np.transpose(wa, (0, 2, 1)) - targets
-
-    res = residual(a)
-    res_norm = np.linalg.norm(res.reshape(t_count, -1), axis=1)
-    goal = 0.05 * tol.residual_abs
-    for _ in range(max_iter):
-        active = (res_norm > goal) & (lam < 1e14)
-        if not np.any(active):
-            break
-        wa = w[None] + a
-        # d res_{ij} / d a_{pq} = delta_ip * wa_{jq} + delta_jp * wa_{iq}
-        j1 = np.einsum("ip,tjq->tijpq", eye_n, wa)
-        jac = (j1 + np.transpose(j1, (0, 2, 1, 3, 4))).reshape(
-            t_count, n * n, n * k
-        )
-        rflat = res.reshape(t_count, -1)
-        grad = np.einsum("tri,tr->ti", jac, rflat)
-        hess = np.einsum("tri,trj->tij", jac, jac)
-        step = np.linalg.solve(
-            hess + lam[:, None, None] * eye_p[None], -grad[..., None]
-        )[..., 0]
-        a_try = a + step.reshape(t_count, n, k)
-        res_try = residual(a_try)
-        norm_try = np.linalg.norm(res_try.reshape(t_count, -1), axis=1)
-        improved = active & (norm_try < res_norm)
-        a[improved] = a_try[improved]
-        res[improved] = res_try[improved]
-        res_norm[improved] = norm_try[improved]
-        lam[improved] = np.maximum(lam[improved] * 0.3, 1e-14)
-        lam[active & ~improved] *= 10.0
-    return a, res_norm
-
-
 def gauss_newton_sym_recover(w, targets, delta, tol=DEFAULT_TOL, seed=0):
-    """Independent oracle for symmetric-target feasibility."""
+    """Independent oracle for symmetric-target feasibility: batched
+    Levenberg-Marquardt on ``(w + A)(w + A).T = target`` from ``A = 0``,
+    with one jittered retry of the trials that fail."""
     targets = np.asarray(targets, dtype=float)
     t_count = targets.shape[0]
+    n, k = w.shape
+    eye_n = np.eye(n)
     cap = 1e3 * delta
-    a, rn = _lm_symmetric_fit(w, targets, tol, seed=seed)
-    norms = np.linalg.norm(a.reshape(t_count, -1), axis=1)
     scale = np.maximum(
         1.0, np.linalg.norm(targets.reshape(t_count, -1), axis=1)
     )
+
+    def product(a):
+        wa = w[None] + a
+        return wa @ np.transpose(wa, (0, 2, 1))
+
+    def jacobian(a):
+        # d res_{ij} / d a_{pq} = delta_ip * wa_{jq} + delta_jp * wa_{iq}
+        j1 = np.einsum("ip,tjq->tijpq", eye_n, w[None] + a)
+        return (j1 + np.transpose(j1, (0, 2, 1, 3, 4))).reshape(
+            a.shape[0], n * n, n * k
+        )
+
+    def fit(tgts, init_scale, fit_seed):
+        (a,), rn = lm_fit(product, jacobian, (w.shape,), tgts, tol, 100,
+                          init_scale, fit_seed)
+        return a, rn, np.linalg.norm(a.reshape(len(a), -1), axis=1)
+
+    a, rn, norms = fit(targets, 0.0, seed)
     success = (rn <= tol.residual_abs * scale) & (norms <= cap)
     retry = ~success
     if np.any(retry) and delta > 0.0:
-        a2, rn2 = _lm_symmetric_fit(
-            w, targets[retry], tol, init_scale=0.5 * np.sqrt(delta), seed=seed + 1
-        )
-        norm2 = np.linalg.norm(a2.reshape(a2.shape[0], -1), axis=1)
+        a2, rn2, norm2 = fit(targets[retry], 0.5 * np.sqrt(delta), seed + 1)
         ok2 = (rn2 <= tol.residual_abs * scale[retry]) & (norm2 <= cap)
         idx = np.flatnonzero(retry)[ok2]
         success[idx] = True
