@@ -87,7 +87,6 @@ class RunConfig:
 
 @dataclass
 class ExperimentReport:
-    config: dict
     records: list
     aggregates: dict
     wall_clock_seconds: float
@@ -266,14 +265,6 @@ def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, n_samples=None,
         "max_converged_objective_gap": max_gap,
     }
     return ExperimentReport(
-        config={
-            "trials": trials,
-            "seed": seed,
-            "dims": list(dims) if dims else None,
-            "depth": depth,
-            "dim_cap": dim_cap,
-            "max_iter": max_iter,
-        },
         records=records,
         aggregates=aggregates,
         wall_clock_seconds=time.perf_counter() - start,
@@ -303,7 +294,6 @@ def _cmd_openness_probe(args):
         pair, args.delta, config.trials, config.tolerances, seed=config.seed
     )
     report = ExperimentReport(
-        config=config.to_payload(),
         records=result.pop("per_trial"),
         aggregates=result,
         wall_clock_seconds=time.perf_counter() - start,
@@ -337,7 +327,6 @@ def _cmd_ratio_sweep(args):
         pair, deltas, config.trials, config.tolerances, seed=config.seed
     )
     report = ExperimentReport(
-        config=config.to_payload(),
         records=table,
         aggregates={
             "max_ratio": max(
@@ -449,6 +438,8 @@ def _cmd_net_probe(args):
 def _cmd_net_gd_sweep(args):
     config = _config_from(args, "net gd-sweep", default_trials=20)
     dims = _parse_dims(args.dims) if args.dims else None
+    config.extra.update(dims=list(dims) if dims else None, depth=args.depth,
+                        dim_cap=args.dim_cap, max_iter=args.max_iter)
     x = load_matrix(args.x) if args.x else None
     y = load_matrix(args.y) if args.y else None
     report = gd_sweep(
