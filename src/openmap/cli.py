@@ -222,6 +222,7 @@ def _gd_trial(payload):
         "status": None,
         "global_value": None,
         "objective_gap": None,
+        "has_descent_direction": None,
     }
     gv = global_value(spec, x, y, tol)
     record["global_value"] = gv
