@@ -5,8 +5,9 @@ Every matrix crossing a process boundary uses the same payload::
     {"rows": m, "cols": n, "data": [row-major reals]}
 
 ``json`` emits shortest-representation decimals, so IEEE-754 doubles
-round-trip bit-exactly.  NaN/Inf are rejected on both directions, and
-``data`` must be a flat list of numbers.
+round-trip bit-exactly.  NaN/Inf are rejected on both directions,
+``rows`` and ``cols`` must be positive JSON integers, and ``data`` a flat
+list of numbers.
 
 Reports reach the wire through ``to_jsonable`` alone: a dataclass
 instance becomes ``{field.name: value}`` in field order, so a field's
@@ -42,9 +43,11 @@ def matrix_from_payload(obj, name="matrix"):
     if not isinstance(obj, dict):
         raise InputError(f"{name}: expected an object with rows/cols/data")
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+    except KeyError as exc:
         raise InputError(f"{name}: malformed matrix payload: {exc}") from exc
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in (rows, cols)):
+        raise InputError(f"{name}: rows and cols must be JSON integers")
     if rows <= 0 or cols <= 0:
         raise InputError(f"{name}: rows and cols must be positive")
     if not isinstance(data, list) or not all(

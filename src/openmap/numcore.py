@@ -1,13 +1,13 @@
 """Dense linear-algebra core: one rank-tolerance policy for the whole
-package, subspace bases, and bounded-coefficient row-basis selection.
+package, subspace bases, bounded-coefficient row-basis selection, and the
+batched solver behind the recovery oracles.
 
-One rank rule: ``_sv_rank`` alone turns singular values (of one matrix
-or of a stack) into a rank by comparing them with
-``Tolerances.rank_cutoff``; ``rank``, ``rank_is_ambiguous``,
-``null_space``, ``column_space`` and ``spectrum`` all apply it.  A
-``Spectrum`` holds one full SVD with its rank and ambiguity flag, so a
-caller that needs several of a matrix's ranks, flags and subspace bases
-decomposes it once.
+* One rank rule: ``_sv_rank`` alone compares singular values (of one
+  matrix or of a stack) with ``Tolerances.rank_cutoff``.
+* A ``Spectrum`` holds one full SVD with the rank and ambiguity flag read
+  off it, so a matrix whose ranks, flags and bases are all needed is
+  decomposed once.
+* ``lm_fit`` is the one batched Levenberg-Marquardt loop.
 
 All operations are pure functions of their arguments and safe to call
 concurrently.

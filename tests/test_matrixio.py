@@ -59,6 +59,20 @@ def test_rejects_data_that_is_not_a_flat_list_of_numbers(data):
         matrix_from_payload({"rows": 1, "cols": 2, "data": data})
 
 
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        (2.7, True),  # would load as 2x1 under int() coercion
+        ("2", 1),  # strings are not integers
+        (2.0, 1),  # nor are integral floats
+        (2, None),
+    ],
+)
+def test_rejects_rows_and_cols_that_are_not_json_integers(rows, cols):
+    with pytest.raises(InputError):
+        matrix_from_payload({"rows": rows, "cols": cols, "data": [1.0, 2.0]})
+
+
 def test_cli_exits_2_on_a_malformed_matrix_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"rows": 1, "cols": 2, "data": ["a", "b"]}')
