@@ -646,8 +646,8 @@ def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
             certificates=certificates,
         )
 
-    prod = product_matrix(point)
-    degenerate = rank(prod, tol) < spec.min_width
+    prod_rank = rank(product_matrix(point), tol)
+    degenerate = prod_rank < spec.min_width
     if gnorm > tol.grad_abs:
         certificates.append({"check": "criticality", "passed": False, "value": gnorm})
         return report(NOT_CRITICAL)
@@ -672,7 +672,7 @@ def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
     if not degenerate:
         certificates.append(
             {"check": "non-degenerate-openness", "passed": True,
-             "value": rank(prod, tol)}
+             "value": prod_rank}
         )
         probe = local_min_probe(point, spec, tol, seed=seed)
         certificates.append(
@@ -712,6 +712,20 @@ def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
     return report(INCONCLUSIVE)
 
 
+def admissible_width_pair(dims):
+    """First layer pair ``(p1, p2)``, ``0 < p1 < p2 < h``, with input
+    width ``d_0 > d_{p1}`` and output width ``d_h > d_{p2}`` (``dims``
+    lists widths output first, so ``d_i = dims[h - i]``), or ``None``."""
+    h = len(dims) - 1
+    for p1 in range(1, h - 1):
+        if dims[h] <= dims[h - p1]:
+            continue
+        for p2 in range(p1 + 1, h):
+            if dims[0] > dims[h - p2]:
+                return p1, p2
+    return None
+
+
 def counterexample_factory(dims, tol=DEFAULT_TOL):
     """Instance with a non-global basin: identity input, a single far
     corner target, identity-padded outer layers and zeroed middle layers
@@ -729,16 +743,7 @@ def counterexample_factory(dims, tol=DEFAULT_TOL):
     def d(i):
         return dims[h - i]
 
-    chosen = None
-    for p1 in range(1, h - 1):
-        if d(0) <= d(p1):
-            continue
-        for p2 in range(p1 + 1, h):
-            if d(h) > d(p2):
-                chosen = (p1, p2)
-                break
-        if chosen:
-            break
+    chosen = admissible_width_pair(dims)
     if chosen is None:
         raise NotConstructible(
             "no width pair admits a non-global basin: every local minimum "

@@ -15,6 +15,7 @@ from .errors import DomainRefusal, IllConditioned
 from .landscape import (
     SPURIOUS_LOCAL_MIN,
     NetworkPoint,
+    admissible_width_pair,
     classify,
     counterexample_factory,
     global_value,
@@ -356,21 +357,6 @@ def criterion_7(seed=0, jobs=1):
     )
 
 
-def _has_valid_pair(dims):
-    h = len(dims) - 1
-
-    def d(i):
-        return dims[h - i]
-
-    for p1 in range(1, h - 1):
-        if d(0) <= d(p1):
-            continue
-        for p2 in range(p1 + 1, h):
-            if d(h) > d(p2):
-                return True
-    return False
-
-
 def criterion_8(seed=0, jobs=1):
     """Width dichotomy: constructible instances verify their exact
     values and probe; architectures without an admissible width pair
@@ -394,7 +380,7 @@ def criterion_8(seed=0, jobs=1):
     lacking = []
     for h in (2, 3, 4):
         for dims in itertools.product((1, 2, 3), repeat=h + 1):
-            if not _has_valid_pair(dims):
+            if admissible_width_pair(dims) is None:
                 lacking.append(dims)
     sweeps = 0
     for t_idx, dims in enumerate(lacking):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from openmap.landscape import (
     NetworkPoint,
     NetworkSpec,
     SquaredError,
+    admissible_width_pair,
     classify,
     counterexample_factory,
     forward_nonlinear,
@@ -295,6 +298,19 @@ class TestFactory:
     def test_not_constructible_increasing(self):
         with pytest.raises(NotConstructible):
             counterexample_factory((1, 2, 2, 1))
+
+    def test_constructible_exactly_when_a_width_pair_exists(self):
+        lacking = 0
+        for h in (2, 3, 4):
+            for dims in itertools.product((1, 2, 3), repeat=h + 1):
+                if admissible_width_pair(dims) is None:
+                    lacking += 1
+                    with pytest.raises(NotConstructible):
+                        counterexample_factory(dims)
+                else:
+                    counterexample_factory(dims)
+        # selftest criterion 8 sweeps exactly these tuples
+        assert lacking == 291
 
 
 class TestFixture:
