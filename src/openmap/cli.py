@@ -1,10 +1,23 @@
 """Command-line front end and experiment harness.
 
+One table, ``COMMANDS``, declares every command.  It maps a command path
+such as ``("net", "gd-sweep")`` or ``("realize",)`` to the command's own
+flags, its handler ``(args, config) -> payload`` and its default
+``--trials``; every command also takes the common flags of ``_COMMON``.
+``run`` picks the longest path in the table that is a prefix of argv and
+parses the rest with that command's leaf parser, which is built on first
+use and kept for the life of the process, so no parser is built twice.
+It then builds the run config, calls the handler and prints
+``{"config": ..., "result": ...}``.  ``selftest`` writes its own output:
+one line per criterion, and the ``--out`` file.
+
 Verdicts live in the JSON payload, never in exit codes: 0 means the
-command ran to completion, 2 flags bad input, 3 a domain refusal
-(target out of certified range, no constructible instance, point not
-open), 4 a numerical failure.  Every error also renders as a JSON object
-on stderr.
+command ran to completion.  ``_EXIT_CODES`` maps each error family to
+its code, the first family that matches deciding: 2 flags bad input
+(usage errors and missing or unreadable files included), 3 a domain
+refusal (target out of certified range, no constructible instance, point
+not open), 4 a numerical failure.  Every error also renders as a JSON
+object on stderr.
 
 Reports echo their configuration and derive every per-trial seed from
 the master seed by counter, so identical configurations reproduce every
@@ -13,17 +26,19 @@ timing is reported but excluded from that guarantee).
 """
 
 import argparse
-import json
 import os
 import sys
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import takewhile
 
 import numpy as np
 
 from . import __version__
-from .errors import DomainRefusal, InputError, NumericalFailure, OpenMapError
+from .errors import DomainRefusal, InputError, OpenMapError
 from .landscape import (
     NetworkPoint,
     NetworkSpec,
@@ -103,33 +118,15 @@ def _env_int(name, default):
         raise InputError(f"{name} must be an integer, got {raw!r}") from exc
 
 
-def _add_common(parser):
-    parser.add_argument("--tol-rank", type=float, default=None)
-    parser.add_argument("--tol-grad", type=float, default=None)
-    parser.add_argument("--tol-residual", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--jobs", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument(
-        "--format", choices=("json", "text-summary"), default="json"
-    )
-
-
-def _config_from(args, command, default_trials=20):
+def _config_from(args, command, default_trials):
     kwargs = {}
-    if args.tol_rank is not None:
-        if args.tol_rank <= 0:
-            raise InputError("--tol-rank must be positive")
-        kwargs["rank_rel"] = args.tol_rank
-    if args.tol_grad is not None:
-        if args.tol_grad <= 0:
-            raise InputError("--tol-grad must be positive")
-        kwargs["grad_abs"] = args.tol_grad
-    if args.tol_residual is not None:
-        if args.tol_residual <= 0:
-            raise InputError("--tol-residual must be positive")
-        kwargs["residual_abs"] = args.tol_residual
+    for flag, name in (("--tol-rank", "rank_rel"), ("--tol-grad", "grad_abs"),
+                       ("--tol-residual", "residual_abs")):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            if value <= 0:
+                raise InputError(f"{flag} must be positive")
+            kwargs[name] = value
     seed = args.seed if args.seed is not None else _env_int("OPENMAP_SEED", 0)
     kwargs["rng_seed"] = seed
     jobs = args.jobs if args.jobs is not None else _env_int(
@@ -165,7 +162,7 @@ def _emit(config, payload):
         print(text)
 
 
-def _summarize(payload, prefix=""):
+def _summarize(payload):
     lines = []
 
     def walk(obj, path):
@@ -177,7 +174,7 @@ def _summarize(payload, prefix=""):
         else:
             lines.append(f"{path}: {obj}")
 
-    walk(to_jsonable(payload), prefix)
+    walk(to_jsonable(payload), "")
     return "\n".join(lines)
 
 
@@ -272,62 +269,56 @@ def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, n_samples=None,
     )
 
 
-# -- command handlers ----------------------------------------------------------
+# -- command handlers: (args, config) -> payload -------------------------------
 
 
-def _cmd_openness_check(args):
-    config = _config_from(args, "openness check")
-    pair = FactorPair(load_matrix(args.w1), load_matrix(args.w2))
+def _pair(args):
+    return FactorPair(load_matrix(args.w1), load_matrix(args.w2))
+
+
+def _openness_check(args, config):
+    pair = _pair(args)
     payload = to_jsonable(check_openness(pair, config.tolerances))
     if args.witnesses:
         wt1, wt2 = construct_witnesses(pair, config.tolerances, seed=config.seed)
         payload.update(witness_w1_tilde=wt1, witness_w2_tilde=wt2)
-    _emit(config, payload)
-    return 0
+    return payload
 
 
-def _cmd_openness_probe(args):
-    config = _config_from(args, "openness probe", default_trials=50)
+def _openness_probe(args, config):
     config.extra["delta"] = args.delta
-    pair = FactorPair(load_matrix(args.w1), load_matrix(args.w2))
+    pair = _pair(args)
     start = time.perf_counter()
     result = probe_openness(
         pair, args.delta, config.trials, config.tolerances, seed=config.seed
     )
-    report = ExperimentReport(
+    return ExperimentReport(
         records=result.pop("per_trial"),
         aggregates=result,
         wall_clock_seconds=time.perf_counter() - start,
     )
-    _emit(config, report)
-    return 0
 
 
-def _cmd_openness_witnesses(args):
-    config = _config_from(args, "openness witnesses")
-    pair = FactorPair(load_matrix(args.w1), load_matrix(args.w2))
-    wt1, wt2 = construct_witnesses(pair, config.tolerances, seed=config.seed)
-    _emit(config, {"witness_w1_tilde": wt1, "witness_w2_tilde": wt2})
-    return 0
+def _openness_witnesses(args, config):
+    wt1, wt2 = construct_witnesses(_pair(args), config.tolerances, seed=config.seed)
+    return {"witness_w1_tilde": wt1, "witness_w2_tilde": wt2}
 
 
-def _cmd_realize(args):
-    config = _config_from(args, "realize")
-    pair = FactorPair(load_matrix(args.w1), load_matrix(args.w2))
-    witness = realize(pair, load_matrix(args.target), config.tolerances)
-    _emit(config, witness)
-    return 0
+def _realize(args, config):
+    return realize(_pair(args), load_matrix(args.target), config.tolerances)
 
 
-def _cmd_ratio_sweep(args):
-    config = _config_from(args, "realize ratio-sweep", default_trials=5)
-    deltas = _parse_floats(args.deltas, "--deltas")
-    pair = FactorPair(load_matrix(args.w1), load_matrix(args.w2))
+def _ratio_sweep(args, config):
+    try:
+        deltas = [float(tok) for tok in args.deltas.split(",") if tok]
+    except ValueError as exc:
+        raise InputError(f"--deltas must be comma-separated reals: {exc}") from exc
+    pair = _pair(args)
     start = time.perf_counter()
     table = measure_delta_ratio(
         pair, deltas, config.trials, config.tolerances, seed=config.seed
     )
-    report = ExperimentReport(
+    return ExperimentReport(
         records=table,
         aggregates={
             "max_ratio": max(
@@ -336,8 +327,6 @@ def _cmd_ratio_sweep(args):
         },
         wall_clock_seconds=time.perf_counter() - start,
     )
-    _emit(config, report)
-    return 0
 
 
 def _load_sigma_diag(path):
@@ -352,28 +341,17 @@ def _load_sigma_diag(path):
     raise InputError(f"{path}: sigma must be diagonal or a vector")
 
 
-def _cmd_sym_solve(args):
-    config = _config_from(args, "sym solve")
+def _sym_solve(args, config):
     sigma = _load_sigma_diag(args.sigma)
-    result = solve_p(sigma, load_matrix(args.r), config.tolerances)
-    _emit(config, result)
-    return 0
+    return solve_p(sigma, load_matrix(args.r), config.tolerances)
 
 
-def _cmd_sym_realize(args):
-    config = _config_from(args, "sym realize")
-    witness = sym_realize(
-        load_matrix(args.w), load_matrix(args.target), config.tolerances
-    )
-    _emit(config, witness)
-    return 0
+def _sym_realize(args, config):
+    return sym_realize(load_matrix(args.w), load_matrix(args.target), config.tolerances)
 
 
-def _cmd_sym_certify(args):
-    config = _config_from(args, "sym certify")
-    cert = certify_bm_transfer(load_matrix(args.w), config.tolerances)
-    _emit(config, cert)
-    return 0
+def _sym_certify(args, config):
+    return certify_bm_transfer(load_matrix(args.w), config.tolerances)
 
 
 def _load_point(args):
@@ -381,32 +359,23 @@ def _load_point(args):
     return NetworkPoint(weights, load_matrix(args.x), load_matrix(args.y))
 
 
-def _cmd_net_classify(args):
-    config = _config_from(args, "net classify")
-    point = _load_point(args)
-    report = classify(point, tol=config.tolerances, seed=config.seed)
-    _emit(config, report)
-    return 0
+def _net_classify(args, config):
+    return classify(_load_point(args), tol=config.tolerances, seed=config.seed)
 
 
-def _cmd_net_counterexample(args):
-    config = _config_from(args, "net counterexample")
+def _instance(x, y, point):
+    return {"x": x, "y": y, "weights": point.weights, "objective": objective(point),
+            "gradient_norm": gradient_norm(gradient(point))}
+
+
+def _net_counterexample(args, config):
     dims = _parse_dims(args.dims)
     x, y, point = counterexample_factory(dims, config.tolerances)
-    _emit(config, {
-        "dims": list(dims),
-        "x": x,
-        "y": y,
-        "weights": point.weights,
-        "objective": objective(point),
-        "gradient_norm": gradient_norm(gradient(point)),
-        "global_value": global_value(point.spec(), x, y, config.tolerances),
-    })
-    return 0
+    return {"dims": list(dims), **_instance(x, y, point),
+            "global_value": global_value(point.spec(), x, y, config.tolerances)}
 
 
-def _cmd_net_fixture(args):
-    config = _config_from(args, "net fixture")
+def _net_fixture(args, config):
     maker = _FIXTURES.get(args.name)
     if maker is None:
         raise InputError(
@@ -414,36 +383,21 @@ def _cmd_net_fixture(args):
         )
     x, y, point = maker()
     report = classify(point, tol=config.tolerances, seed=config.seed)
-    _emit(config, {
-        "name": args.name,
-        "x": x,
-        "y": y,
-        "weights": point.weights,
-        "objective": objective(point),
-        "gradient_norm": gradient_norm(gradient(point)),
-        "classification": report,
-    })
-    return 0
+    return {"name": args.name, **_instance(x, y, point), "classification": report}
 
 
-def _cmd_net_probe(args):
-    config = _config_from(args, "net probe")
+def _net_probe(args, config):
     point = _load_point(args)
-    report = local_min_probe(
-        point, point.spec(), config.tolerances, seed=config.seed
-    )
-    _emit(config, report)
-    return 0
+    return local_min_probe(point, point.spec(), config.tolerances, seed=config.seed)
 
 
-def _cmd_net_gd_sweep(args):
-    config = _config_from(args, "net gd-sweep", default_trials=20)
+def _net_gd_sweep(args, config):
     dims = _parse_dims(args.dims) if args.dims else None
     config.extra.update(dims=list(dims) if dims else None, depth=args.depth,
                         dim_cap=args.dim_cap, max_iter=args.max_iter)
     x = load_matrix(args.x) if args.x else None
     y = load_matrix(args.y) if args.y else None
-    report = gd_sweep(
+    return gd_sweep(
         trials=config.trials,
         seed=config.seed,
         tol=config.tolerances,
@@ -455,14 +409,11 @@ def _cmd_net_gd_sweep(args):
         jobs=config.jobs,
         max_iter=args.max_iter,
     )
-    _emit(config, report)
-    return 0
 
 
-def _cmd_selftest(args):
+def _selftest(args, config):
     from . import selftest
 
-    config = _config_from(args, "selftest")
     only = None
     if args.only:
         try:
@@ -482,7 +433,6 @@ def _cmd_selftest(args):
         with open(config.out, "w") as fh:
             fh.write(dump_json(to_jsonable(results)))
             fh.write("\n")
-    return 0
 
 
 def _parse_dims(text):
@@ -495,165 +445,120 @@ def _parse_dims(text):
     return dims
 
 
-def _parse_floats(text, flag):
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise InputError(f"{flag} must be comma-separated reals: {exc}") from exc
+# -- the command table ---------------------------------------------------------
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="openmap",
-        description="Local-openness certificates, perturbation realization, "
-        "and linear-network landscape classification",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# a command's own flags as (flag, add_argument keywords) pairs, its
+# handler, which returns None once it has written its own output, and
+# its default --trials
+Command = namedtuple("Command", "flags handler trials", defaults=(20,))
 
-    openness = sub.add_parser("openness").add_subparsers(
-        dest="subcommand", required=True
-    )
-    check_p = openness.add_parser("check")
-    check_p.add_argument("--w1", required=True)
-    check_p.add_argument("--w2", required=True)
-    check_p.add_argument("--witnesses", action="store_true")
-    _add_common(check_p)
-    check_p.set_defaults(handler=_cmd_openness_check)
 
-    probe_p = openness.add_parser("probe")
-    probe_p.add_argument("--w1", required=True)
-    probe_p.add_argument("--w2", required=True)
-    probe_p.add_argument("--delta", type=float, default=1e-5)
-    _add_common(probe_p)
-    probe_p.set_defaults(handler=_cmd_openness_probe)
+def _required(*flags):
+    return tuple((flag, {"required": True}) for flag in flags)
 
-    wit_p = openness.add_parser("witnesses")
-    wit_p.add_argument("--w1", required=True)
-    wit_p.add_argument("--w2", required=True)
-    _add_common(wit_p)
-    wit_p.set_defaults(handler=_cmd_openness_witnesses)
 
-    sym = sub.add_parser("sym").add_subparsers(dest="subcommand", required=True)
-    solve_p_cmd = sym.add_parser("solve")
-    solve_p_cmd.add_argument("--sigma", required=True)
-    solve_p_cmd.add_argument("--r", required=True)
-    _add_common(solve_p_cmd)
-    solve_p_cmd.set_defaults(handler=_cmd_sym_solve)
+_PAIR = _required("--w1", "--w2")
+_POINT = _required("--weights", "--x", "--y")
 
-    sym_realize_p = sym.add_parser("realize")
-    sym_realize_p.add_argument("--w", required=True)
-    sym_realize_p.add_argument("--target", required=True)
-    _add_common(sym_realize_p)
-    sym_realize_p.set_defaults(handler=_cmd_sym_realize)
+COMMANDS = {
+    ("openness", "check"): Command(
+        _PAIR + (("--witnesses", {"action": "store_true"}),), _openness_check),
+    ("openness", "probe"): Command(
+        _PAIR + (("--delta", {"type": float, "default": 1e-5}),), _openness_probe,
+        trials=50),
+    ("openness", "witnesses"): Command(_PAIR, _openness_witnesses),
+    ("realize",): Command(_PAIR + _required("--target"), _realize),
+    ("realize", "ratio-sweep"): Command(
+        _PAIR + _required("--deltas"), _ratio_sweep, trials=5),
+    ("sym", "solve"): Command(_required("--sigma", "--r"), _sym_solve),
+    ("sym", "realize"): Command(_required("--w", "--target"), _sym_realize),
+    ("sym", "certify"): Command(_required("--w"), _sym_certify),
+    ("net", "classify"): Command(_POINT, _net_classify),
+    ("net", "counterexample"): Command(_required("--dims"), _net_counterexample),
+    ("net", "fixture"): Command(_required("--name"), _net_fixture),
+    ("net", "probe"): Command(_POINT, _net_probe),
+    ("net", "gd-sweep"): Command((
+        ("--dims", {}),
+        ("--depth", {"type": int, "default": 2}),
+        ("--dim-cap", {"type": int, "default": 4}),
+        ("--x", {}),
+        ("--y", {}),
+        ("--max-iter", {"type": int, "default": 100000}),
+    ), _net_gd_sweep),
+    ("selftest",): Command((("--only", {}),), _selftest),
+}
 
-    certify_p = sym.add_parser("certify")
-    certify_p.add_argument("--w", required=True)
-    _add_common(certify_p)
-    certify_p.set_defaults(handler=_cmd_sym_certify)
+# flags every command takes after its own
+_COMMON = (
+    ("--tol-rank", {"type": float}),
+    ("--tol-grad", {"type": float}),
+    ("--tol-residual", {"type": float}),
+    ("--seed", {"type": int}),
+    ("--trials", {"type": int}),
+    ("--jobs", {"type": int}),
+    ("--out", {}),
+    ("--format", {"choices": ("json", "text-summary"), "default": "json"}),
+)
 
-    net = sub.add_parser("net").add_subparsers(dest="subcommand", required=True)
-    classify_p = net.add_parser("classify")
-    classify_p.add_argument("--weights", required=True)
-    classify_p.add_argument("--x", required=True)
-    classify_p.add_argument("--y", required=True)
-    _add_common(classify_p)
-    classify_p.set_defaults(handler=_cmd_net_classify)
 
-    counter_p = net.add_parser("counterexample")
-    counter_p.add_argument("--dims", required=True)
-    _add_common(counter_p)
-    counter_p.set_defaults(handler=_cmd_net_counterexample)
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as ``InputError``, so they exit 2 with JSON."""
 
-    fixture_p = net.add_parser("fixture")
-    fixture_p.add_argument("--name", required=True)
-    _add_common(fixture_p)
-    fixture_p.set_defaults(handler=_cmd_net_fixture)
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
-    net_probe_p = net.add_parser("probe")
-    net_probe_p.add_argument("--weights", required=True)
-    net_probe_p.add_argument("--x", required=True)
-    net_probe_p.add_argument("--y", required=True)
-    _add_common(net_probe_p)
-    net_probe_p.set_defaults(handler=_cmd_net_probe)
 
-    sweep_p = net.add_parser("gd-sweep")
-    sweep_p.add_argument("--dims", default=None)
-    sweep_p.add_argument("--depth", type=int, default=2)
-    sweep_p.add_argument("--dim-cap", type=int, default=4)
-    sweep_p.add_argument("--x", default=None)
-    sweep_p.add_argument("--y", default=None)
-    sweep_p.add_argument("--max-iter", type=int, default=100000)
-    _add_common(sweep_p)
-    sweep_p.set_defaults(handler=_cmd_net_gd_sweep)
-
-    selftest_p = sub.add_parser("selftest")
-    selftest_p.add_argument("--only", default=None)
-    _add_common(selftest_p)
-    selftest_p.set_defaults(handler=_cmd_selftest)
-
+@cache
+def _leaf_parser(path):
+    parser = _Parser(prog=" ".join(("openmap",) + path))
+    for flag, kwargs in COMMANDS[path].flags + _COMMON:
+        parser.add_argument(flag, **kwargs)
     return parser
 
 
-def _emit_error(exc, code):
-    obj = {
-        "error": type(exc).__name__,
-        "message": str(exc),
-        "exit_code": code,
-    }
-    delta0 = getattr(exc, "delta0", None)
-    if delta0 is not None:
-        obj["delta0"] = delta0
-    print(dump_json(obj), file=sys.stderr)
+_NAMES = ", ".join(" ".join(path) for path in COMMANDS)
 
 
 def run(argv):
-    """Dispatch, mapping the error families onto the exit-code contract."""
-    # `realize` doubles as a command and a group: route its subcommand by
-    # hand so `openmap realize --w1 ...` keeps working
+    """Run the command whose table path is the longest prefix of argv."""
     argv = list(argv)
-    if argv and argv[0] == "realize":
-        if len(argv) > 1 and argv[1] == "ratio-sweep":
-            leaf = argparse.ArgumentParser(prog="openmap realize ratio-sweep")
-            leaf.add_argument("--w1", required=True)
-            leaf.add_argument("--w2", required=True)
-            leaf.add_argument("--deltas", required=True)
-            _add_common(leaf)
-            args = leaf.parse_args(argv[2:])
-            return _cmd_ratio_sweep(args)
-        leaf = argparse.ArgumentParser(prog="openmap realize")
-        leaf.add_argument("--w1", required=True)
-        leaf.add_argument("--w2", required=True)
-        leaf.add_argument("--target", required=True)
-        _add_common(leaf)
-        args = leaf.parse_args(argv[1:])
-        return _cmd_realize(args)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    path = max((p for p in COMMANDS if tuple(argv[:len(p)]) == p),
+               key=len, default=None)
+    if path is None:
+        if "-h" in argv or "--help" in argv:
+            print(f"usage: openmap <command> [flags]\ncommands: {_NAMES}\n"
+                  "'openmap <command> --help' lists a command's flags")
+            return 0
+        words = " ".join(takewhile(lambda tok: not tok.startswith("-"), argv))
+        raise InputError(f"unknown command {words!r}; choose from {_NAMES}")
+    command = COMMANDS[path]
+    args = _leaf_parser(path).parse_args(argv[len(path):])
+    config = _config_from(args, " ".join(path), command.trials)
+    payload = command.handler(args, config)
+    if payload is not None:
+        _emit(config, payload)
+    return 0
+
+
+# the first family an error belongs to gives its exit code
+_EXIT_CODES = {InputError: 2, OSError: 2, DomainRefusal: 3, OpenMapError: 4}
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
         return run(argv)
-    except InputError as exc:
-        _emit_error(exc, 2)
-        return 2
-    except FileNotFoundError as exc:
-        _emit_error(exc, 2)
-        return 2
-    except DomainRefusal as exc:
-        _emit_error(exc, 3)
-        return 3
-    except NumericalFailure as exc:
-        _emit_error(exc, 4)
-        return 4
-    except OpenMapError as exc:
-        _emit_error(exc, 4)
-        return 4
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 2
-        return 2 if code else 0
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for family, code in _EXIT_CODES.items()
+                    if isinstance(exc, family))
+        obj = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
+        if getattr(exc, "delta0", None) is not None:
+            obj["delta0"] = exc.delta0
+        print(dump_json(obj), file=sys.stderr)
+        return code
+    except SystemExit:  # a leaf parser printed --help
+        return 0
 
 
 if __name__ == "__main__":

@@ -71,22 +71,22 @@ def matrices_from_payload(obj, name="matrices"):
     return [matrix_from_payload(o, name=f"{name}[{i}]") for i, o in enumerate(obj)]
 
 
-def load_matrix(path):
-    with open(path) as fh:
+def _read_json(path):
+    with open(path, encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    return matrix_from_payload(obj, name=str(path))
+
+
+def load_matrix(path):
+    return matrix_from_payload(_read_json(path), name=str(path))
 
 
 def load_matrices(path):
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    return matrices_from_payload(obj, name=str(path))
+    return matrices_from_payload(_read_json(path), name=str(path))
 
 
 def save_matrix(path, arr):

@@ -10,12 +10,13 @@ object printed on stderr and the exit code.
 
 import json
 import math
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from openmap.cli import main
+from openmap.cli import COMMANDS, main
 from openmap.matrixio import matrix_to_payload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -185,3 +186,11 @@ def test_golden_comparison_tells_bool_from_int():
     with pytest.raises(AssertionError):
         assert_matches({"b": 1, "a": 2}, {"a": 2, "b": 1})
     assert_matches({"x": 1.0 + 1e-14}, {"x": 1.0})
+
+
+def test_every_command_in_the_table_has_a_golden_case():
+    # selftest prints one line per criterion, not a payload;
+    # tests/test_selftest.py covers it
+    exercised = {tuple(takewhile(lambda tok: not tok.startswith("-"), argv))
+                 for argv, _ in CASES.values()}
+    assert exercised == set(COMMANDS) - {("selftest",)}
