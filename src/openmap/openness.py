@@ -97,6 +97,12 @@ def check_openness(pair, tol=DEFAULT_TOL):
     ambiguity band or the two intersection-dimension computations
     disagree; near the rank threshold no verdict is trustworthy.
     """
+    return _openness_and_product_spectrum(pair, tol)[0]
+
+
+def _openness_and_product_spectrum(pair, tol):
+    """``check_openness``'s report with the product ``Spectrum`` it read
+    the product rank from, for callers that need the product's SVD too."""
     m, k, n = pair.m, pair.k, pair.n
     sp1, sp2, spp = (spectrum(mat, tol) for mat in (pair.w1, pair.w2, pair.product))
     for name, sp in (("w1", sp1), ("w2", sp2), ("product", spp)):
@@ -153,7 +159,7 @@ def check_openness(pair, tol=DEFAULT_TOL):
         rank_product=rp,
         intersection_dim=int(d_nc),
         condition_flags=flags,
-    )
+    ), spp
 
 
 def null_completion(w1, w2, tol=DEFAULT_TOL, seed=0, scale=None):

@@ -31,11 +31,11 @@ from .errors import (
     RankInfeasible,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, bounded_basis, null_space, rank, spectrum
+from .numcore import DEFAULT_TOL, bounded_basis, null_space, rank
 from .openness import (
     REGIME_DEFICIENT,
     FactorPair,
-    check_openness,
+    _openness_and_product_spectrum,
     null_completion,
     sample_feasible_target,
 )
@@ -149,10 +149,10 @@ def _column_classification(st, r, k, tol):
     return perm, a_bar, r_t
 
 
-def _realize_rank_deficient(pair, z_tilde, input_delta, tol):
+def _realize_rank_deficient(pair, z_tilde, input_delta, sp, tol):
+    """``sp`` is the ``Spectrum`` of ``pair.product``."""
     w1, w2 = pair.w1, pair.w2
     m, k, n = pair.m, pair.k, pair.n
-    sp = spectrum(pair.product, tol)
     u, s, v, r = sp.u, sp.s, sp.v, sp.rank
 
     sigma_min = float(s[r - 1]) if r > 0 else None
@@ -262,7 +262,7 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
     r_target = rank(z_tilde, tol)
     if r_target > rank_cap:
         raise RankInfeasible(f"target rank {r_target} exceeds the image bound {rank_cap}")
-    report = check_openness(pair, tol)
+    report, product_spectrum = _openness_and_product_spectrum(pair, tol)
     if not report.open:
         raise NotOpen("the product map is not locally open at this pair")
     input_delta = float(np.linalg.norm(z_tilde - pair.product))
@@ -276,7 +276,7 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
             delta0=None,
         )
     if report.regime == REGIME_DEFICIENT:
-        return _realize_rank_deficient(pair, z_tilde, input_delta, tol)
+        return _realize_rank_deficient(pair, z_tilde, input_delta, product_spectrum, tol)
     return _realize_full_rank(pair, z_tilde, input_delta, report, tol)
 
 

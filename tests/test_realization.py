@@ -42,6 +42,24 @@ class TestRealizeBasics:
         )
         assert bool(oracle["success"][0])
 
+    def test_product_decomposed_once(self, monkeypatch):
+        # rank-deficient regime: the realization reuses the product SVD
+        # that the openness check made
+        p = pair([[1.0], [2.0]], [[1.0, 1.0]])
+        target = sample_feasible_target(p.product, 1, 1e-6, np.random.default_rng(1))
+        product_svds = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            if np.array_equal(a, p.product):
+                product_svds.append(a.shape)
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        wit = realize(p, target)
+        assert wit.target_residual <= 1e-10
+        assert product_svds == [(2, 2)]
+
     def test_not_open_refused(self):
         p = pair([[1.0], [1.0]], [[0.0, 0.0]])
         target = np.array([[1e-4, 0.0], [0.0, 0.0]])
