@@ -38,7 +38,7 @@ from itertools import takewhile
 import numpy as np
 
 from . import __version__
-from .errors import DomainRefusal, InputError, OpenMapError
+from .errors import DomainRefusal, InputError, NumericalFailure, OpenMapError
 from .landscape import (
     NetworkPoint,
     NetworkSpec,
@@ -149,11 +149,13 @@ def _config_from(args, command, default_trials):
 
 
 def _emit(config, payload):
-    if config.report_format == "text-summary":
-        text = _summarize(payload)
-    else:
+    try:
         text = dump_json({"config": to_jsonable(config.to_payload()),
                           "result": to_jsonable(payload)})
+    except ValueError as exc:  # NaN or Inf somewhere in the result
+        raise NumericalFailure(f"the result is not finite: {exc}") from exc
+    if config.report_format == "text-summary":
+        text = _summarize(payload)
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(text)

@@ -26,6 +26,7 @@ from .errors import (
     DirectionConstructionFailed,
     InputError,
     NotConstructible,
+    NumericalFailure,
     UnsupportedActivation,
 )
 from .matrixio import as_matrix
@@ -206,45 +207,125 @@ class ProbeReport:
     samples: int
 
 
-def _sphere_direction(rng, shapes, radius):
-    sizes = [int(np.prod(s)) for s in shapes]
-    vec = rng.standard_normal(sum(sizes))
-    norm = np.linalg.norm(vec)
-    while norm == 0.0:
-        vec = rng.standard_normal(sum(sizes))
-        norm = np.linalg.norm(vec)
-    vec *= radius / norm
-    out, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        out.append(vec[start : start + size].reshape(shape))
-        start += size
-    return out
+# local_min_probe evaluates its samples in row chunks; no stacked array
+# of one chunk holds more than this many doubles (2 MiB)
+_CHUNK_ELEMENTS = 1 << 18
+
+
+def _chain_order(p):
+    """Association tree in which ``np.linalg.multi_dot`` multiplies the
+    matrices of shapes ``p[i] x p[i + 1]``: a leaf is a matrix index, a
+    pair a product.  This is numpy's chain-order DP with its float costs
+    and strict ``<`` tie-break; for three matrices it reduces to
+    ``multi_dot``'s comparison of the two costs, for two to one product."""
+    n = len(p) - 1
+    cost = [[0.0] * n for _ in range(n)]
+    split = [[0] * n for _ in range(n)]
+    for length in range(1, n):
+        for i in range(n - length):
+            j = i + length
+            cost[i][j] = np.inf
+            for k in range(i, j):
+                q = cost[i][k] + cost[k + 1][j] + p[i] * p[k + 1] * p[j + 1]
+                if q < cost[i][j]:
+                    cost[i][j], split[i][j] = q, k
+
+    def tree(i, j):
+        return i if i == j else (tree(i, split[i][j]), tree(split[i][j] + 1, j))
+
+    return tree(0, n - 1)
+
+
+def _chain_product(order, mats):
+    """Product of ``mats`` (matrices or ``(n, r, c)`` stacks) in ``order``."""
+    if isinstance(order, int):
+        return mats[order]
+    left, right = order
+    return np.matmul(_chain_product(left, mats), _chain_product(right, mats))
+
+
+def _row_dots(a):
+    """Each row of ``a`` dotted with itself through BLAS ``ddot``, the
+    call ``np.linalg.norm`` makes, so the sums match it bit for bit
+    (``einsum`` adds in another order)."""
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+
+
+def _least_half_squares(norms):
+    """The values ``0.5 * float(s ** 2)`` that ``SquaredError.value``
+    gives the rows that can hold the least of them, NaN rows left out.
+    A numpy scalar ``** 2`` calls libm ``pow``, which lands one step off
+    ``s * s`` in about 1 case in 1300, so the least scalar square comes
+    from a row whose ``s * s`` is within two steps of the least ``s * s``;
+    only those rows are squared the scalar way."""
+    sq = norms * norms
+    least = np.min(sq, initial=np.inf, where=~np.isnan(sq))
+    cut = np.nextafter(np.nextafter(least, np.inf), np.inf)
+    return [0.5 * float(s ** 2) for s in norms[sq <= cut]]
 
 
 def local_min_probe(point, spec=None, tol=DEFAULT_TOL, seed=None, objective_fn=None):
     """Sampled local-minimality check: uniform directions on the
     parameter sphere at each scheduled radius; the verdict is minimal at
     resolution when no sampled value undercuts the base objective by more
-    than ``residual_abs``."""
-    loss = spec.loss if spec is not None else SquaredError()
-    if objective_fn is None:
-        def objective_fn(weights):
-            mats = list(weights) + [point.x]
-            prod = np.linalg.multi_dot(mats) if len(mats) > 1 else mats[0]
-            return loss.value(prod, point.y)
+    than ``residual_abs``.
 
-    base = objective_fn(point.weights)
-    shapes = [w.shape for w in point.weights]
+    Each radius seeds its own generator with ``[seed, radius index]`` and
+    draws ``probe_samples`` standard-normal vectors over all parameters,
+    ``W_h`` first, one vector after another; a vector of norm zero is
+    skipped and the next one taken.  The draws come in chunks of rows
+    sized so that no stacked array exceeds ``_CHUNK_ELEMENTS`` doubles,
+    and each chunk is scaled to the sphere, split into ``(rows, *shape)``
+    weight stacks and pushed through the chain ``(W_h+D_h)...(W_1+D_1) X``
+    with stacked matmuls, in the order ``np.linalg.multi_dot`` picks.  The
+    chunk size never changes a result: ``min_deltas`` equal, bit for bit,
+    those of evaluating the samples one at a time.  A loss other than
+    ``SquaredError`` is evaluated on each sample's slice of the stacked
+    product, and ``objective_fn`` once per sample with that sample's
+    weights.  Samples whose value is NaN are skipped.
+
+    Raises ``NumericalFailure`` when the objective at the point itself is
+    not finite.
+    """
+    loss = spec.loss if spec is not None else SquaredError()
+    weights, x, y = point.weights, point.x, point.y
+    if objective_fn is None:
+        base = loss.value(np.linalg.multi_dot(weights + [x]), y)
+    else:
+        base = objective_fn(weights)
+    if not np.isfinite(base):
+        raise NumericalFailure(f"the objective overflows at this point: {base}")
+    sizes = [w.size for w in weights]
+    total = sum(sizes)
+    p = [w.shape[0] for w in weights] + list(x.shape)
+    order = _chain_order(p)
+    widest = max([total] + [a * b for i, a in enumerate(p) for b in p[i + 1:]])
+    chunk = max(1, _CHUNK_ELEMENTS // widest)
     seed = tol.rng_seed if seed is None else seed
     radii, min_deltas = [], []
     for r_idx, radius in enumerate(tol.probe_radius_schedule):
         rng = np.random.default_rng([seed, r_idx])
-        worst = np.inf
-        for _ in range(tol.probe_samples):
-            step = _sphere_direction(rng, shapes, radius)
-            val = objective_fn([w + d for w, d in zip(point.weights, step)])
-            if val - base < worst:
-                worst = val - base
+        worst, left = np.inf, tol.probe_samples
+        while left:
+            draws = rng.standard_normal((min(chunk, left), total))
+            norms = np.sqrt(_row_dots(draws))
+            if not norms.all():
+                draws, norms = draws[norms != 0.0], norms[norms != 0.0]
+            left -= len(draws)
+            draws *= (radius / norms)[:, None]
+            cols = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
+            stacks = [w + d.reshape(len(d), *w.shape) for w, d in zip(weights, cols)]
+            if objective_fn is not None:
+                vals = [objective_fn([s[i] for s in stacks]) for i in range(len(draws))]
+            else:
+                prod = _chain_product(order, stacks + [x])
+                if isinstance(loss, SquaredError):
+                    resid = (prod - y).reshape(len(prod), y.size)
+                    vals = _least_half_squares(np.sqrt(_row_dots(resid)))
+                else:
+                    vals = [loss.value(out, y) for out in prod]
+            deltas = np.asarray(vals, dtype=float) - base
+            worst = min(worst, np.min(deltas, initial=np.inf, where=~np.isnan(deltas)))
         radii.append(float(radius))
         min_deltas.append(float(worst))
     minimal = all(d >= -tol.residual_abs for d in min_deltas)
@@ -632,6 +713,11 @@ def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
     obj = objective(point, loss)
     grads = gradient(point, loss)
     gnorm = gradient_norm(grads)
+    if not (np.isfinite(obj) and np.isfinite(gnorm)):
+        raise NumericalFailure(
+            f"the objective or its gradient overflows at this point: "
+            f"objective {obj}, gradient norm {gnorm}"
+        )
     squared = isinstance(loss, SquaredError)
     gv = global_value(spec, point.x, point.y, tol) if squared else None
 

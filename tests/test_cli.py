@@ -78,3 +78,34 @@ def test_repeated_calls_build_each_parser_once(monkeypatch, tmp_path, capsys):
                      "--target", missing]) == 2
     capsys.readouterr()
     assert built == ["openmap net counterexample", "openmap realize"]
+
+
+def _net_files(tmp_path, entries):
+    weights = [{"rows": 1, "cols": 1, "data": [v]} for v in entries]
+    one = {"rows": 1, "cols": 1, "data": [1.0]}
+    for name, obj in (("w", weights), ("x", one)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    return ["--weights", str(tmp_path / "w.json"), "--x", str(tmp_path / "x.json"),
+            "--y", str(tmp_path / "x.json"), "--jobs", "1"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("command", ["probe", "classify"])
+def test_an_overflowing_objective_is_a_numerical_failure(command, tmp_path, capsys):
+    # every input is finite, but W2 W1 = 1e400 is not
+    assert main(["net", command, *_net_files(tmp_path, [1e200, 1e200])]) == 4
+    err = _error(capsys)
+    assert err["error"] == "NumericalFailure"
+    assert "overflows" in err["message"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["json", "text-summary"])
+def test_a_result_that_is_not_finite_is_a_numerical_failure(fmt, tmp_path, capsys):
+    # the objective is finite at W2 W1 = 1, but every probe sample
+    # overflows, so each radius reports an infinite least change
+    argv = ["net", "probe", *_net_files(tmp_path, [1e200, 1e-200]), "--format", fmt]
+    assert main(argv) == 4
+    err = _error(capsys)
+    assert err["error"] == "NumericalFailure"
+    assert "not finite" in err["message"]
