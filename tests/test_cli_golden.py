@@ -43,6 +43,16 @@ R_SYM = [[1e-3, 2e-4], [2e-4, -5e-4]]
 NET_WEIGHTS = [[[0.0], [0.0]], [[0.0, 0.0]]]
 NET_X = [[1.0, 0.0], [0.0, 1.0]]
 NET_Y = [[1.0, 0.0], [0.0, 2.0]]
+# deep degenerate critical points, one per descent construction case
+E11 = [[1.0, 0.0], [0.0, 0.0]]
+WEIGHT_LISTS = {
+    "net_weights": NET_WEIGHTS,
+    "deep_a_weights": [E11, [[1.0, 0.0], [0.0, 1.0]], E11],
+    "deep_b_weights": [[[0.0, 0.0], [0.0, 0.0]]] * 3,
+    "deep_b_left_weights": [[[1.0], [0.0]], [[0.0]], [[0.0, 0.0]]],
+    "deep_a_left_weights": [[[0.0], [0.0]], [[1.0]], [[0.0, 0.0]],
+                            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],
+}
 
 
 def _inputs():
@@ -64,6 +74,10 @@ def _inputs():
         "r_sym": R_SYM,
         "net_x": NET_X,
         "net_y": NET_Y,
+        "eye3": np.eye(3),
+        "deep_a_y": [[1.0, 0.0], [0.0, 3.0]],
+        "deep_b_left_y": [[0.0, 0.0], [0.0, 1.0]],
+        "deep_a_left_y": [[2.0, 1.0, -2.0], [1.0, -1.0, 2.0]],
     }
 
 
@@ -96,6 +110,18 @@ CASES = {
     "net_classify": (
         ["net", "classify", "--weights", "{net_weights}", "--x", "{net_x}",
          "--y", "{net_y}"], 0),
+    "net_classify_deep_case_a": (
+        ["net", "classify", "--weights", "{deep_a_weights}", "--x", "{eye2}",
+         "--y", "{deep_a_y}"], 0),
+    "net_classify_deep_case_b": (
+        ["net", "classify", "--weights", "{deep_b_weights}", "--x", "{eye2}",
+         "--y", "{net_y}"], 0),
+    "net_classify_deep_case_b_left": (
+        ["net", "classify", "--weights", "{deep_b_left_weights}", "--x", "{eye2}",
+         "--y", "{deep_b_left_y}"], 0),
+    "net_classify_deep_case_a_left": (
+        ["net", "classify", "--weights", "{deep_a_left_weights}", "--x", "{eye3}",
+         "--y", "{deep_a_left_y}"], 0),
     "net_counterexample": (["net", "counterexample", "--dims", "2,1,1,2"], 0),
     "net_fixture_spurious_rank2_target": (
         ["net", "fixture", "--name", "spurious-rank2-target"], 0),
@@ -124,9 +150,10 @@ def write_inputs(directory):
         paths[name] = str(directory / f"{name}.json")
         with open(paths[name], "w") as fh:
             json.dump(matrix_to_payload(np.asarray(mat, dtype=float)), fh)
-    paths["net_weights"] = str(directory / "net_weights.json")
-    with open(paths["net_weights"], "w") as fh:
-        json.dump([matrix_to_payload(np.array(w)) for w in NET_WEIGHTS], fh)
+    for name, weights in WEIGHT_LISTS.items():
+        paths[name] = str(directory / f"{name}.json")
+        with open(paths[name], "w") as fh:
+            json.dump([matrix_to_payload(np.array(w, dtype=float)) for w in weights], fh)
     return paths
 
 

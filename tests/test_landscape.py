@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -255,6 +256,42 @@ class TestClassify:
             point.y,
         )
         assert objective(moved) < rep.objective - DEFAULT_TOL.residual_abs
+
+    def test_deep_grid_pins_the_descent_constructions(self):
+        # degenerate critical points: every layer but one is zero, so the
+        # gradient vanishes and the product has rank 0; digests were
+        # computed before the two deep constructions became one.
+        # Right-hinged results are pinned bit for bit, left-hinged ones
+        # by case and order only (SVDs of transposes round differently)
+        rng = np.random.default_rng(20180308)
+        found, right = [], hashlib.sha256()
+        for _ in range(2000):
+            h = int(rng.integers(3, 5))
+            dims = rng.integers(1, 4, size=h + 1)
+            weights = [np.zeros((dims[k], dims[k + 1])) for k in range(h)]
+            live = int(rng.integers(h))
+            weights[live] = rng.integers(-1, 2, size=weights[live].shape).astype(float)
+            y = rng.integers(-1, 2, size=(dims[0], dims[-1])).astype(float)
+            point = NetworkPoint(weights, np.eye(dims[-1]), y)
+            d = classify(point).descent_direction
+            if d is None:
+                found.append(None)
+                continue
+            found.append((d.construction_case, d.order))
+            moved = [w + d.step * m for w, m in zip(weights, d.directions)]
+            after = np.linalg.multi_dot(moved + [point.x])
+            drop = 0.5 * (np.sum(y**2) - np.sum((after - y) ** 2))
+            assert drop > DEFAULT_TOL.residual_abs
+            if not d.construction_case.endswith("_left"):
+                for m in d.directions:
+                    right.update(repr(m.shape).encode() + m.tobytes())
+                right.update(np.array([d.step, d.decrease]).tobytes())
+        assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+            "dcb4b303ea40a3397e03aa5c1d0bc83d418679cd1539106b222640fca90c6eb5"
+        )
+        assert right.hexdigest() == (
+            "e14aeb49ed2bb306f8e9007a51f63b3c4edc56bd57b3fd823138f15c560de4f2"
+        )
 
     def test_converged_descent_classifies_global(self):
         # unreachable target: the optimum sits at a positive objective,
