@@ -87,10 +87,5 @@ class NotConstructible(DomainRefusal):
     """No layer-width pair admits the spurious-minimum construction."""
 
 
-class DirectionConstructionFailed(DomainRefusal):
-    """All candidate inner products fell below tolerance; no descent
-    direction is claimed."""
-
-
 class UnsupportedActivation(DomainRefusal):
     """Activation is not continuous and strictly monotone."""

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DirectionConstructionFailed,
     InputError,
     NotConstructible,
     NumericalFailure,
@@ -376,10 +375,6 @@ def _verify_descent(point, loss, dirs, order, case, tol, max_halvings=60):
             )
         t *= 0.5
     return None
-
-
-def _unit_columns(basis):
-    return [basis.columns[:, i] for i in range(basis.dim)]
 
 
 def _best_pair(basis_a, basis_b):

@@ -89,12 +89,6 @@ def load_matrices(path):
     return matrices_from_payload(_read_json(path), name=str(path))
 
 
-def save_matrix(path, arr):
-    with open(path, "w") as fh:
-        json.dump(matrix_to_payload(arr), fh)
-        fh.write("\n")
-
-
 def dump_json(obj, indent=2):
     """Serialize a report object; refuses NaN/Inf rather than emitting
     non-standard JSON."""
