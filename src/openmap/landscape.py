@@ -450,8 +450,6 @@ def _two_layer_direction(point, loss, g_x, tol):
     factor transposed) and the data pair with the largest coupling."""
     w2, w1 = point.weights
     i_idx, j_idx = _data_indices(g_x)
-    d2, d1 = w2.shape
-    d0 = w1.shape[1]
     attempts = []
     nb2 = null_space(w2, tol)
     if nb2.dim > 0:
@@ -460,17 +458,13 @@ def _two_layer_direction(point, loss, g_x, tol):
     if nb1.dim > 0:
         attempts.append(("TwoLayerNullW1T", nb1.columns[:, 0]))
     for case, vec in attempts:
+        a_mat = np.zeros(w2.shape)
+        a_mat[j_idx, :] = vec
+        b_mat = np.zeros(w1.shape)
+        b_mat[:, i_idx] = vec
         if case == "TwoLayerNullW2":
-            a_mat = np.zeros((d2, d1))
-            a_mat[j_idx, :] = vec
-            b_mat = np.zeros((d1, d0))
-            b_mat[:, i_idx] = vec
             t1 = a_mat @ w1 @ point.x  # w2 @ b_mat vanishes: b columns in N(w2)
         else:
-            a_mat = np.zeros((d2, d1))
-            a_mat[j_idx, :] = vec
-            b_mat = np.zeros((d1, d0))
-            b_mat[:, i_idx] = vec
             t1 = w2 @ b_mat @ point.x  # a_mat @ w1 vanishes: rows in N(w1^T)
         t2 = a_mat @ b_mat @ point.x
         dirs, order = _choose_alphas(
