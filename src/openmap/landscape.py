@@ -396,13 +396,6 @@ def _subspaces_orthogonal(basis_a, basis_b):
     return float(np.linalg.norm(gram, 2)) <= _DIRECTION_TOL
 
 
-def _prod_layers(point, hi, lo):
-    """``W_hi @ ... @ W_lo`` for math layers; identity-free, requires
-    ``hi >= lo``."""
-    mats = [point.layer(i) for i in range(hi, lo - 1, -1)]
-    return np.linalg.multi_dot(mats) if len(mats) > 1 else mats[0]
-
-
 def _data_indices(g_x):
     j, i = np.unravel_index(np.argmax(np.abs(g_x)), g_x.shape)
     return int(i), int(j)
@@ -479,7 +472,7 @@ def _two_layer_direction(point, loss, g_x, tol):
     return None
 
 
-def _chain_pairs(point, ks, p_space, b_space):
+def _chain_pairs(ks, p_space, b_space):
     """Select ``(p_k, b_{k-1})`` with non-vanishing inner product for each
     required chain index; None when any coupling falls below tolerance."""
     pairs = {}
@@ -491,207 +484,108 @@ def _chain_pairs(point, ks, p_space, b_space):
     return pairs
 
 
-def _deep_direction_right(point, loss, g_x, tol):
-    """Descent construction hinging on a null vector of the top layer."""
-    h = point.depth
-    i_idx, j_idx = _data_indices(g_x)
-    dims = point.dims
-    x = point.x
+def _deep_chain(weights, i_idx, j_idx, tol):
+    """Descent chain hinging on a null vector of the top layer of
+    ``weights`` (``W_h`` first).  Returns the directions (ordered like
+    ``weights``), the case name, the order of the leading surviving term
+    and the math layers of the top chain, or None."""
+    h = len(weights)
 
-    def w(i):
-        return point.layer(i)
+    def prod(hi, lo):
+        mats = weights[h - hi : h - lo + 1]
+        return np.linalg.multi_dot(mats) if len(mats) > 1 else mats[0]
 
-    null_w = {k: null_space(w(k), tol) for k in range(2, h + 1)}
+    def p_space(k):
+        return null_space(prod(k - 1, 2).T, tol)
+
+    null_w = {k: null_space(weights[h - k], tol) for k in range(2, h + 1)}
     if null_w[h].dim == 0:
         return None
-    k_set = []
-    for k in range(3, h + 1):
-        if null_w[k].dim == 0:
-            continue
-        mid = _prod_layers(point, k - 1, 2)
-        if _subspaces_orthogonal(null_w[k], null_space(mid.T, tol)):
-            k_set.append(k)
-
+    k_set = [k for k in range(3, h + 1)
+             if null_w[k].dim > 0 and _subspaces_orthogonal(null_w[k], p_space(k))]
     if k_set:
         kstar = max(k_set)
-        mid = _prod_layers(point, kstar - 1, 2) if kstar >= 3 else None
+        mid = prod(kstar - 1, 2)
         # b: a null vector of W_{k*} inside the column space of the
         # interior product (all of it, when the product has full row rank)
-        left_null = null_space(mid.T, tol)
-        if left_null.dim == 0:
+        if null_space(mid.T, tol).dim == 0:
             b_vec = null_w[kstar].columns[:, 0]
         else:
-            proj = mid @ np.linalg.pinv(mid)
-            cands = proj @ null_w[kstar].columns
+            cands = mid @ np.linalg.pinv(mid) @ null_w[kstar].columns
             norms = np.linalg.norm(cands, axis=0)
             best = int(np.argmax(norms))
             if norms[best] < _DIRECTION_TOL:
                 return None
             b_vec = cands[:, best] / norms[best]
         b1, *_ = np.linalg.lstsq(mid, b_vec, rcond=None)
-        pairs = _chain_pairs(
-            point,
-            range(kstar + 1, h + 1),
-            lambda k: null_space(_prod_layers(point, k - 1, 2).T, tol),
-            lambda k: null_w[k],
-        )
+        pairs = _chain_pairs(range(kstar + 1, h + 1), p_space, null_w.get)
         if pairs is None:
             return None
-        dirs = [np.zeros_like(m) for m in point.weights]
-        if kstar == h:
-            a_h = np.zeros(w(h).shape)
-            a_h[j_idx, :] = b_vec
-            dirs[0] = a_h
-        else:
-            a_h = np.zeros(w(h).shape)
-            a_h[j_idx, :] = pairs[h][0]
-            dirs[0] = a_h
-            for k in range(kstar + 1, h):
-                dirs[h - k] = np.outer(pairs[k + 1][1], pairs[k][0])
-            dirs[h - kstar] = np.outer(pairs[kstar + 1][1], b_vec)
-        a_1 = np.zeros(w(1).shape)
-        a_1[:, i_idx] = b1
-        dirs[h - 1] = a_1
         case = "DeepCaseA"
-        q = h - kstar + 1
-        top_chain = [dirs[h - k] for k in range(h, kstar - 1, -1)]
     else:
-        pairs = _chain_pairs(
-            point,
-            range(3, h + 1),
-            lambda k: null_space(_prod_layers(point, k - 1, 2).T, tol),
-            lambda k: null_w[k],
-        )
+        kstar = 2
+        pairs = _chain_pairs(range(3, h + 1), p_space, null_w.get)
         if pairs is None or null_w[2].dim == 0:
             return None
-        b1 = null_w[2].columns[:, 0]
-        dirs = [np.zeros_like(m) for m in point.weights]
-        a_h = np.zeros(w(h).shape)
-        a_h[j_idx, :] = pairs[h][0]
-        dirs[0] = a_h
-        for k in range(3, h):
-            dirs[h - k] = np.outer(pairs[k + 1][1], pairs[k][0])
-        dirs[h - 2] = np.outer(pairs[3][1], b1)
-        a_1 = np.zeros(w(1).shape)
-        a_1[:, i_idx] = b1
-        dirs[h - 1] = a_1
+        b_vec = b1 = null_w[2].columns[:, 0]
         case = "DeepCaseB"
-        kstar = 2
-        q = h - 1
-        top_chain = [dirs[h - k] for k in range(h, 1, -1)]
-
-    # surviving terms: the all-direction top chain against the remaining
-    # weights, with and without the bottom direction
-    lower = [w(i) for i in range(kstar - 1, 0, -1)]
-    t1_mats = top_chain + lower + [x]
-    t1 = np.linalg.multi_dot(t1_mats) if len(t1_mats) > 1 else t1_mats[0]
-    lower2 = [w(i) for i in range(kstar - 1, 1, -1)]
-    t2_mats = top_chain + lower2 + [dirs[h - 1], x]
-    t2 = np.linalg.multi_dot(t2_mats)
-    chosen, order = _choose_alphas(point, loss, dirs, q, 0, h - 1, t1, t2, tol)
-    if chosen is None:
-        return None
-    return _verify_descent(point, loss, chosen, order, case, tol)
+    dirs = [np.zeros_like(m) for m in weights]
+    if kstar == h:
+        dirs[0][j_idx, :] = b_vec
+    else:
+        dirs[0][j_idx, :] = pairs[h][0]
+        for k in range(kstar + 1, h):
+            dirs[h - k] = np.outer(pairs[k + 1][1], pairs[k][0])
+        dirs[h - kstar] = np.outer(pairs[kstar + 1][1], b_vec)
+    dirs[h - 1][:, i_idx] = b1
+    return dirs, case, h - kstar + 1, range(kstar, h + 1)
 
 
-def _deep_direction_left(point, loss, g_x, tol):
-    """Mirror construction hinging on a left-null vector of the bottom
-    layer."""
+def _deep_direction(point, loss, g_x, tol):
+    """Descent direction at a degenerate critical point of depth >= 3.
+
+    ``_deep_chain`` hinges on a null vector of the top layer.  Because
+    ``(W_h ... W_1)^T = W_1^T ... W_h^T``, the same construction run on
+    the mirrored chain, the transposed layers in reverse order with the
+    input and output data indices swapped, hinges on a left-null vector
+    of the bottom layer ``W_1``.  The top chain is tried first; a mirrored
+    result has its directions transposed and reversed back, its chain
+    layers ``k`` mapped to ``h + 1 - k`` and its case name suffixed
+    ``_left``.  The surviving terms of the loss expansion are formed in
+    the original orientation: ``t1`` with the chain directions in place
+    of their weights, ``t2`` with the opposite end's direction as well.
+    """
     h = point.depth
     i_idx, j_idx = _data_indices(g_x)
-    x = point.x
-
-    def w(i):
-        return point.layer(i)
-
-    null_wt = {k: null_space(w(k).T, tol) for k in range(1, h)}
-    if null_wt[1].dim == 0:
-        return None
-    k_set = []
-    for k in range(1, h - 1):
-        if null_wt[k].dim == 0:
+    mirrored = [w.T for w in reversed(point.weights)]
+    for weights, i, j, suffix in ((point.weights, i_idx, j_idx, ""),
+                                  (mirrored, j_idx, i_idx, "_left")):
+        got = _deep_chain(weights, i, j, tol)
+        if got is None:
             continue
-        mid = _prod_layers(point, h - 1, k + 1)
-        if _subspaces_orthogonal(null_space(mid, tol), null_wt[k]):
-            k_set.append(k)
+        dirs, case, q, layers = got
+        primary, secondary = 0, h - 1
+        if suffix:
+            dirs = [d.T for d in reversed(dirs)]
+            layers = [h + 1 - k for k in layers]
+            primary, secondary = h - 1, 0
 
-    if k_set:
-        kstar = min(k_set)
-        mid = _prod_layers(point, h - 1, kstar + 1)
-        right_null = null_space(mid, tol)
-        if right_null.dim == 0:
-            p_vec = null_wt[kstar].columns[:, 0]
-        else:
-            # p must lie in the row space of the interior product
-            proj = np.linalg.pinv(mid) @ mid
-            cands = proj @ null_wt[kstar].columns
-            norms = np.linalg.norm(cands, axis=0)
-            best = int(np.argmax(norms))
-            if norms[best] < _DIRECTION_TOL:
-                return None
-            p_vec = cands[:, best] / norms[best]
-        p_h, *_ = np.linalg.lstsq(mid.T, p_vec, rcond=None)
-        pairs = _chain_pairs(
-            point,
-            range(2, kstar + 1),
-            lambda k: null_wt[k - 1],
-            lambda k: null_space(_prod_layers(point, h - 1, k), tol),
-        )
-        if pairs is None:
-            return None
-        dirs = [np.zeros_like(m) for m in point.weights]
-        a_h = np.zeros(w(h).shape)
-        a_h[j_idx, :] = p_h
-        dirs[0] = a_h
-        if kstar == 1:
-            a_1 = np.zeros(w(1).shape)
-            a_1[:, i_idx] = p_vec
-            dirs[h - 1] = a_1
-        else:
-            for k in range(2, kstar):
-                dirs[h - k] = np.outer(pairs[k + 1][1], pairs[k][0])
-            dirs[h - kstar] = np.outer(p_vec, pairs[kstar][0])
-            a_1 = np.zeros(w(1).shape)
-            a_1[:, i_idx] = pairs[2][1]
-            dirs[h - 1] = a_1
-        case = "DeepCaseA_left"
-        q = kstar
-        bottom_chain = [dirs[h - k] for k in range(kstar, 0, -1)]
-        upper = [w(i) for i in range(h, kstar, -1)]
-        t1_mats = upper + bottom_chain + [x]
-        t2_mats = [dirs[0]] + [w(i) for i in range(h - 1, kstar, -1)] + bottom_chain + [x]
-    else:
-        pairs = _chain_pairs(
-            point,
-            range(2, h),
-            lambda k: null_wt[k - 1],
-            lambda k: null_space(_prod_layers(point, h - 1, k), tol),
-        )
-        if pairs is None or null_wt[h - 1].dim == 0:
-            return None
-        p_h = null_wt[h - 1].columns[:, 0]
-        dirs = [np.zeros_like(m) for m in point.weights]
-        a_h = np.zeros(w(h).shape)
-        a_h[j_idx, :] = p_h
-        dirs[0] = a_h
-        dirs[1] = np.outer(p_h, pairs[h - 1][0])
-        for k in range(2, h - 1):
-            dirs[h - k] = np.outer(pairs[k + 1][1], pairs[k][0])
-        a_1 = np.zeros(w(1).shape)
-        a_1[:, i_idx] = pairs[2][1]
-        dirs[h - 1] = a_1
-        case = "DeepCaseB_left"
-        q = h - 1
-        bottom_chain = [dirs[h - k] for k in range(h - 1, 0, -1)]
-        t1_mats = [w(h)] + bottom_chain + [x]
-        t2_mats = [dirs[0]] + bottom_chain + [x]
+        def chain(on):
+            mats = [d if h - n in on else w
+                    for n, (w, d) in enumerate(zip(point.weights, dirs))]
+            return np.linalg.multi_dot(mats + [point.x])
 
-    t1 = np.linalg.multi_dot(t1_mats)
-    t2 = np.linalg.multi_dot(t2_mats)
-    chosen, order = _choose_alphas(point, loss, dirs, q, h - 1, 0, t1, t2, tol)
-    if chosen is None:
-        return None
-    return _verify_descent(point, loss, chosen, order, case, tol)
+        t1 = chain(layers)
+        t2 = chain(list(layers) + [h - secondary])
+        chosen, order = _choose_alphas(
+            point, loss, dirs, q, primary, secondary, t1, t2, tol
+        )
+        if chosen is None:
+            continue
+        found = _verify_descent(point, loss, chosen, order, case + suffix, tol)
+        if found is not None:
+            return found
+    return None
 
 
 def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
@@ -766,9 +660,7 @@ def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
         if direction is not None:
             return report(SECOND_ORDER_SADDLE, direction)
     elif h >= 3:
-        direction = _deep_direction_right(point, loss, g_x, tol)
-        if direction is None:
-            direction = _deep_direction_left(point, loss, g_x, tol)
+        direction = _deep_direction(point, loss, g_x, tol)
         if direction is not None:
             return report(SADDLE_HIGHER_ORDER, direction)
 
