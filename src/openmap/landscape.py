@@ -267,7 +267,7 @@ def local_min_probe(point, spec=None, tol=DEFAULT_TOL, seed=None, objective_fn=N
     """Sampled local-minimality check: uniform directions on the
     parameter sphere at each scheduled radius; the verdict is minimal at
     resolution when no sampled value undercuts the base objective by more
-    than ``residual_abs``.
+    than ``residual_abs`` and every radius had a finite sample.
 
     Each radius seeds its own generator with ``[seed, radius index]`` and
     draws ``probe_samples`` standard-normal vectors over all parameters,
@@ -327,7 +327,8 @@ def local_min_probe(point, spec=None, tol=DEFAULT_TOL, seed=None, objective_fn=N
             worst = min(worst, np.min(deltas, initial=np.inf, where=~np.isnan(deltas)))
         radii.append(float(radius))
         min_deltas.append(float(worst))
-    minimal = all(d >= -tol.residual_abs for d in min_deltas)
+    # a radius without one finite sample gives no evidence of minimality
+    minimal = all(-tol.residual_abs <= d < np.inf for d in min_deltas)
     return ProbeReport(
         radii=radii, min_deltas=min_deltas, locally_minimal=minimal,
         samples=tol.probe_samples,

@@ -148,6 +148,14 @@ class TestProbe:
         assert not rep.locally_minimal
         assert all(d < 0 for d in rep.min_deltas)
 
+    def test_no_finite_sample_is_not_minimal(self):
+        # every sample overflows, so no radius has a finite value
+        point = NetworkPoint([[[1e200]], [[1e-200]]], [[1.0]], [[1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = local_min_probe(point, point.spec(), Tolerances(probe_samples=50))
+        assert rep.min_deltas == [np.inf] * 3
+        assert not rep.locally_minimal
+
 
 class TestClassify:
     def test_not_critical(self):
