@@ -487,9 +487,10 @@ def _chain_pairs(ks, p_space, b_space):
 
 def _deep_chain(weights, i_idx, j_idx, tol):
     """Descent chain hinging on a null vector of the top layer of
-    ``weights`` (``W_h`` first).  Returns the directions (ordered like
-    ``weights``), the case name, the order of the leading surviving term
-    and the math layers of the top chain, or None."""
+    ``weights`` (``W_h`` first).  Returns the directions, ordered like
+    ``weights``, the case name and the order ``q`` of the leading
+    surviving term, whose top chain is the first ``q`` directions; or
+    None."""
     h = len(weights)
 
     def prod(hi, lo):
@@ -539,7 +540,7 @@ def _deep_chain(weights, i_idx, j_idx, tol):
             dirs[h - k] = np.outer(pairs[k + 1][1], pairs[k][0])
         dirs[h - kstar] = np.outer(pairs[kstar + 1][1], b_vec)
     dirs[h - 1][:, i_idx] = b1
-    return dirs, case, h - kstar + 1, range(kstar, h + 1)
+    return dirs, case, h - kstar + 1
 
 
 def _deep_direction(point, loss, g_x, tol):
@@ -549,11 +550,11 @@ def _deep_direction(point, loss, g_x, tol):
     ``(W_h ... W_1)^T = W_1^T ... W_h^T``, the same construction run on
     the mirrored chain, the transposed layers in reverse order with the
     input and output data indices swapped, hinges on a left-null vector
-    of the bottom layer ``W_1``.  The top chain is tried first; a mirrored
-    result has its directions transposed and reversed back, its chain
-    layers ``k`` mapped to ``h + 1 - k`` and its case name suffixed
+    of the bottom layer ``W_1``.  The top chain is tried first.  A
+    mirrored result has its directions transposed and reversed back, so
+    its chain is the last ``q`` layers, and its case name gets the suffix
     ``_left``.  The surviving terms of the loss expansion are formed in
-    the original orientation: ``t1`` with the chain directions in place
+    the original orientation: ``t1`` with the chain's directions in place
     of their weights, ``t2`` with the opposite end's direction as well.
     """
     h = point.depth
@@ -564,20 +565,16 @@ def _deep_direction(point, loss, g_x, tol):
         got = _deep_chain(weights, i, j, tol)
         if got is None:
             continue
-        dirs, case, q, layers = got
-        primary, secondary = 0, h - 1
+        dirs, case, q = got
+        primary, secondary, chain = 0, h - 1, slice(0, q)
         if suffix:
             dirs = [d.T for d in reversed(dirs)]
-            layers = [h + 1 - k for k in layers]
-            primary, secondary = h - 1, 0
-
-        def chain(on):
-            mats = [d if h - n in on else w
-                    for n, (w, d) in enumerate(zip(point.weights, dirs))]
-            return np.linalg.multi_dot(mats + [point.x])
-
-        t1 = chain(layers)
-        t2 = chain(list(layers) + [h - secondary])
+            primary, secondary, chain = h - 1, 0, slice(h - q, h)
+        mats = list(point.weights)
+        mats[chain] = dirs[chain]
+        t1 = np.linalg.multi_dot(mats + [point.x])
+        mats[secondary] = dirs[secondary]
+        t2 = np.linalg.multi_dot(mats + [point.x])
         chosen, order = _choose_alphas(
             point, loss, dirs, q, primary, secondary, t1, t2, tol
         )
