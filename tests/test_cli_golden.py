@@ -43,7 +43,7 @@ R_SYM = [[1e-3, 2e-4], [2e-4, -5e-4]]
 NET_WEIGHTS = [[[0.0], [0.0]], [[0.0, 0.0]]]
 NET_X = [[1.0, 0.0], [0.0, 1.0]]
 NET_Y = [[1.0, 0.0], [0.0, 2.0]]
-# deep degenerate critical points, one per descent construction case
+# degenerate critical points, one per descent construction case
 E11 = [[1.0, 0.0], [0.0, 0.0]]
 WEIGHT_LISTS = {
     "net_weights": NET_WEIGHTS,
@@ -52,6 +52,7 @@ WEIGHT_LISTS = {
     "deep_b_left_weights": [[[1.0], [0.0]], [[0.0]], [[0.0, 0.0]]],
     "deep_a_left_weights": [[[0.0], [0.0]], [[1.0]], [[0.0, 0.0]],
                             [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]],
+    "two_layer_w1t_weights": [[[1.0], [0.0]], [[0.0, 0.0]]],
 }
 
 
@@ -122,6 +123,9 @@ CASES = {
     "net_classify_deep_case_a_left": (
         ["net", "classify", "--weights", "{deep_a_left_weights}", "--x", "{eye3}",
          "--y", "{deep_a_left_y}"], 0),
+    "net_classify_two_layer_w1t": (
+        ["net", "classify", "--weights", "{two_layer_w1t_weights}", "--x", "{eye2}",
+         "--y", "{deep_b_left_y}"], 0),
     "net_counterexample": (["net", "counterexample", "--dims", "2,1,1,2"], 0),
     "net_fixture_spurious_rank2_target": (
         ["net", "fixture", "--name", "spurious-rank2-target"], 0),

@@ -301,6 +301,39 @@ class TestClassify:
             "e14aeb49ed2bb306f8e9007a51f63b3c4edc56bd57b3fd823138f15c560de4f2"
         )
 
+    def test_two_layer_grid_pins_the_descent_constructions(self):
+        # depth-2 critical points with one or both factors zero, kept
+        # only when the gradient vanishes exactly; every status, case,
+        # order, direction, step and decrease is pinned bit for bit
+        # (x = I makes every product exact in any association)
+        rng = np.random.default_rng(20180309)
+        digest, kept, cases = hashlib.sha256(), 0, {}
+        while kept < 2000:
+            dims = rng.integers(1, 4, size=3)
+            weights = [np.zeros((dims[0], dims[1])), np.zeros((dims[1], dims[2]))]
+            live = int(rng.integers(3))
+            if live < 2:
+                weights[live] = rng.integers(-1, 2, size=weights[live].shape).astype(float)
+            y = rng.integers(-1, 2, size=(dims[0], dims[2])).astype(float)
+            point = NetworkPoint(weights, np.eye(dims[2]), y)
+            if gradient_norm(gradient(point)) != 0.0:
+                continue
+            kept += 1
+            rep = classify(point)
+            digest.update(rep.status.encode())
+            d = rep.descent_direction
+            if d is None:
+                continue
+            cases[d.construction_case] = cases.get(d.construction_case, 0) + 1
+            digest.update(f"{d.construction_case}:{d.order}".encode())
+            for m in d.directions:
+                digest.update(repr(m.shape).encode() + m.tobytes())
+            digest.update(np.array([d.step, d.decrease]).tobytes())
+        assert set(cases) == {"TwoLayerNullW2", "TwoLayerNullW1T"}
+        assert digest.hexdigest() == (
+            "7654bca5ee80cf6f05633ede4ff9fa84d11e9aaf9cc62b86b13e81cc0f178e7a"
+        )
+
     def test_converged_descent_classifies_global(self):
         # unreachable target: the optimum sits at a positive objective,
         # where float resolution caps how far the gradient can contract;
