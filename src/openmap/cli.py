@@ -183,26 +183,26 @@ def _summarize(payload):
 # -- gradient-descent sweep ----------------------------------------------------
 
 
-def _sample_matrix(rng, rows, cols, rank_deficient_fraction):
-    if rank_deficient_fraction > 0 and rng.random() < rank_deficient_fraction:
+def _sample_matrix(rng, rows, cols):
+    if rng.random() < 0.3:  # this share of the data is drawn rank-deficient
         r = int(rng.integers(0, min(rows, cols) + 1))
         return rng.uniform(-1, 1, size=(rows, r)) @ rng.uniform(-1, 1, size=(r, cols))
     return rng.uniform(-1, 1, size=(rows, cols))
 
 
 def _gd_trial(payload):
-    (trial, seed, dims, depth, dim_cap, n_samples, x, y,
-     tol, max_iter, rank_deficient_fraction) = payload
+    trial, seed, dims, depth, dim_cap, x, y, tol, max_iter = payload
     rng = np.random.default_rng([seed, trial])
     if dims is None:
         dims = tuple(int(d) for d in rng.integers(1, dim_cap + 1, size=depth + 1))
-    n = n_samples if n_samples else int(rng.integers(1, dim_cap + 1))
-    if x is not None:
-        n = x.shape[1]
-    else:
-        x = _sample_matrix(rng, dims[-1], n, rank_deficient_fraction)
+    # drawn even when a data matrix fixes it, so the draws stay in order
+    n = int(rng.integers(1, dim_cap + 1))
+    if x is not None or y is not None:
+        n = (y if x is None else x).shape[1]
+    if x is None:
+        x = _sample_matrix(rng, dims[-1], n)
     if y is None:
-        y = _sample_matrix(rng, dims[0], n, rank_deficient_fraction)
+        y = _sample_matrix(rng, dims[0], n)
     weights = [
         rng.uniform(-1.0, 1.0, size=(dims[i], dims[i + 1]))
         for i in range(len(dims) - 1)
@@ -233,16 +233,16 @@ def _gd_trial(payload):
     return record
 
 
-def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, n_samples=None,
-             x=None, y=None, jobs=1, max_iter=100000,
-             rank_deficient_fraction=0.3):
+def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, x=None, y=None,
+             jobs=1, max_iter=100000):
     """Random-restart gradient-descent endpoint classification sweep."""
+    if dims is None and (x is not None or y is not None):
+        raise InputError("a data matrix (--x or --y) needs fixed --dims")
     start = time.perf_counter()
     x = None if x is None else np.asarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
     payloads = [
-        (t, seed, tuple(dims) if dims else None, depth, dim_cap, n_samples,
-         x, y, tol, max_iter, rank_deficient_fraction)
+        (t, seed, tuple(dims) if dims else None, depth, dim_cap, x, y, tol, max_iter)
         for t in range(trials)
     ]
     if jobs > 1 and trials > 1:
@@ -372,7 +372,7 @@ def _instance(x, y, point):
 
 def _net_counterexample(args, config):
     dims = _parse_dims(args.dims)
-    x, y, point = counterexample_factory(dims, config.tolerances)
+    x, y, point = counterexample_factory(dims)
     return {"dims": list(dims), **_instance(x, y, point),
             "global_value": global_value(point.spec(), x, y, config.tolerances)}
 

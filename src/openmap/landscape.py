@@ -10,8 +10,8 @@ framework:
 * non-degenerate points (full product rank equal to the smallest layer
   width) inherit local openness of the product chain, so their objective
   is compared against the rank-constrained optimum;
-* degenerate critical points get explicit descent or negative-curvature
-  directions built from null vectors of the weight stack;
+* degenerate critical points of every depth get a descent direction
+  from one chain construction on null vectors of the weight stack;
 * what remains is probed by seeded sphere sampling.
 
 Weight lists are ordered ``W_h`` first throughout, matching the wire
@@ -41,6 +41,8 @@ INCONCLUSIVE = "Inconclusive"
 # inner products below this (relative) size are treated as zero when
 # assembling descent chains: report failure rather than guess
 _DIRECTION_TOL = 1e-8
+# step halvings before _verify_descent gives a direction up
+_MAX_HALVINGS = 60
 
 
 class SquaredError:
@@ -125,10 +127,6 @@ class NetworkPoint:
     @property
     def dims(self):
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
-    def layer(self, i):
-        """Weight of math layer ``i`` (1-based, ``W_1`` touches ``x``)."""
-        return self.weights[self.depth - i]
 
     def spec(self, loss=None):
         return NetworkSpec(
@@ -361,10 +359,10 @@ def _objective_along(point, loss, dirs, t):
     return loss.value(prod, point.y)
 
 
-def _verify_descent(point, loss, dirs, order, case, tol, max_halvings=60):
+def _verify_descent(point, loss, dirs, order, case, tol):
     base = objective(point, loss)
     t = 1.0
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         val = _objective_along(point, loss, dirs, t)
         if val < base - tol.residual_abs:
             return DirectionTuple(
@@ -402,7 +400,7 @@ def _data_indices(g_x):
     return int(i), int(j)
 
 
-def _choose_alphas(point, loss, dirs, q, primary_idx, secondary_idx, t1, t2, tol):
+def _choose_alphas(point, loss, dirs, q, primary_idx, secondary_idx, t1, t2):
     """Fix the two free scalars so the leading surviving term of the loss
     expansion is strictly negative, then verify by backtracking."""
     g_mat = loss.grad(network_output(point), point.y)
@@ -436,41 +434,6 @@ def _choose_alphas(point, loss, dirs, q, primary_idx, secondary_idx, t1, t2, tol
     out = list(dirs)
     out[secondary_idx] = alpha * out[secondary_idx]
     return out, q + 1
-
-
-def _two_layer_direction(point, loss, g_x, tol):
-    """Negative-curvature direction at a degenerate two-layer critical
-    point, built from a null vector of the top factor (or of the bottom
-    factor transposed) and the data pair with the largest coupling."""
-    w2, w1 = point.weights
-    i_idx, j_idx = _data_indices(g_x)
-    attempts = []
-    nb2 = null_space(w2, tol)
-    if nb2.dim > 0:
-        attempts.append(("TwoLayerNullW2", nb2.columns[:, 0]))
-    nb1 = null_space(w1.T, tol)
-    if nb1.dim > 0:
-        attempts.append(("TwoLayerNullW1T", nb1.columns[:, 0]))
-    for case, vec in attempts:
-        a_mat = np.zeros(w2.shape)
-        a_mat[j_idx, :] = vec
-        b_mat = np.zeros(w1.shape)
-        b_mat[:, i_idx] = vec
-        if case == "TwoLayerNullW2":
-            t1 = a_mat @ w1 @ point.x  # w2 @ b_mat vanishes: b columns in N(w2)
-        else:
-            t1 = w2 @ b_mat @ point.x  # a_mat @ w1 vanishes: rows in N(w1^T)
-        t2 = a_mat @ b_mat @ point.x
-        dirs, order = _choose_alphas(
-            point, loss, [a_mat, b_mat], 1, None,
-            1 if case == "TwoLayerNullW2" else 0, t1, t2, tol,
-        )
-        if dirs is None:
-            continue
-        found = _verify_descent(point, loss, dirs, order, case, tol)
-        if found is not None:
-            return found
-    return None
 
 
 def _chain_pairs(ks, p_space, b_space):
@@ -544,7 +507,7 @@ def _deep_chain(weights, i_idx, j_idx, tol):
 
 
 def _deep_direction(point, loss, g_x, tol):
-    """Descent direction at a degenerate critical point of depth >= 3.
+    """Descent direction at a degenerate critical point of depth >= 2.
 
     ``_deep_chain`` hinges on a null vector of the top layer.  Because
     ``(W_h ... W_1)^T = W_1^T ... W_h^T``, the same construction run on
@@ -556,6 +519,12 @@ def _deep_direction(point, loss, g_x, tol):
     ``_left``.  The surviving terms of the loss expansion are formed in
     the original orientation: ``t1`` with the chain's directions in place
     of their weights, ``t2`` with the opposite end's direction as well.
+
+    At depth 2 the chain has no interior layer: it is case B, ``q = 1``.
+    There ``t1`` pairs a direction with its layer's gradient, which
+    criticality has bounded, so it is never the leading term and the
+    direction escapes along negative curvature (a ``SecondOrderSaddle``);
+    and the two cases are named ``TwoLayerNullW2`` and ``TwoLayerNullW1T``.
     """
     h = point.depth
     i_idx, j_idx = _data_indices(g_x)
@@ -570,17 +539,18 @@ def _deep_direction(point, loss, g_x, tol):
         if suffix:
             dirs = [d.T for d in reversed(dirs)]
             primary, secondary, chain = h - 1, 0, slice(h - q, h)
+        case += suffix
+        if h == 2:
+            primary, case = None, "TwoLayerNullW1T" if suffix else "TwoLayerNullW2"
         mats = list(point.weights)
         mats[chain] = dirs[chain]
         t1 = np.linalg.multi_dot(mats + [point.x])
         mats[secondary] = dirs[secondary]
         t2 = np.linalg.multi_dot(mats + [point.x])
-        chosen, order = _choose_alphas(
-            point, loss, dirs, q, primary, secondary, t1, t2, tol
-        )
+        chosen, order = _choose_alphas(point, loss, dirs, q, primary, secondary, t1, t2)
         if chosen is None:
             continue
-        found = _verify_descent(point, loss, chosen, order, case + suffix, tol)
+        found = _verify_descent(point, loss, chosen, order, case, tol)
         if found is not None:
             return found
     return None
@@ -652,15 +622,11 @@ def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
         return report(INCONCLUSIVE)
 
     h = point.depth
-    direction = None
-    if h == 2:
-        direction = _two_layer_direction(point, loss, g_x, tol)
-        if direction is not None:
-            return report(SECOND_ORDER_SADDLE, direction)
-    elif h >= 3:
+    if h >= 2:
         direction = _deep_direction(point, loss, g_x, tol)
         if direction is not None:
-            return report(SADDLE_HIGHER_ORDER, direction)
+            status = SECOND_ORDER_SADDLE if h == 2 else SADDLE_HIGHER_ORDER
+            return report(status, direction)
 
     probe = local_min_probe(point, spec, tol, seed=seed)
     certificates.append(
@@ -691,7 +657,7 @@ def admissible_width_pair(dims):
     return None
 
 
-def counterexample_factory(dims, tol=DEFAULT_TOL):
+def counterexample_factory(dims):
     """Instance with a non-global basin: identity input, a single far
     corner target, identity-padded outer layers and zeroed middle layers
     between an admissible width pair.

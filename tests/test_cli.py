@@ -109,3 +109,32 @@ def test_a_result_that_is_not_finite_is_a_numerical_failure(fmt, tmp_path, capsy
     err = _error(capsys)
     assert err["error"] == "NumericalFailure"
     assert "not finite" in err["message"]
+
+
+def _matrix_file(tmp_path, name, mat):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"rows": len(mat), "cols": len(mat[0]),
+                                "data": [v for row in mat for v in row]}))
+    return str(path)
+
+
+def test_gd_sweep_reads_the_sample_count_from_y(tmp_path, capsys):
+    y = _matrix_file(tmp_path, "y", [[1.0, 0.0, -1.0], [0.5, 2.0, 0.0]])
+    argv = ["net", "gd-sweep", "--dims", "2,1,2", "--y", y, "--trials", "4",
+            "--max-iter", "50", "--seed", "0", "--jobs", "1"]
+    assert main(argv) == 0
+    records = json.loads(capsys.readouterr().out)["result"]["records"]
+    assert [rec["n_samples"] for rec in records] == [3] * 4
+
+
+@pytest.mark.parametrize("flag", ["--x", "--y"])
+def test_gd_sweep_data_without_dims_is_an_input_error(flag, tmp_path, capsys):
+    # with --dim-cap 1 every drawn width fits this 1 x 1 matrix; the
+    # sweep must refuse anyway, not depend on the widths a seed draws
+    path = _matrix_file(tmp_path, "data", [[1.0]])
+    argv = ["net", "gd-sweep", flag, path, "--trials", "4", "--max-iter", "50",
+            "--dim-cap", "1", "--seed", "0", "--jobs", "1"]
+    assert main(argv) == 2
+    err = _error(capsys)
+    assert err["error"] == "InputError"
+    assert "--dims" in err["message"]
