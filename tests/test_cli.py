@@ -3,10 +3,12 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 from openmap import cli
 from openmap.cli import COMMANDS, main
+from openmap.matrixio import matrix_to_payload
 
 
 def _error(capsys):
@@ -111,15 +113,14 @@ def test_a_result_that_is_not_finite_is_a_numerical_failure(fmt, tmp_path, capsy
     assert "not finite" in err["message"]
 
 
-def _matrix_file(tmp_path, name, mat):
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps({"rows": len(mat), "cols": len(mat[0]),
-                                "data": [v for row in mat for v in row]}))
+def _matrix_file(tmp_path, mat):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(matrix_to_payload(np.array(mat))))
     return str(path)
 
 
 def test_gd_sweep_reads_the_sample_count_from_y(tmp_path, capsys):
-    y = _matrix_file(tmp_path, "y", [[1.0, 0.0, -1.0], [0.5, 2.0, 0.0]])
+    y = _matrix_file(tmp_path, [[1.0, 0.0, -1.0], [0.5, 2.0, 0.0]])
     argv = ["net", "gd-sweep", "--dims", "2,1,2", "--y", y, "--trials", "4",
             "--max-iter", "50", "--seed", "0", "--jobs", "1"]
     assert main(argv) == 0
@@ -131,7 +132,7 @@ def test_gd_sweep_reads_the_sample_count_from_y(tmp_path, capsys):
 def test_gd_sweep_data_without_dims_is_an_input_error(flag, tmp_path, capsys):
     # with --dim-cap 1 every drawn width fits this 1 x 1 matrix; the
     # sweep must refuse anyway, not depend on the widths a seed draws
-    path = _matrix_file(tmp_path, "data", [[1.0]])
+    path = _matrix_file(tmp_path, [[1.0]])
     argv = ["net", "gd-sweep", flag, path, "--trials", "4", "--max-iter", "50",
             "--dim-cap", "1", "--seed", "0", "--jobs", "1"]
     assert main(argv) == 2

@@ -196,6 +196,18 @@ class TestClassify:
         curvature = (plus + minus - 2 * base) / (eps**2 * norm2)
         assert curvature <= -0.1
 
+    def test_two_layer_saddle_escapes_at_second_order(self):
+        # critical within a loose grad_abs, and the order-one term pairs
+        # the top direction with a nonzero gradient of W_2; a two-layer
+        # saddle still escapes along its negative curvature
+        point = NetworkPoint(
+            [np.zeros((2, 1)), np.array([[0.0, 1e-7]])], np.eye(2), np.diag([1.0, 2.0])
+        )
+        rep = classify(point, tol=Tolerances(grad_abs=1e-6))
+        assert rep.status == SECOND_ORDER_SADDLE
+        assert rep.descent_direction.construction_case == "TwoLayerNullW2"
+        assert rep.descent_direction.order == 2
+
     def test_rank_two_fixture_spurious(self):
         _, _, point = rank_deficient_y_fixture()
         rep = classify(point)
