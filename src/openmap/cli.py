@@ -41,7 +41,6 @@ from . import __version__
 from .errors import DomainRefusal, InputError, NumericalFailure, OpenMapError
 from .landscape import (
     NetworkPoint,
-    NetworkSpec,
     classify,
     counterexample_factory,
     global_value,
@@ -208,8 +207,7 @@ def _gd_trial(payload):
         for i in range(len(dims) - 1)
     ]
     point = NetworkPoint(weights, x, y)
-    spec = NetworkSpec(dims=dims, n_samples=n)
-    result = run_gradient_descent(point, spec, tol, max_iter=max_iter)
+    result = run_gradient_descent(point, tol=tol, max_iter=max_iter)
     record = {
         "trial": trial,
         "dims": list(dims),
@@ -223,11 +221,11 @@ def _gd_trial(payload):
         "objective_gap": None,
         "has_descent_direction": None,
     }
-    gv = global_value(spec, x, y, tol)
+    gv = global_value(min(dims), x, y, tol)
     record["global_value"] = gv
     record["objective_gap"] = result.objective - gv
     if result.converged:
-        rep = classify(result.point, spec, tol)
+        rep = classify(result.point, tol=tol)
         record["status"] = rep.status
         record["has_descent_direction"] = rep.descent_direction is not None
     return record
@@ -238,6 +236,10 @@ def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, x=None, y=None,
     """Random-restart gradient-descent endpoint classification sweep."""
     if dims is None and (x is not None or y is not None):
         raise InputError("a data matrix (--x or --y) needs fixed --dims")
+    for flag, value, least in (("--depth", depth, 1), ("--dim-cap", dim_cap, 1),
+                               ("--max-iter", max_iter, 0)):
+        if value < least:
+            raise InputError(f"{flag} must be at least {least}")
     start = time.perf_counter()
     x = None if x is None else np.asarray(x, dtype=float)
     y = None if y is None else np.asarray(y, dtype=float)
@@ -374,7 +376,7 @@ def _net_counterexample(args, config):
     dims = _parse_dims(args.dims)
     x, y, point = counterexample_factory(dims)
     return {"dims": list(dims), **_instance(x, y, point),
-            "global_value": global_value(point.spec(), x, y, config.tolerances)}
+            "global_value": global_value(min(dims), x, y, config.tolerances)}
 
 
 def _net_fixture(args, config):
@@ -389,8 +391,7 @@ def _net_fixture(args, config):
 
 
 def _net_probe(args, config):
-    point = _load_point(args)
-    return local_min_probe(point, point.spec(), config.tolerances, seed=config.seed)
+    return local_min_probe(_load_point(args), tol=config.tolerances, seed=config.seed)
 
 
 def _net_gd_sweep(args, config):
@@ -444,6 +445,8 @@ def _parse_dims(text):
         raise InputError(f"--dims must be comma-separated integers: {exc}") from exc
     if len(dims) < 2:
         raise InputError("--dims needs at least two widths")
+    if min(dims) < 1:
+        raise InputError("--dims widths must be at least 1")
     return dims
 
 
@@ -550,7 +553,10 @@ _EXIT_CODES = {InputError: 2, OSError: 2, DomainRefusal: 3, OpenMapError: 4}
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        return run(argv)
+        # non-finite results are caught by the finiteness checks and
+        # reported as JSON, so numpy's warnings would only add stderr noise
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return run(argv)
     except tuple(_EXIT_CODES) as exc:
         code = next(code for family, code in _EXIT_CODES.items()
                     if isinstance(exc, family))

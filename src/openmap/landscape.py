@@ -14,11 +14,12 @@ framework:
   from one chain construction on null vectors of the weight stack;
 * what remains is probed by seeded sphere sampling.
 
-Weight lists are ordered ``W_h`` first throughout, matching the wire
-format.
+Entry points take a ``NetworkPoint``, which carries its own widths, and
+a loss (``None`` means squared error).  Weight lists are ordered ``W_h``
+first throughout, matching the wire format.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     UnsupportedActivation,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, null_space, rank, spectrum
+from .numcore import DEFAULT_TOL, EPS, null_space, rank, spectrum
 
 GLOBAL_MIN = "GlobalMin"
 SECOND_ORDER_SADDLE = "SecondOrderSaddle"
@@ -43,12 +44,12 @@ INCONCLUSIVE = "Inconclusive"
 _DIRECTION_TOL = 1e-8
 # step halvings before _verify_descent gives a direction up
 _MAX_HALVINGS = 60
+# iterations without gradient contraction before gradient descent stops
+_PLATEAU = 1500
 
 
 class SquaredError:
     """Half squared Frobenius distance to the targets."""
-
-    name = "squared-error"
 
     def value(self, output, y):
         return 0.5 * float(np.linalg.norm(output - y) ** 2)
@@ -65,7 +66,6 @@ class ConvexPlugin:
 
     value_fn: object
     grad_fn: object
-    name: str = "plugin"
 
     def value(self, output, y):
         return float(self.value_fn(output, y))
@@ -75,32 +75,9 @@ class ConvexPlugin:
 
 
 @dataclass
-class NetworkSpec:
-    """Layer widths ordered ``(d_h, ..., d_1, d_0)`` plus sample count."""
-
-    dims: tuple
-    n_samples: int
-    loss: object = field(default_factory=SquaredError)
-
-    def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        if len(self.dims) < 2 or any(d < 1 for d in self.dims):
-            raise InputError("dims must list at least two positive widths")
-        if self.n_samples < 1:
-            raise InputError("n_samples must be positive")
-
-    @property
-    def depth(self):
-        return len(self.dims) - 1
-
-    @property
-    def min_width(self):
-        return min(self.dims)
-
-
-@dataclass
 class NetworkPoint:
-    """Weights ordered ``W_h`` first, with input ``x`` and targets ``y``."""
+    """Weights ordered ``W_h`` first, with input ``x`` and targets ``y``:
+    at least one weight, every width and the sample count positive."""
 
     weights: list
     x: np.ndarray
@@ -110,6 +87,8 @@ class NetworkPoint:
         self.weights = [as_matrix(w, f"weights[{i}]") for i, w in enumerate(self.weights)]
         self.x = as_matrix(self.x, "x")
         self.y = as_matrix(self.y, "y")
+        if not (self.weights and self.x.size and all(w.size for w in self.weights)):
+            raise InputError("a network needs a layer, positive widths and samples")
         for up, low in zip(self.weights, self.weights[1:]):
             if up.shape[1] != low.shape[0]:
                 raise InputError("weight chain dimensions do not compose")
@@ -127,13 +106,6 @@ class NetworkPoint:
     @property
     def dims(self):
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
-    def spec(self, loss=None):
-        return NetworkSpec(
-            dims=self.dims,
-            n_samples=self.x.shape[1],
-            loss=loss if loss is not None else SquaredError(),
-        )
 
 
 def product_matrix(point):
@@ -175,22 +147,21 @@ def gradient_norm(grads):
     return float(np.sqrt(sum(np.linalg.norm(g) ** 2 for g in grads)))
 
 
-def global_value(spec, x, y, tol=DEFAULT_TOL):
-    """Optimal squared-error value over products of admissible rank.
+def global_value(width, x, y, tol=DEFAULT_TOL):
+    """Optimal squared-error value over products of rank at most
+    ``width``, the narrowest layer of the network.
 
     Reduction: rotate by the SVD of ``x``, split off the constant mass
     outside the input row space, and truncate the reachable block to the
-    best approximation of rank ``min(dims)``.
+    best approximation of rank ``width``.
     """
-    if not isinstance(spec.loss, SquaredError):
-        raise InputError("the rank-constrained optimum is squared-error only")
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     sp = spectrum(x, tol)
     y_rot = y @ sp.v
     reachable = y_rot[:, : sp.rank]
     constant = float(np.linalg.norm(y_rot[:, sp.rank :]) ** 2)
-    t = min(spec.min_width, sp.rank)
+    t = min(width, sp.rank)
     sing = np.linalg.svd(reachable, compute_uv=False) if reachable.size else np.zeros(0)
     tail = float(np.sum(sing[t:] ** 2))
     return 0.5 * (tail + constant)
@@ -261,11 +232,12 @@ def _least_half_squares(norms):
     return [0.5 * float(s ** 2) for s in norms[sq <= cut]]
 
 
-def local_min_probe(point, spec=None, tol=DEFAULT_TOL, seed=None, objective_fn=None):
-    """Sampled local-minimality check: uniform directions on the
-    parameter sphere at each scheduled radius; the verdict is minimal at
-    resolution when no sampled value undercuts the base objective by more
-    than ``residual_abs`` and every radius had a finite sample.
+def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=None, objective_fn=None):
+    """Sampled local-minimality check of ``loss`` (``None`` means
+    ``SquaredError``): uniform directions on the parameter sphere at each
+    scheduled radius; the verdict is minimal at resolution when no sampled
+    value undercuts the base objective by more than ``residual_abs`` and
+    every radius had a finite sample.
 
     Each radius seeds its own generator with ``[seed, radius index]`` and
     draws ``probe_samples`` standard-normal vectors over all parameters,
@@ -284,7 +256,7 @@ def local_min_probe(point, spec=None, tol=DEFAULT_TOL, seed=None, objective_fn=N
     Raises ``NumericalFailure`` when the objective at the point itself is
     not finite.
     """
-    loss = spec.loss if spec is not None else SquaredError()
+    loss = loss or SquaredError()
     weights, x, y = point.weights, point.x, point.y
     if objective_fn is None:
         base = loss.value(np.linalg.multi_dot(weights + [x]), y)
@@ -556,10 +528,10 @@ def _deep_direction(point, loss, g_x, tol):
     return None
 
 
-def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
-    """Classify a training point of the linear-network objective."""
-    spec = spec if spec is not None else point.spec()
-    loss = spec.loss
+def classify(point, loss=None, tol=DEFAULT_TOL, seed=None):
+    """Classify a training point of the linear-network objective under
+    ``loss`` (``None`` means ``SquaredError``)."""
+    loss = loss or SquaredError()
     certificates = []
     obj = objective(point, loss)
     grads = gradient(point, loss)
@@ -570,7 +542,7 @@ def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
             f"objective {obj}, gradient norm {gnorm}"
         )
     squared = isinstance(loss, SquaredError)
-    gv = global_value(spec, point.x, point.y, tol) if squared else None
+    gv = global_value(min(point.dims), point.x, point.y, tol) if squared else None
 
     def report(status, direction=None):
         return ClassificationReport(
@@ -584,7 +556,7 @@ def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
         )
 
     prod_rank = rank(product_matrix(point), tol)
-    degenerate = prod_rank < spec.min_width
+    degenerate = prod_rank < min(point.dims)
     if gnorm > tol.grad_abs:
         certificates.append({"check": "criticality", "passed": False, "value": gnorm})
         return report(NOT_CRITICAL)
@@ -611,7 +583,7 @@ def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
             {"check": "non-degenerate-openness", "passed": True,
              "value": prod_rank}
         )
-        probe = local_min_probe(point, spec, tol, seed=seed)
+        probe = local_min_probe(point, loss, tol, seed=seed)
         certificates.append(
             {"check": "local-min-probe", "passed": probe.locally_minimal,
              "value": probe.min_deltas}
@@ -628,7 +600,7 @@ def classify(point, spec=None, tol=DEFAULT_TOL, seed=None):
             status = SECOND_ORDER_SADDLE if h == 2 else SADDLE_HIGHER_ORDER
             return report(status, direction)
 
-    probe = local_min_probe(point, spec, tol, seed=seed)
+    probe = local_min_probe(point, loss, tol, seed=seed)
     certificates.append(
         {"check": "local-min-probe", "passed": probe.locally_minimal,
          "value": probe.min_deltas}
@@ -799,21 +771,17 @@ class GDResult:
     gradient_norm: float
 
 
-def run_gradient_descent(point, spec=None, tol=DEFAULT_TOL, max_iter=100000,
-                         plateau=1500):
-    """Backtracking gradient descent until the gradient norm falls below
-    ``grad_abs``.
+def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
+    """Backtracking gradient descent on ``loss`` (``None`` means
+    ``SquaredError``) until the gradient norm falls below ``grad_abs``.
 
     Near a minimum the per-step objective decrease drops under float
     resolution while the gradient still contracts, so the sufficient
     decrease test carries a rounding slack and stalling is judged on the
-    gradient norm: no measurable contraction over ``plateau`` iterations
+    gradient norm: no measurable contraction over ``_PLATEAU`` iterations
     stops early with a non-converged verdict.
     """
-    from .numcore import EPS
-
-    spec = spec if spec is not None else point.spec()
-    loss = spec.loss
+    loss = loss or SquaredError()
     current = NetworkPoint([w.copy() for w in point.weights], point.x, point.y)
     obj = objective(current, loss)
     eta = 0.1
@@ -831,7 +799,7 @@ def run_gradient_descent(point, spec=None, tol=DEFAULT_TOL, max_iter=100000,
             stall = 0
         else:
             stall += 1
-            if stall >= plateau:
+            if stall >= _PLATEAU:
                 return GDResult(current, False, it, obj, gnorm)
         slack = 8.0 * EPS * abs(obj)
         accepted = False

@@ -16,7 +16,7 @@ Gauss-Newton solver, declaring the point empirically open when every
 sampled target is reachable with small factor perturbations.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class FactorPair:
     @property
     def product(self):
         return self.w1 @ self.w2
-
-    def transposed(self):
-        return FactorPair(self.w2.T.copy(), self.w1.T.copy())
 
 
 @dataclass

@@ -34,7 +34,6 @@ from .matrixio import as_matrix
 from .numcore import DEFAULT_TOL, bounded_basis, null_space, rank
 from .openness import (
     REGIME_DEFICIENT,
-    FactorPair,
     _openness_and_product_spectrum,
     null_completion,
     sample_feasible_target,

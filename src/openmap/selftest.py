@@ -63,8 +63,8 @@ def criterion_1():
     x, y, point = counterexample_factory((2, 1, 1, 2))
     obj = objective(point)
     gnorm = gradient_norm(gradient(point))
-    gv = global_value(point.spec(), x, y)
-    probe = local_min_probe(point, point.spec(), DEFAULT_TOL)
+    gv = global_value(min(point.dims), x, y)
+    probe = local_min_probe(point)
     report = classify(point)
     checks = {
         "objective_half": abs(obj - 0.5) <= 1e-12,
@@ -367,7 +367,7 @@ def criterion_8(seed=0, jobs=1):
     factory_checks = {}
     for dims in ((2, 1, 1, 2), (3, 2, 2, 3)):
         x, y, point = counterexample_factory(dims)
-        probe = local_min_probe(point, point.spec(), DEFAULT_TOL)
+        probe = local_min_probe(point)
         factory_checks[str(dims)] = {
             "gradient_zero": gradient_norm(gradient(point)) <= 1e-12,
             "objective_half": abs(objective(point) - 0.5) <= 1e-12,

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -91,7 +92,6 @@ def _net_files(tmp_path, entries):
             "--y", str(tmp_path / "x.json"), "--jobs", "1"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.parametrize("command", ["probe", "classify"])
 def test_an_overflowing_objective_is_a_numerical_failure(command, tmp_path, capsys):
     # every input is finite, but W2 W1 = 1e400 is not
@@ -101,7 +101,22 @@ def test_an_overflowing_objective_is_a_numerical_failure(command, tmp_path, caps
     assert "overflows" in err["message"]
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("command", ["probe", "classify"])
+def test_numpy_warnings_stay_off_stderr(command, tmp_path, capsys):
+    # a RuntimeWarning would print ahead of the JSON error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["net", command, *_net_files(tmp_path, [1e200, 1e200])]) == 4
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert _error(capsys)["exit_code"] == 4
+
+
+@pytest.mark.parametrize("command", ["probe", "classify"])
+def test_an_empty_weight_list_is_an_input_error(command, tmp_path, capsys):
+    assert main(["net", command, *_net_files(tmp_path, [])]) == 2
+    assert _error(capsys)["error"] == "InputError"
+
+
 @pytest.mark.parametrize("fmt", ["json", "text-summary"])
 def test_a_result_that_is_not_finite_is_a_numerical_failure(fmt, tmp_path, capsys):
     # the objective is finite at W2 W1 = 1, but every probe sample
@@ -139,3 +154,16 @@ def test_gd_sweep_data_without_dims_is_an_input_error(flag, tmp_path, capsys):
     err = _error(capsys)
     assert err["error"] == "InputError"
     assert "--dims" in err["message"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dims", "2,-1,2"],
+    ["--depth", "0"],
+    ["--depth", "-1"],
+    ["--dim-cap", "0"],
+    ["--max-iter", "-5"],
+])
+def test_gd_sweep_rejects_bad_flags_up_front(flags, capsys):
+    argv = ["net", "gd-sweep", *flags, "--trials", "2", "--seed", "0", "--jobs", "1"]
+    assert main(argv) == 2
+    assert _error(capsys)["error"] == "InputError"

@@ -15,7 +15,6 @@ from openmap.landscape import (
     ActivationSpec,
     ConvexPlugin,
     NetworkPoint,
-    NetworkSpec,
     SquaredError,
     admissible_width_pair,
     classify,
@@ -111,25 +110,21 @@ class TestGlobalValue:
         x = rng.standard_normal((3, 4))
         z = rng.standard_normal((2, 1)) @ rng.standard_normal((1, 3))
         y = z @ x
-        spec = NetworkSpec(dims=(2, 1, 3), n_samples=4)
-        assert global_value(spec, x, y) <= 1e-20
+        assert global_value(1, x, y) <= 1e-20
 
     def test_intro_instance_zero(self):
         x, y, point = intro_point()
-        spec = point.spec()
-        assert global_value(spec, x, y) == pytest.approx(0.0, abs=1e-15)
+        assert global_value(min(point.dims), x, y) == pytest.approx(0.0, abs=1e-15)
 
     def test_rank_two_target_with_width_two(self):
         x = np.eye(3)
         y = np.array([[1.0, 0.0, -1.0], [0.0, 4.0, 0.0], [-1.0, 0.0, 1.0]])
-        spec = NetworkSpec(dims=(3, 2, 2, 3), n_samples=3)
-        assert global_value(spec, x, y) == pytest.approx(0.0, abs=1e-12)
+        assert global_value(2, x, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_eckart_young_tail(self):
         y = np.diag([3.0, 2.0, 1.0])
-        spec = NetworkSpec(dims=(3, 1, 3), n_samples=3)
         # best rank-1 approximation leaves 2^2 + 1^2 over two
-        assert global_value(spec, np.eye(3), y) == pytest.approx(2.5)
+        assert global_value(1, np.eye(3), y) == pytest.approx(2.5)
 
 
 class TestProbe:
@@ -137,14 +132,14 @@ class TestProbe:
         x = np.eye(2)
         y = np.eye(2)
         point = NetworkPoint([np.eye(2), np.eye(2)], x, y)
-        rep = local_min_probe(point, point.spec(), Tolerances(probe_samples=200))
+        rep = local_min_probe(point, tol=Tolerances(probe_samples=200))
         assert rep.locally_minimal
 
     def test_zero_saddle_probes_decrease(self):
         point = NetworkPoint(
             [np.zeros((2, 1)), np.zeros((1, 2))], np.eye(2), np.eye(2)
         )
-        rep = local_min_probe(point, point.spec(), Tolerances(probe_samples=500))
+        rep = local_min_probe(point, tol=Tolerances(probe_samples=500))
         assert not rep.locally_minimal
         assert all(d < 0 for d in rep.min_deltas)
 
@@ -152,7 +147,7 @@ class TestProbe:
         # every sample overflows, so no radius has a finite value
         point = NetworkPoint([[[1e200]], [[1e-200]]], [[1.0]], [[1.0]])
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = local_min_probe(point, point.spec(), Tolerances(probe_samples=50))
+            rep = local_min_probe(point, tol=Tolerances(probe_samples=50))
         assert rep.min_deltas == [np.inf] * 3
         assert not rep.locally_minimal
 
@@ -359,8 +354,7 @@ class TestClassify:
         )
         result = run_gradient_descent(init, tol=tol, max_iter=50000)
         assert result.converged
-        spec = result.point.spec()
-        gv = global_value(spec, x, y)
+        gv = global_value(2, x, y)
         assert abs(result.objective - gv) <= 1e-9
         rep = classify(result.point, tol=tol)
         assert rep.status == GLOBAL_MIN
@@ -379,7 +373,7 @@ class TestFactory:
         x, y, point = counterexample_factory((3, 2, 2, 3))
         assert objective(point) == pytest.approx(0.5, abs=1e-15)
         assert gradient_norm(gradient(point)) <= 1e-12
-        assert global_value(point.spec(), x, y) == pytest.approx(0.0, abs=1e-15)
+        assert global_value(min(point.dims), x, y) == pytest.approx(0.0, abs=1e-15)
 
     def test_not_constructible_two_layer(self):
         with pytest.raises(NotConstructible):
@@ -488,6 +482,11 @@ class TestValidation:
         with pytest.raises(InputError):
             NetworkPoint([np.eye(2), np.eye(3)], np.eye(3), np.eye(2))
 
-    def test_spec_dims(self):
-        with pytest.raises(InputError):
-            NetworkSpec(dims=(2,), n_samples=1)
+    def test_point_needs_a_layer_positive_widths_and_samples(self):
+        for weights, x in (
+            ([], np.eye(2)),
+            ([np.zeros((2, 0)), np.zeros((0, 2))], np.eye(2)),
+            ([np.eye(2)], np.zeros((2, 0))),
+        ):
+            with pytest.raises(InputError):
+                NetworkPoint(weights, x, np.zeros((2, x.shape[1])))

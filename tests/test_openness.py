@@ -84,7 +84,7 @@ class TestCheckOpenness:
             if rng.random() < 0.6:
                 w2 = truncated_svd(w2, int(rng.integers(0, min(k, n) + 1)))
             p = pair(w1, w2)
-            assert check_openness(p).open == check_openness(p.transposed()).open
+            assert check_openness(p).open == check_openness(FactorPair(p.w2.T, p.w1.T)).open
 
     def test_flags_all_equal_when_ranks_match(self):
         entries = (-1.0, 0.0, 1.0)

@@ -12,7 +12,6 @@ from openmap import landscape
 from openmap.landscape import (
     ConvexPlugin,
     NetworkPoint,
-    NetworkSpec,
     _chain_order,
     _chain_product,
     local_min_probe,
@@ -38,9 +37,9 @@ def _sphere_direction(rng, shapes, radius):
     return out
 
 
-def reference_min_deltas(point, spec=None, tol=DEFAULT_TOL, seed=None, objective_fn=None):
+def reference_min_deltas(point, loss=None, tol=DEFAULT_TOL, seed=None, objective_fn=None):
     """The probe as it was before batching: one sample at a time."""
-    loss = spec.loss if spec is not None else landscape.SquaredError()
+    loss = loss or landscape.SquaredError()
     if objective_fn is None:
         def objective_fn(weights):
             mats = list(weights) + [point.x]
@@ -88,14 +87,14 @@ def _grid_dims(depth, seed):
 def test_min_deltas_equal_the_one_at_a_time_probe(depth, n_samples, zero):
     for case, dims in enumerate(_grid_dims(depth, n_samples)):
         point = _point(dims, n_samples, zero, seed=[depth, n_samples, case])
-        got = local_min_probe(point, point.spec(), TOL, seed=case).min_deltas
-        assert got == reference_min_deltas(point, point.spec(), TOL, seed=case), dims
+        got = local_min_probe(point, tol=TOL, seed=case).min_deltas
+        assert got == reference_min_deltas(point, tol=TOL, seed=case), dims
 
 
 def test_the_full_sample_count_on_the_fixture_matches():
     _, _, point = rank_deficient_y_fixture()
-    got = local_min_probe(point, point.spec(), DEFAULT_TOL, seed=3).min_deltas
-    assert got == reference_min_deltas(point, point.spec(), DEFAULT_TOL, seed=3)
+    got = local_min_probe(point, tol=DEFAULT_TOL, seed=3).min_deltas
+    assert got == reference_min_deltas(point, tol=DEFAULT_TOL, seed=3)
 
 
 def test_a_plugin_loss_matches_slice_by_slice():
@@ -107,9 +106,9 @@ def test_a_plugin_loss_matches_slice_by_slice():
 
     for dims, n_samples in (((1, 1), 1), ((3, 2, 2, 3), 3), ((2, 4, 1, 3, 2), 2)):
         point = _point(dims, n_samples, zero=False, seed=len(dims))
-        spec = NetworkSpec(dims, n_samples, loss=ConvexPlugin(value, grad))
-        got = local_min_probe(point, spec, TOL, seed=5).min_deltas
-        assert got == reference_min_deltas(point, spec, TOL, seed=5)
+        loss = ConvexPlugin(value, grad)
+        got = local_min_probe(point, loss, TOL, seed=5).min_deltas
+        assert got == reference_min_deltas(point, loss, TOL, seed=5)
 
 
 def test_an_objective_fn_is_called_once_per_sample():
@@ -205,13 +204,13 @@ def _record_chunks(monkeypatch):
 @pytest.mark.parametrize("rows", [1, 7])
 def test_chunk_size_never_changes_a_result(monkeypatch, rows):
     point = _point((3, 2, 2, 3), 4, zero=False, seed=9)
-    plugin = NetworkSpec((3, 2, 2, 3), 4, loss=ConvexPlugin(
-        lambda out, y: np.sum((out - y) ** 4), lambda out, y: 4 * (out - y) ** 3))
+    plugin = ConvexPlugin(
+        lambda out, y: np.sum((out - y) ** 4), lambda out, y: 4 * (out - y) ** 3)
     tol = Tolerances(probe_samples=45)
-    want = [local_min_probe(point, spec, tol, seed=1) for spec in (point.spec(), plugin)]
+    want = [local_min_probe(point, loss, tol, seed=1) for loss in (None, plugin)]
     _chunk_rows(monkeypatch, point, rows)
     chunks = _record_chunks(monkeypatch)
-    got = [local_min_probe(point, spec, tol, seed=1) for spec in (point.spec(), plugin)]
+    got = [local_min_probe(point, loss, tol, seed=1) for loss in (None, plugin)]
     assert got == want
     assert chunks == 6 * ([rows] * (45 // rows) + ([45 % rows] if 45 % rows else []))
 
@@ -238,11 +237,11 @@ def test_zero_draws_are_skipped_in_stream_order(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", ZeroingGenerator)
     tol = Tolerances(probe_samples=30)
-    want = reference_min_deltas(point, point.spec(), tol, seed=7)
+    want = reference_min_deltas(point, tol=tol, seed=7)
     for rows in (1, 7, None):
         if rows is not None:
             _chunk_rows(monkeypatch, point, rows)
-        assert local_min_probe(point, point.spec(), tol, seed=7).min_deltas == want
+        assert local_min_probe(point, tol=tol, seed=7).min_deltas == want
 
 
 def test_memory_stays_bounded_on_a_wide_net():
@@ -252,7 +251,7 @@ def test_memory_stays_bounded_on_a_wide_net():
     point = _point(dims, 40, zero=False, seed=12)
     tracemalloc.start()
     try:
-        local_min_probe(point, point.spec(), DEFAULT_TOL)
+        local_min_probe(point, tol=DEFAULT_TOL)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -262,5 +261,5 @@ def test_memory_stays_bounded_on_a_wide_net():
 def test_a_net_of_64_parameters_takes_one_chunk_per_radius(monkeypatch):
     point = _point((4, 4, 4, 4, 4), 4, zero=False, seed=13)
     chunks = _record_chunks(monkeypatch)
-    local_min_probe(point, point.spec(), DEFAULT_TOL)
+    local_min_probe(point, tol=DEFAULT_TOL)
     assert chunks == [DEFAULT_TOL.probe_samples] * len(DEFAULT_TOL.probe_radius_schedule)
