@@ -368,8 +368,9 @@ def _net_classify(args, config):
 
 
 def _instance(x, y, point):
-    return {"x": x, "y": y, "weights": point.weights, "objective": objective(point),
-            "gradient_norm": gradient_norm(gradient(point))}
+    return {"x": x, "y": y, "weights": point.weights,
+            "objective": objective(point.weights, x, y),
+            "gradient_norm": gradient_norm(gradient(point.weights, x, y))}
 
 
 def _net_counterexample(args, config):

@@ -14,9 +14,11 @@ framework:
   from one chain construction on null vectors of the weight stack;
 * what remains is probed by seeded sphere sampling.
 
-Entry points take a ``NetworkPoint``, which carries its own widths, and
-a loss (``None`` means squared error).  Weight lists are ordered ``W_h``
-first throughout, matching the wire format.
+Entry points take a ``NetworkPoint``, the one input check, which carries
+its own widths, and a loss (``None`` means squared error);
+``product_matrix``, ``objective`` and ``gradient`` work on checked weight
+lists.  Weight lists are ordered ``W_h`` first throughout, matching the
+wire format.
 """
 
 from dataclasses import dataclass
@@ -108,38 +110,27 @@ class NetworkPoint:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
 
 
-def product_matrix(point):
-    mats = list(point.weights)
-    if len(mats) == 1:
-        return mats[0]
-    return np.linalg.multi_dot(mats)
+def product_matrix(mats):
+    """Product of a non-empty matrix list, associated as ``multi_dot``
+    associates it."""
+    return mats[0] if len(mats) == 1 else np.linalg.multi_dot(mats)
 
 
-def network_output(point):
-    return product_matrix(point) @ point.x
-
-
-def objective(point, loss=None):
+def objective(weights, x, y, loss=None):
     loss = loss or SquaredError()
-    return loss.value(network_output(point), point.y)
+    return loss.value(product_matrix(weights) @ x, y)
 
 
-def gradient(point, loss=None):
-    """Layer gradients, ordered like ``point.weights`` (``W_h`` first)."""
+def gradient(weights, x, y, loss=None):
+    """Layer gradients, ordered like ``weights`` (``W_h`` first)."""
     loss = loss or SquaredError()
-    h = point.depth
-    g_out = loss.grad(network_output(point), point.y)
-    # prefix[i] = W_h ... W_{i+1}; suffix[i] = W_{i-1} ... W_1 @ x
+    g_out = loss.grad(product_matrix(weights) @ x, y)
+    # layer i sits between the product of the layers above it and the
+    # product of the layers below it applied to x
     grads = []
-    for i in range(h, 0, -1):
-        left = point.weights[: h - i]
-        right = point.weights[h - i + 1 :]
-        lmat = np.linalg.multi_dot(left) if len(left) > 1 else (
-            left[0] if left else np.eye(point.weights[0].shape[0])
-        )
-        rmats = list(right) + [point.x]
-        rmat = np.linalg.multi_dot(rmats) if len(rmats) > 1 else rmats[0]
-        grads.append(lmat.T @ g_out @ rmat.T)
+    for i in range(len(weights)):
+        above = product_matrix(weights[:i]) if i else np.eye(weights[0].shape[0])
+        grads.append(above.T @ g_out @ product_matrix(weights[i + 1 :] + [x]).T)
     return grads
 
 
@@ -259,7 +250,7 @@ def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=None, objective_fn=N
     loss = loss or SquaredError()
     weights, x, y = point.weights, point.x, point.y
     if objective_fn is None:
-        base = loss.value(np.linalg.multi_dot(weights + [x]), y)
+        base = loss.value(product_matrix(weights + [x]), y)
     else:
         base = objective_fn(weights)
     if not np.isfinite(base):
@@ -325,17 +316,12 @@ class ClassificationReport:
     certificates: list
 
 
-def _objective_along(point, loss, dirs, t):
-    mats = [w + t * d for w, d in zip(point.weights, dirs)] + [point.x]
-    prod = np.linalg.multi_dot(mats) if len(mats) > 1 else mats[0]
-    return loss.value(prod, point.y)
-
-
 def _verify_descent(point, loss, dirs, order, case, tol):
-    base = objective(point, loss)
+    base = objective(point.weights, point.x, point.y, loss)
     t = 1.0
     for _ in range(_MAX_HALVINGS):
-        val = _objective_along(point, loss, dirs, t)
+        moved = [w + t * d for w, d in zip(point.weights, dirs)]
+        val = loss.value(product_matrix(moved + [point.x]), point.y)
         if val < base - tol.residual_abs:
             return DirectionTuple(
                 directions=dirs,
@@ -375,7 +361,8 @@ def _data_indices(g_x):
 def _choose_alphas(point, loss, dirs, q, primary_idx, secondary_idx, t1, t2):
     """Fix the two free scalars so the leading surviving term of the loss
     expansion is strictly negative, then verify by backtracking."""
-    g_mat = loss.grad(network_output(point), point.y)
+    out_base = product_matrix(point.weights) @ point.x
+    g_mat = loss.grad(out_base, point.y)
     scale = max(1.0, np.linalg.norm(t1) * np.linalg.norm(g_mat))
     v1 = float(np.sum(t1 * g_mat))
     if primary_idx is not None and abs(v1) > 1e-9 * scale:
@@ -395,7 +382,6 @@ def _choose_alphas(point, loss, dirs, q, primary_idx, secondary_idx, t1, t2):
         if isinstance(loss, SquaredError):
             c_alpha = 0.5 * float(np.linalg.norm(t1) ** 2)
         else:
-            out_base = network_output(point)
             h_step = 1e-4 / max(1.0, np.linalg.norm(t1))
             c_alpha = 0.5 * abs(
                 loss.value(out_base + h_step * t1, point.y)
@@ -428,12 +414,8 @@ def _deep_chain(weights, i_idx, j_idx, tol):
     None."""
     h = len(weights)
 
-    def prod(hi, lo):
-        mats = weights[h - hi : h - lo + 1]
-        return np.linalg.multi_dot(mats) if len(mats) > 1 else mats[0]
-
     def p_space(k):
-        return null_space(prod(k - 1, 2).T, tol)
+        return null_space(product_matrix(weights[h - k + 1 : h - 1]).T, tol)
 
     null_w = {k: null_space(weights[h - k], tol) for k in range(2, h + 1)}
     if null_w[h].dim == 0:
@@ -442,7 +424,7 @@ def _deep_chain(weights, i_idx, j_idx, tol):
              if null_w[k].dim > 0 and _subspaces_orthogonal(null_w[k], p_space(k))]
     if k_set:
         kstar = max(k_set)
-        mid = prod(kstar - 1, 2)
+        mid = product_matrix(weights[h - kstar + 1 : h - 1])
         # b: a null vector of W_{k*} inside the column space of the
         # interior product (all of it, when the product has full row rank)
         if null_space(mid.T, tol).dim == 0:
@@ -516,9 +498,9 @@ def _deep_direction(point, loss, g_x, tol):
             primary, case = None, "TwoLayerNullW1T" if suffix else "TwoLayerNullW2"
         mats = list(point.weights)
         mats[chain] = dirs[chain]
-        t1 = np.linalg.multi_dot(mats + [point.x])
+        t1 = product_matrix(mats + [point.x])
         mats[secondary] = dirs[secondary]
-        t2 = np.linalg.multi_dot(mats + [point.x])
+        t2 = product_matrix(mats + [point.x])
         chosen, order = _choose_alphas(point, loss, dirs, q, primary, secondary, t1, t2)
         if chosen is None:
             continue
@@ -533,8 +515,9 @@ def classify(point, loss=None, tol=DEFAULT_TOL, seed=None):
     ``loss`` (``None`` means ``SquaredError``)."""
     loss = loss or SquaredError()
     certificates = []
-    obj = objective(point, loss)
-    grads = gradient(point, loss)
+    weights, x, y = point.weights, point.x, point.y
+    obj = objective(weights, x, y, loss)
+    grads = gradient(weights, x, y, loss)
     gnorm = gradient_norm(grads)
     if not (np.isfinite(obj) and np.isfinite(gnorm)):
         raise NumericalFailure(
@@ -542,7 +525,7 @@ def classify(point, loss=None, tol=DEFAULT_TOL, seed=None):
             f"objective {obj}, gradient norm {gnorm}"
         )
     squared = isinstance(loss, SquaredError)
-    gv = global_value(min(point.dims), point.x, point.y, tol) if squared else None
+    gv = global_value(min(point.dims), x, y, tol) if squared else None
 
     def report(status, direction=None):
         return ClassificationReport(
@@ -555,15 +538,15 @@ def classify(point, loss=None, tol=DEFAULT_TOL, seed=None):
             certificates=certificates,
         )
 
-    prod_rank = rank(product_matrix(point), tol)
+    prod = product_matrix(weights)
+    prod_rank = rank(prod, tol)
     degenerate = prod_rank < min(point.dims)
     if gnorm > tol.grad_abs:
         certificates.append({"check": "criticality", "passed": False, "value": gnorm})
         return report(NOT_CRITICAL)
     certificates.append({"check": "criticality", "passed": True, "value": gnorm})
 
-    g_mat = loss.grad(network_output(point), point.y)
-    g_x = g_mat @ point.x.T
+    g_x = loss.grad(prod @ x, y) @ x.T
     stat = float(np.linalg.norm(g_x))
     certificates.append(
         {"check": "unconstrained-stationarity", "passed": stat <= tol.grad_abs,
@@ -666,11 +649,9 @@ def counterexample_factory(dims):
             m = min(rows, cols)
             pad[:m, :m] = np.eye(m)
             weights.append(pad)
-    point = NetworkPoint(weights=weights, x=x, y=y)
-    grads = gradient(point)
-    if gradient_norm(grads) > 1e-12:
+    if gradient_norm(gradient(weights, x, y)) > 1e-12:
         raise NotConstructible("constructed point is not critical")
-    return x, y, point
+    return x, y, NetworkPoint(weights=weights, x=x, y=y)
 
 
 def rank_deficient_y_fixture():
@@ -780,42 +761,42 @@ def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
     decrease test carries a rounding slack and stalling is judged on the
     gradient norm: no measurable contraction over ``_PLATEAU`` iterations
     stops early with a non-converged verdict.
+
+    The descent runs on the weight list of the checked ``point`` and
+    builds one ``NetworkPoint``, for its result.  From a finite objective,
+    a trial step whose objective is not finite fails the sufficient
+    decrease test, so the line search rejects it and halves the step.
     """
     loss = loss or SquaredError()
-    current = NetworkPoint([w.copy() for w in point.weights], point.x, point.y)
-    obj = objective(current, loss)
+    x, y = point.x, point.y
+    weights = [w.copy() for w in point.weights]
+    obj = objective(weights, x, y, loss)
     eta = 0.1
     stall = 0
     best_gnorm = np.inf
-    gnorm = np.inf
     it = 0
-    while it < max_iter:
-        grads = gradient(current, loss)
+    while True:
+        grads = gradient(weights, x, y, loss)
         gnorm = gradient_norm(grads)
-        if gnorm <= tol.grad_abs:
-            return GDResult(current, True, it, obj, gnorm)
+        if gnorm <= tol.grad_abs or it >= max_iter:
+            break
         if gnorm < 0.999 * best_gnorm:
             best_gnorm = gnorm
             stall = 0
         else:
             stall += 1
             if stall >= _PLATEAU:
-                return GDResult(current, False, it, obj, gnorm)
+                break
         slack = 8.0 * EPS * abs(obj)
-        accepted = False
         for _ in range(60):
-            trial = [w - eta * g for w, g in zip(current.weights, grads)]
-            trial_pt = NetworkPoint(trial, point.x, point.y)
-            val = objective(trial_pt, loss)
+            trial = [w - eta * g for w, g in zip(weights, grads)]
+            val = objective(trial, x, y, loss)
             if val <= obj - 1e-4 * eta * gnorm**2 + slack:
-                accepted = True
                 break
             eta *= 0.5
-        if not accepted:
-            return GDResult(current, False, it, obj, gnorm)
-        current, obj = trial_pt, val
+        else:  # no step was accepted
+            break
+        weights, obj = trial, val
         eta = min(eta * 1.5, 1e6)
         it += 1
-    grads = gradient(current, loss)
-    gnorm = gradient_norm(grads)
-    return GDResult(current, gnorm <= tol.grad_abs, it, obj, gnorm)
+    return GDResult(NetworkPoint(weights, x, y), gnorm <= tol.grad_abs, it, obj, gnorm)

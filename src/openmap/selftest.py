@@ -14,7 +14,6 @@ import numpy as np
 from .errors import DomainRefusal, IllConditioned
 from .landscape import (
     SPURIOUS_LOCAL_MIN,
-    NetworkPoint,
     admissible_width_pair,
     classify,
     counterexample_factory,
@@ -61,8 +60,8 @@ def criterion_1():
     """Corner-target fixture: exact values, probe verdict, classification."""
     start = time.perf_counter()
     x, y, point = counterexample_factory((2, 1, 1, 2))
-    obj = objective(point)
-    gnorm = gradient_norm(gradient(point))
+    obj = objective(point.weights, x, y)
+    gnorm = gradient_norm(gradient(point.weights, x, y))
     gv = global_value(min(point.dims), x, y)
     probe = local_min_probe(point)
     report = classify(point)
@@ -85,8 +84,8 @@ def criterion_2():
     start = time.perf_counter()
     x, y, point = rank_deficient_y_fixture()
     w3, _, w1 = point.weights
-    delta = product_matrix(point) @ x - y
-    obj = objective(point)
+    delta = product_matrix(point.weights) @ x - y
+    obj = objective(point.weights, x, y)
     report = classify(point)
     checks = {
         "objective_two": abs(obj - 2.0) <= 1e-12,
@@ -369,8 +368,8 @@ def criterion_8(seed=0, jobs=1):
         x, y, point = counterexample_factory(dims)
         probe = local_min_probe(point)
         factory_checks[str(dims)] = {
-            "gradient_zero": gradient_norm(gradient(point)) <= 1e-12,
-            "objective_half": abs(objective(point) - 0.5) <= 1e-12,
+            "gradient_zero": gradient_norm(gradient(point.weights, x, y)) <= 1e-12,
+            "objective_half": abs(objective(point.weights, x, y) - 0.5) <= 1e-12,
             "probe_locally_minimal": probe.locally_minimal,
             "probe_min_deltas": probe.min_deltas,
         }
@@ -421,25 +420,20 @@ def criterion_9(seed=0):
         weights = [
             rng.uniform(-1, 1, size=(dims[i], dims[i + 1])) for i in range(h)
         ]
-        point = NetworkPoint(
-            weights, rng.uniform(-1, 1, size=(dims[-1], n)),
-            rng.uniform(-1, 1, size=(dims[0], n)),
-        )
-        exact = gradient(point)
+        x = rng.uniform(-1, 1, size=(dims[-1], n))
+        y = rng.uniform(-1, 1, size=(dims[0], n))
+        exact = gradient(weights, x, y)
         eps_fd = 1e-6
         err2 = 0.0
-        for idx, w in enumerate(point.weights):
+        for idx, w in enumerate(weights):
             for pos in np.ndindex(*w.shape):
                 bump = np.zeros_like(w)
                 bump[pos] = eps_fd
-                plus = list(point.weights)
+                plus = list(weights)
                 plus[idx] = w + bump
-                minus = list(point.weights)
+                minus = list(weights)
                 minus[idx] = w - bump
-                fd = (
-                    objective(NetworkPoint(plus, point.x, point.y))
-                    - objective(NetworkPoint(minus, point.x, point.y))
-                ) / (2 * eps_fd)
+                fd = (objective(plus, x, y) - objective(minus, x, y)) / (2 * eps_fd)
                 err2 += (fd - exact[idx][pos]) ** 2
         rel = np.sqrt(err2) / max(1e-9, gradient_norm(exact))
         worst = max(worst, rel)

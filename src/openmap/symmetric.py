@@ -32,7 +32,7 @@ from .errors import (
     RankInfeasible,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, lm_fit, null_space, rank
+from .numcore import DEFAULT_TOL, _sv_rank, lm_fit, null_space, rank
 
 # safety floors from the diagonal recursion: radicands must stay above
 # 1/4 and pivots above 1/2 for the sweep to be well defined
@@ -126,6 +126,16 @@ def _eigh_descending(mat):
     return vals[::-1], vecs[:, ::-1]
 
 
+def _gram_eigh(w, tol):
+    """Eigenpairs of ``z = w @ w.T``, largest first, and its rank, read
+    off the eigenvalue magnitudes: they are its singular values."""
+    z = w @ w.T
+    if not np.isfinite(z).all():
+        raise NumericalFailure("the Gram matrix w @ w.T overflows")
+    lam, u = _eigh_descending(z)
+    return lam, u, _sv_rank(np.sort(np.abs(lam))[::-1], z.shape, tol)
+
+
 def bound_coefficient(rank_value, sigma_min):
     """Proportionality constant between target distance and factor
     perturbation at points with positive least curvature."""
@@ -157,9 +167,7 @@ def sym_realize(w, sigma_tilde, tol=DEFAULT_TOL):
     if r_target > k:
         raise RankInfeasible(f"target rank {r_target} exceeds the factor width {k}")
 
-    z = w @ w.T
-    lam, u = _eigh_descending(z)
-    r = rank(z, tol)
+    lam, u, r = _gram_eigh(w, tol)
     wb = u.T @ w
     target_rot = u.T @ sigma_tilde @ u
     sigma = np.concatenate([lam[:r], np.zeros(n - r)])
@@ -258,9 +266,7 @@ def certify_bm_transfer(w, tol=DEFAULT_TOL):
     range, so local minima of ``loss(W @ W.T)`` map to local minima of the
     rank-constrained PSD problem; includes the realization constants."""
     w = as_matrix(w, "w")
-    z = w @ w.T
-    lam, _ = _eigh_descending(z)
-    r = rank(z, tol)
+    lam, _, r = _gram_eigh(w, tol)
     sigma_min = float(lam[r - 1]) if r > 0 else None
     coeff = bound_coefficient(r, sigma_min)
     return TransferCertificate(

@@ -128,8 +128,8 @@ def test_a_result_that_is_not_finite_is_a_numerical_failure(fmt, tmp_path, capsy
     assert "not finite" in err["message"]
 
 
-def _matrix_file(tmp_path, mat):
-    path = tmp_path / "data.json"
+def _matrix_file(tmp_path, mat, name="data"):
+    path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(matrix_to_payload(np.array(mat))))
     return str(path)
 
@@ -141,6 +141,17 @@ def test_gd_sweep_reads_the_sample_count_from_y(tmp_path, capsys):
     assert main(argv) == 0
     records = json.loads(capsys.readouterr().out)["result"]["records"]
     assert [rec["n_samples"] for rec in records] == [3] * 4
+
+
+def test_an_overflowing_descent_is_a_numerical_failure(tmp_path, capsys):
+    # the data is finite, but line-search trials overflow; the line
+    # search must reject them rather than report the input as bad
+    x = _matrix_file(tmp_path, [[1e160, -3e159]], "x")
+    y = _matrix_file(tmp_path, [[1.0, 2.0]], "y")
+    argv = ["net", "gd-sweep", "--dims", "1,1,1", "--x", x, "--y", y,
+            "--trials", "2", "--max-iter", "50", "--jobs", "1"]
+    assert main(argv) == 4
+    assert _error(capsys)["error"] == "NumericalFailure"
 
 
 @pytest.mark.parametrize("flag", ["--x", "--y"])

@@ -38,37 +38,32 @@ def intro_point():
     return x, y, point
 
 
-def fd_gradient(point, loss, eps=1e-6):
+def fd_gradient(weights, x, y, loss, eps=1e-6):
     grads = []
-    for idx, w in enumerate(point.weights):
+    for idx, w in enumerate(weights):
         g = np.zeros_like(w)
         for pos in np.ndindex(*w.shape):
             bump = np.zeros_like(w)
             bump[pos] = eps
-            plus = list(point.weights)
+            plus = list(weights)
             plus[idx] = w + bump
-            minus = list(point.weights)
+            minus = list(weights)
             minus[idx] = w - bump
-            g[pos] = (
-                objective(NetworkPoint(plus, point.x, point.y), loss)
-                - objective(NetworkPoint(minus, point.x, point.y), loss)
-            ) / (2 * eps)
+            g[pos] = (objective(plus, x, y, loss) - objective(minus, x, y, loss)) / (2 * eps)
         grads.append(g)
     return grads
 
 
 class TestObjectiveGradient:
     def test_zero_network_zero_target(self):
-        point = NetworkPoint(
-            [np.zeros((2, 2)), np.zeros((2, 2))], np.eye(2), np.zeros((2, 2))
-        )
-        assert objective(point) == 0.0
-        assert gradient_norm(gradient(point)) == 0.0
+        weights = [np.zeros((2, 2)), np.zeros((2, 2))]
+        assert objective(weights, np.eye(2), np.zeros((2, 2))) == 0.0
+        assert gradient_norm(gradient(weights, np.eye(2), np.zeros((2, 2)))) == 0.0
 
     def test_intro_point_objective_half(self):
-        _, _, point = intro_point()
-        assert objective(point) == pytest.approx(0.5, abs=1e-15)
-        assert gradient_norm(gradient(point)) <= 1e-12
+        x, y, point = intro_point()
+        assert objective(point.weights, x, y) == pytest.approx(0.5, abs=1e-15)
+        assert gradient_norm(gradient(point.weights, x, y)) <= 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -80,13 +75,10 @@ class TestObjectiveGradient:
             weights = [
                 rng.uniform(-1, 1, size=(dims[i], dims[i + 1])) for i in range(h)
             ]
-            point = NetworkPoint(
-                weights,
-                rng.uniform(-1, 1, size=(dims[-1], n)),
-                rng.uniform(-1, 1, size=(dims[0], n)),
-            )
-            exact = gradient(point, loss)
-            approx = fd_gradient(point, loss)
+            x = rng.uniform(-1, 1, size=(dims[-1], n))
+            y = rng.uniform(-1, 1, size=(dims[0], n))
+            exact = gradient(weights, x, y, loss)
+            approx = fd_gradient(weights, x, y, loss)
             num = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(exact, approx)))
             den = max(1e-12, gradient_norm(exact))
             assert num / den <= 1e-6
@@ -98,9 +90,9 @@ class TestObjectiveGradient:
             grad_fn=lambda p, y: (p - y) ** 3,
         )
         w = [rng.uniform(-1, 1, size=(2, 2))]
-        point = NetworkPoint(w, rng.uniform(-1, 1, size=(2, 3)), rng.uniform(-1, 1, size=(2, 3)))
-        exact = gradient(point, loss)
-        approx = fd_gradient(point, loss)
+        x, y = rng.uniform(-1, 1, size=(2, 3)), rng.uniform(-1, 1, size=(2, 3))
+        exact = gradient(w, x, y, loss)
+        approx = fd_gradient(w, x, y, loss)
         assert np.allclose(exact[0], approx[0], atol=1e-6)
 
 
@@ -173,20 +165,12 @@ class TestClassify:
         # negative curvature along the unit direction
         norm2 = sum(np.linalg.norm(m) ** 2 for m in d.directions)
         eps = 1e-4
-        base = objective(point)
+        base = objective(point.weights, point.x, point.y)
         plus = objective(
-            NetworkPoint(
-                [w + eps * m for w, m in zip(point.weights, d.directions)],
-                point.x,
-                point.y,
-            )
+            [w + eps * m for w, m in zip(point.weights, d.directions)], point.x, point.y
         )
         minus = objective(
-            NetworkPoint(
-                [w - eps * m for w, m in zip(point.weights, d.directions)],
-                point.x,
-                point.y,
-            )
+            [w - eps * m for w, m in zip(point.weights, d.directions)], point.x, point.y
         )
         curvature = (plus + minus - 2 * base) / (eps**2 * norm2)
         assert curvature <= -0.1
@@ -265,12 +249,8 @@ class TestClassify:
         )
         rep = classify(point)
         d = rep.descent_direction
-        moved = NetworkPoint(
-            [w + d.step * m for w, m in zip(point.weights, d.directions)],
-            point.x,
-            point.y,
-        )
-        assert objective(moved) < rep.objective - DEFAULT_TOL.residual_abs
+        moved = [w + d.step * m for w, m in zip(point.weights, d.directions)]
+        assert objective(moved, point.x, point.y) < rep.objective - DEFAULT_TOL.residual_abs
 
     def test_deep_grid_pins_the_descent_constructions(self):
         # degenerate critical points: every layer but one is zero, so the
@@ -323,7 +303,7 @@ class TestClassify:
                 weights[live] = rng.integers(-1, 2, size=weights[live].shape).astype(float)
             y = rng.integers(-1, 2, size=(dims[0], dims[2])).astype(float)
             point = NetworkPoint(weights, np.eye(dims[2]), y)
-            if gradient_norm(gradient(point)) != 0.0:
+            if gradient_norm(gradient(weights, point.x, y)) != 0.0:
                 continue
             kept += 1
             rep = classify(point)
@@ -371,8 +351,8 @@ class TestFactory:
 
     def test_three_by_three_instance(self):
         x, y, point = counterexample_factory((3, 2, 2, 3))
-        assert objective(point) == pytest.approx(0.5, abs=1e-15)
-        assert gradient_norm(gradient(point)) <= 1e-12
+        assert objective(point.weights, x, y) == pytest.approx(0.5, abs=1e-15)
+        assert gradient_norm(gradient(point.weights, x, y)) <= 1e-12
         assert global_value(min(point.dims), x, y) == pytest.approx(0.0, abs=1e-15)
 
     def test_not_constructible_two_layer(self):
@@ -401,11 +381,11 @@ class TestFixture:
     def test_identities_and_values(self):
         x, y, point = rank_deficient_y_fixture()
         w3, w2, w1 = point.weights
-        delta = product_matrix(point) @ x - y
+        delta = product_matrix(point.weights) @ x - y
         assert np.abs(w3.T @ delta).max() <= 1e-12
         assert np.abs(delta @ w1.T).max() <= 1e-12
-        assert gradient_norm(gradient(point)) <= 1e-12
-        assert objective(point) == pytest.approx(2.0, abs=1e-12)
+        assert gradient_norm(gradient(point.weights, x, y)) <= 1e-12
+        assert objective(point.weights, x, y) == pytest.approx(2.0, abs=1e-12)
         assert rank(y) == 2
 
 
@@ -475,6 +455,27 @@ class TestGradientDescent:
         res = run_gradient_descent(init, tol=Tolerances(grad_abs=1e-9))
         assert res.converged
         assert res.objective <= 1e-12
+
+    def test_a_descent_builds_at_most_one_network_point(self, monkeypatch):
+        # the point is checked once at the boundary; trial steps are
+        # plain weight lists
+        rng = np.random.default_rng(9)
+        init = NetworkPoint(
+            [rng.uniform(-1, 1, size=(3, 2)), rng.uniform(-1, 1, size=(2, 4)),
+             rng.uniform(-1, 1, size=(4, 3))],
+            rng.uniform(-1, 1, size=(3, 4)), rng.uniform(-1, 1, size=(3, 4)),
+        )
+        built = []
+        post_init = NetworkPoint.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(NetworkPoint, "__post_init__", counting)
+        res = run_gradient_descent(init, max_iter=200)
+        assert res.iterations >= 50
+        assert len(built) <= 1
 
 
 class TestValidation:

@@ -5,10 +5,11 @@ from openmap.errors import (
     DeltaTooLarge,
     InputError,
     NotPSD,
+    NumericalFailure,
     RadicandNegative,
     RankInfeasible,
 )
-from openmap.numcore import DEFAULT_TOL, Tolerances
+from openmap.numcore import DEFAULT_TOL, Tolerances, rank
 from openmap.symmetric import (
     certify_bm_transfer,
     gauss_newton_sym_recover,
@@ -22,6 +23,37 @@ def random_symmetric(rng, n, scale):
     g = rng.standard_normal((n, n))
     r = 0.5 * (g + g.T)
     return r * (scale / np.abs(r).max())
+
+
+def criterion_6_factor(rng, i):
+    """A factor drawn as selftest criterion 6 draws it (zero columns,
+    rank one and zero by turns), at a scale between 1e-4 and 1e4."""
+    n, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+    w = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-4.0, 4.0)
+    if i % 4 == 1 and k > 1:
+        w[:, : int(rng.integers(1, k))] = 0.0
+    elif i % 4 == 2:
+        w = w @ np.ones((k, 1)) @ np.ones((1, k)) / k
+    elif i % 4 == 3:
+        w[:] = 0.0
+    return w
+
+
+class TestGramRank:
+    def test_eigenvalue_rank_agrees_with_the_svd_rank(self):
+        # the rank of w @ w.T is read off its eigenvalues; it must be the
+        # rank the SVD gives
+        rng = np.random.default_rng(20180307)
+        for i in range(2400):
+            w = criterion_6_factor(rng, i)
+            assert certify_bm_transfer(w).rank == rank(w @ w.T)
+
+    def test_an_overflowing_gram_matrix_is_a_numerical_failure(self):
+        # w is finite, w @ w.T is not
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
+            certify_bm_transfer([[1e200]])
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure):
+            sym_realize([[1e200]], [[1.0]])
 
 
 class TestSolveP:
