@@ -40,6 +40,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainRefusal, InputError, NumericalFailure, OpenMapError
 from .landscape import (
+    EXIT_REASONS,
     NetworkPoint,
     classify,
     counterexample_factory,
@@ -207,12 +208,16 @@ def _gd_trial(payload):
         for i in range(len(dims) - 1)
     ]
     point = NetworkPoint(weights, x, y)
-    result = run_gradient_descent(point, tol=tol, max_iter=max_iter)
+    try:
+        result = run_gradient_descent(point, tol=tol, max_iter=max_iter)
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"trial {trial}: {exc}") from exc
     record = {
         "trial": trial,
         "dims": list(dims),
         "n_samples": n,
         "converged": result.converged,
+        "exit_reason": result.exit_reason,
         "iterations": result.iterations,
         "objective": result.objective,
         "gradient_norm": result.gradient_norm,
@@ -253,9 +258,11 @@ def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, x=None, y=None,
     else:
         records = [_gd_trial(p) for p in payloads]
     histogram = {}
+    exits = dict.fromkeys(EXIT_REASONS, 0)
     non_converged = 0
     max_gap = 0.0
     for rec in records:
+        exits[rec["exit_reason"]] += 1
         if not rec["converged"]:
             non_converged += 1
             continue
@@ -264,6 +271,7 @@ def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, x=None, y=None,
     aggregates = {
         "status_counts": histogram,
         "non_converged": non_converged,
+        "exit_reasons": exits,
         "max_converged_objective_gap": max_gap,
     }
     return ExperimentReport(

@@ -21,6 +21,7 @@ lists.  Weight lists are ordered ``W_h`` first throughout, matching the
 wire format.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,16 @@ INCONCLUSIVE = "Inconclusive"
 _DIRECTION_TOL = 1e-8
 # step halvings before _verify_descent gives a direction up
 _MAX_HALVINGS = 60
-# iterations without gradient contraction before gradient descent stops
+# iterations without a 0.1% gradient contraction before the descent stops:
+# along the rescaling symmetry (W_2, W_1) -> (c W_2, W_1 / c) the
+# quasi-Newton steps can drift with the gradient norm growing, and only
+# this exit ends such a run short of max_iter
 _PLATEAU = 1500
+# curvature pairs kept by the L-BFGS two-loop recursion
+_HISTORY = 10
+# length of a steepest-descent step, relative to the gradient, taken
+# before the first curvature pair and after a history reset
+_STEEPEST_STEP = 0.1
 
 
 class SquaredError:
@@ -740,7 +749,14 @@ def pyramidal_check(point, activations, tol=DEFAULT_TOL):
     )
 
 
-# -- plain gradient descent ---------------------------------------------------
+# -- quasi-Newton descent -----------------------------------------------------
+
+
+CONVERGED = "converged"
+MAX_ITER = "max_iter"
+PLATEAU = "plateau"
+LINE_SEARCH = "line_search"
+EXIT_REASONS = (CONVERGED, MAX_ITER, PLATEAU, LINE_SEARCH)
 
 
 @dataclass
@@ -750,35 +766,84 @@ class GDResult:
     iterations: int
     objective: float
     gradient_norm: float
+    exit_reason: str
+
+
+def _flat_views(flat, shapes):
+    """Weight matrices of ``shapes`` as reshaped views of one flat vector."""
+    ends = np.cumsum([r * c for r, c in shapes])
+    return [flat[end - r * c:end].reshape(r, c) for (r, c), end in zip(shapes, ends)]
+
+
+def _flat_gradient(weights, x, y, loss):
+    return np.concatenate([g.ravel() for g in gradient(weights, x, y, loss)])
+
+
+def _two_loop(grad, pairs):
+    """L-BFGS direction ``-H grad`` from the curvature pairs
+    ``(s, y, 1 / s.y)``, oldest first, with ``H_0 = (s.y / y.y) I`` taken
+    from the newest pair (Liu & Nocedal 1989)."""
+    q = -grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alpha = rho * s.dot(q)
+        q -= alpha * y
+        alphas.append(alpha)
+    s, y, rho = pairs[-1]
+    q *= 1.0 / (rho * y.dot(y))
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * y.dot(q)) * s
+    return q
 
 
 def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
-    """Backtracking gradient descent on ``loss`` (``None`` means
-    ``SquaredError``) until the gradient norm falls below ``grad_abs``.
+    """L-BFGS on ``loss`` (``None`` means ``SquaredError``) until the
+    gradient norm falls below ``grad_abs``.
 
-    Near a minimum the per-step objective decrease drops under float
-    resolution while the gradient still contracts, so the sufficient
-    decrease test carries a rounding slack and stalling is judged on the
-    gradient norm: no measurable contraction over ``_PLATEAU`` iterations
-    stops early with a non-converged verdict.
+    The direction comes from the two-loop recursion over the last
+    ``_HISTORY`` curvature pairs; a pair with ``s.y <= 0`` is skipped, and
+    when the recursion gives no descent direction (or before any pair is
+    kept) the history is cleared and the step falls back to ``-eta * g``
+    with ``eta = _STEEPEST_STEP``.  The step length starts at one and is
+    halved until the Armijo test passes.  Near a minimum the decrease
+    drops under float resolution while the gradient still contracts, so
+    that test carries a rounding slack of ``8 EPS |f|``.  From a finite
+    objective, a trial step whose objective is not finite fails the test,
+    so the line search rejects it and halves the step.
 
-    The descent runs on the weight list of the checked ``point`` and
-    builds one ``NetworkPoint``, for its result.  From a finite objective,
-    a trial step whose objective is not finite fails the sufficient
-    decrease test, so the line search rejects it and halves the step.
+    The result names why the descent stopped: ``converged``, ``max_iter``,
+    ``plateau`` (no measurable gradient contraction over ``_PLATEAU``
+    iterations) or ``line_search`` (no step passed the Armijo test).
+
+    The descent runs on one flat parameter vector, the weights being
+    reshaped views of it, and builds one ``NetworkPoint``, for its result.
+    Raises ``NumericalFailure`` when the objective or the gradient at the
+    start is not finite.
     """
     loss = loss or SquaredError()
     x, y = point.x, point.y
-    weights = [w.copy() for w in point.weights]
+    shapes = [w.shape for w in point.weights]
+    flat = np.concatenate([w.ravel() for w in point.weights])
+    trial = np.empty_like(flat)
+    weights, trial_weights = _flat_views(flat, shapes), _flat_views(trial, shapes)
     obj = objective(weights, x, y, loss)
-    eta = 0.1
+    grad = _flat_gradient(weights, x, y, loss)
+    gnorm = float(np.linalg.norm(grad))
+    if not (np.isfinite(obj) and np.isfinite(gnorm)):
+        raise NumericalFailure(
+            f"the objective or its gradient overflows at the start of the "
+            f"descent: objective {obj}, gradient norm {gnorm}"
+        )
+    pairs = deque(maxlen=_HISTORY)
     stall = 0
     best_gnorm = np.inf
     it = 0
     while True:
-        grads = gradient(weights, x, y, loss)
-        gnorm = gradient_norm(grads)
-        if gnorm <= tol.grad_abs or it >= max_iter:
+        if gnorm <= tol.grad_abs:
+            reason = CONVERGED
+            break
+        if it >= max_iter:
+            reason = MAX_ITER
             break
         if gnorm < 0.999 * best_gnorm:
             best_gnorm = gnorm
@@ -786,17 +851,32 @@ def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
         else:
             stall += 1
             if stall >= _PLATEAU:
+                reason = PLATEAU
                 break
+        direction = _two_loop(grad, pairs) if pairs else None
+        slope = np.nan if direction is None else float(direction.dot(grad))
+        if not slope < 0.0:
+            pairs.clear()
+            direction = -_STEEPEST_STEP * grad
+            slope = -_STEEPEST_STEP * gnorm**2
         slack = 8.0 * EPS * abs(obj)
+        t = 1.0
         for _ in range(60):
-            trial = [w - eta * g for w, g in zip(weights, grads)]
-            val = objective(trial, x, y, loss)
-            if val <= obj - 1e-4 * eta * gnorm**2 + slack:
+            np.add(flat, t * direction, out=trial)
+            val = objective(trial_weights, x, y, loss)
+            if val <= obj + 1e-4 * t * slope + slack:
                 break
-            eta *= 0.5
-        else:  # no step was accepted
+            t *= 0.5
+        else:
+            reason = LINE_SEARCH
             break
-        weights, obj = trial, val
-        eta = min(eta * 1.5, 1e6)
+        new_grad = _flat_gradient(trial_weights, x, y, loss)
+        step, change = trial - flat, new_grad - grad
+        curvature = float(step.dot(change))
+        if curvature > 0.0:
+            pairs.append((step, change, 1.0 / curvature))
+        flat, trial = trial, flat
+        weights, trial_weights = trial_weights, weights
+        obj, grad, gnorm = val, new_grad, float(np.linalg.norm(new_grad))
         it += 1
-    return GDResult(NetworkPoint(weights, x, y), gnorm <= tol.grad_abs, it, obj, gnorm)
+    return GDResult(NetworkPoint(weights, x, y), reason == CONVERGED, it, obj, gnorm, reason)

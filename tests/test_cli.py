@@ -10,6 +10,7 @@ import pytest
 from openmap import cli
 from openmap.cli import COMMANDS, main
 from openmap.matrixio import matrix_to_payload
+from openmap.numcore import Tolerances
 
 
 def _error(capsys):
@@ -144,14 +145,42 @@ def test_gd_sweep_reads_the_sample_count_from_y(tmp_path, capsys):
 
 
 def test_an_overflowing_descent_is_a_numerical_failure(tmp_path, capsys):
-    # the data is finite, but line-search trials overflow; the line
-    # search must reject them rather than report the input as bad
+    # the data is finite, but the objective overflows at the first
+    # trial's start; the error names the trial and the overflow
     x = _matrix_file(tmp_path, [[1e160, -3e159]], "x")
     y = _matrix_file(tmp_path, [[1.0, 2.0]], "y")
     argv = ["net", "gd-sweep", "--dims", "1,1,1", "--x", x, "--y", y,
             "--trials", "2", "--max-iter", "50", "--jobs", "1"]
     assert main(argv) == 4
-    assert _error(capsys)["error"] == "NumericalFailure"
+    err = _error(capsys)
+    assert err["error"] == "NumericalFailure"
+    assert err["message"].startswith("trial 0: the objective or its gradient overflows")
+
+
+def test_gd_sweep_records_do_not_depend_on_jobs(capsys):
+    results = []
+    for jobs in ("1", "2"):
+        argv = ["net", "gd-sweep", "--depth", "3", "--dim-cap", "3", "--trials", "20",
+                "--max-iter", "300", "--seed", "4", "--jobs", jobs]
+        assert main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        del result["wall_clock_seconds"]
+        results.append(result)
+    assert results[0] == results[1]
+
+
+def test_a_drift_along_the_rescaling_symmetry_stops_on_the_plateau():
+    # criterion 7's seed-0 trial 176, widths (1, 1, 4): the steps drift
+    # along (W_2, W_1) -> (c W_2, W_1 / c) while the gradient norm grows,
+    # and only the plateau exit ends the run short of max_iter
+    report = cli.gd_sweep(trials=177, seed=0, tol=Tolerances(grad_abs=1e-9), depth=2,
+                          dim_cap=4, max_iter=100000)
+    rec = report.records[176]
+    assert rec["dims"] == [1, 1, 4]
+    assert rec["exit_reason"] == "plateau"
+    assert rec["iterations"] < 5000
+    assert report.aggregates["exit_reasons"] == {
+        "converged": 176, "max_iter": 0, "plateau": 1, "line_search": 0}
 
 
 @pytest.mark.parametrize("flag", ["--x", "--y"])

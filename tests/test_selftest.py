@@ -6,11 +6,13 @@ from openmap import selftest
 from openmap.cli import main
 
 # criteria fast enough for tier-1, with the runtime check each one carries;
-# 1 and 2 are left out: their SpuriousLocalMin expectation is a known defect
+# 1, 2 and 8 are left out: their SpuriousLocalMin expectation (criterion
+# 8's factories_probe_minimal) is a known defect, and 8 takes minutes
 FAST_CRITERIA = {
     4: "runtime_under_1min",
     5: "runtime_under_10s",
     6: "runtime_under_1min",
+    7: "runtime_under_2min",
     9: "runtime_under_10s",
     10: "runtime_under_5s",
 }
@@ -26,6 +28,9 @@ def test_fast_criterion_passes_inside_its_budget(number):
     assert list(checks)[-1] == FAST_CRITERIA[number]
     assert checks[FAST_CRITERIA[number]] is True
     assert res.seconds >= 0.0
+    if number == 7:
+        # the checks cover converged trials only, so most must converge
+        assert res.details["converged"] >= 190
 
 
 @pytest.mark.parametrize("only", ["x", "42", "4,0"])
