@@ -85,7 +85,3 @@ class PivotTooSmall(DomainRefusal):
 
 class NotConstructible(DomainRefusal):
     """No layer-width pair admits the spurious-minimum construction."""
-
-
-class UnsupportedActivation(DomainRefusal):
-    """Activation is not continuous and strictly monotone."""

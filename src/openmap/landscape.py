@@ -1,5 +1,4 @@
-"""Training-landscape analysis for linear (and pyramidal non-linear)
-feedforward networks.
+"""Training-landscape analysis for linear feedforward networks.
 
 The objective is ``loss(W_h @ ... @ W_1 @ X)`` with squared error against
 ``Y`` by default.  Critical points are classified through the openness
@@ -26,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InputError,
-    NotConstructible,
-    NumericalFailure,
-    UnsupportedActivation,
-)
+from .errors import InputError, NotConstructible, NumericalFailure
 from .matrixio import as_matrix
 from .numcore import DEFAULT_TOL, EPS, null_space, rank, spectrum
 
@@ -125,26 +119,43 @@ def product_matrix(mats):
     return mats[0] if len(mats) == 1 else np.linalg.multi_dot(mats)
 
 
+def _forward(weights, x):
+    """``[x, W_1 x, ..., W_h ... W_1 x]``: the layers applied bottom up."""
+    acts = [x]
+    for w in reversed(weights):
+        acts.append(w @ acts[-1])
+    return acts
+
+
+def _backward(weights, acts, g_out):
+    """Layer gradients, ``W_h`` first, from ``_forward``'s activations and
+    the loss gradient at the output, carried down as ``W^T g``."""
+    grads = [g_out @ acts[-2].T]
+    for w, a in zip(weights, reversed(acts[:-2])):
+        g_out = w.T @ g_out
+        grads.append(g_out @ a.T)
+    return grads
+
+
 def objective(weights, x, y, loss=None):
     loss = loss or SquaredError()
-    return loss.value(product_matrix(weights) @ x, y)
+    return loss.value(_forward(weights, x)[-1], y)
 
 
 def gradient(weights, x, y, loss=None):
     """Layer gradients, ordered like ``weights`` (``W_h`` first)."""
     loss = loss or SquaredError()
-    g_out = loss.grad(product_matrix(weights) @ x, y)
-    # layer i sits between the product of the layers above it and the
-    # product of the layers below it applied to x
-    grads = []
-    for i in range(len(weights)):
-        above = product_matrix(weights[:i]) if i else np.eye(weights[0].shape[0])
-        grads.append(above.T @ g_out @ product_matrix(weights[i + 1 :] + [x]).T)
-    return grads
+    acts = _forward(weights, x)
+    return _backward(weights, acts, loss.grad(acts[-1], y))
+
+
+def _flat(mats):
+    return np.concatenate([m.ravel() for m in mats])
 
 
 def gradient_norm(grads):
-    return float(np.sqrt(sum(np.linalg.norm(g) ** 2 for g in grads)))
+    """Norm of the layer gradients taken as one flat vector."""
+    return float(np.linalg.norm(_flat(grads)))
 
 
 def global_value(width, x, y, tol=DEFAULT_TOL):
@@ -330,7 +341,7 @@ def _verify_descent(point, loss, dirs, order, case, tol):
     t = 1.0
     for _ in range(_MAX_HALVINGS):
         moved = [w + t * d for w, d in zip(point.weights, dirs)]
-        val = loss.value(product_matrix(moved + [point.x]), point.y)
+        val = objective(moved, point.x, point.y, loss)
         if val < base - tol.residual_abs:
             return DirectionTuple(
                 directions=dirs,
@@ -525,9 +536,10 @@ def classify(point, loss=None, tol=DEFAULT_TOL, seed=None):
     loss = loss or SquaredError()
     certificates = []
     weights, x, y = point.weights, point.x, point.y
-    obj = objective(weights, x, y, loss)
-    grads = gradient(weights, x, y, loss)
-    gnorm = gradient_norm(grads)
+    acts = _forward(weights, x)
+    obj = loss.value(acts[-1], y)
+    g_out = loss.grad(acts[-1], y)
+    gnorm = gradient_norm(_backward(weights, acts, g_out))
     if not (np.isfinite(obj) and np.isfinite(gnorm)):
         raise NumericalFailure(
             f"the objective or its gradient overflows at this point: "
@@ -555,7 +567,7 @@ def classify(point, loss=None, tol=DEFAULT_TOL, seed=None):
         return report(NOT_CRITICAL)
     certificates.append({"check": "criticality", "passed": True, "value": gnorm})
 
-    g_x = loss.grad(prod @ x, y) @ x.T
+    g_x = g_out @ x.T
     stat = float(np.linalg.norm(g_x))
     certificates.append(
         {"check": "unconstrained-stationarity", "passed": stat <= tol.grad_abs,
@@ -675,80 +687,6 @@ def rank_deficient_y_fixture():
     return x, y, point
 
 
-# -- pyramidal non-linear networks ------------------------------------------
-
-
-@dataclass
-class ActivationSpec:
-    """Componentwise activation; must be continuous and strictly
-    monotone (``leaky_relu`` requires a positive slope)."""
-
-    kind: str
-    slope: float = 0.01
-
-    def __post_init__(self):
-        if self.kind not in ("identity", "leaky_relu", "tanh", "logistic"):
-            raise UnsupportedActivation(f"unsupported activation {self.kind!r}")
-        if self.kind == "leaky_relu" and self.slope <= 0:
-            raise UnsupportedActivation(
-                "leaky_relu slope must be positive to stay strictly monotone"
-            )
-
-    def apply(self, arr):
-        if self.kind == "identity":
-            return arr
-        if self.kind == "leaky_relu":
-            return np.where(arr >= 0, arr, self.slope * arr)
-        if self.kind == "tanh":
-            return np.tanh(arr)
-        return 1.0 / (1.0 + np.exp(-arr))
-
-
-def forward_nonlinear(weights, x, activations):
-    """Evaluate the network with componentwise activations; weights are
-    ordered ``W_h`` first, activations ``sigma_1`` first."""
-    if len(activations) != len(weights):
-        raise InputError("need one activation per layer")
-    out = x
-    for w, act in zip(reversed(weights), activations):
-        out = act.apply(w @ out)
-    return out
-
-
-@dataclass
-class PyramidalCertificate:
-    pyramidal_structure: bool
-    full_row_rank: list
-    x_full_column_rank: bool
-    locally_open: bool
-    local_minima_global: bool
-
-
-def pyramidal_check(point, activations, tol=DEFAULT_TOL):
-    """Certify local openness of the non-linear forward map at a point of
-    a pyramidal network with strictly monotone activations; with a convex
-    loss, any local minimum under the certificate is global."""
-    for act in activations:
-        if not isinstance(act, ActivationSpec):
-            raise InputError("activations must be ActivationSpec instances")
-    if len(activations) != point.depth:
-        raise InputError("need one activation per layer")
-    dims = point.dims
-    n = point.x.shape[1]
-    widths_ok = all(dims[i] <= dims[i + 1] for i in range(len(dims) - 1))
-    structure = widths_ok and dims[-1] > n
-    row_rank = [rank(w, tol) == w.shape[0] for w in point.weights]
-    x_rank = rank(point.x, tol) == n
-    open_here = structure and all(row_rank) and x_rank
-    return PyramidalCertificate(
-        pyramidal_structure=structure,
-        full_row_rank=row_rank,
-        x_full_column_rank=x_rank,
-        locally_open=open_here,
-        local_minima_global=open_here,
-    )
-
-
 # -- quasi-Newton descent -----------------------------------------------------
 
 
@@ -773,10 +711,6 @@ def _flat_views(flat, shapes):
     """Weight matrices of ``shapes`` as reshaped views of one flat vector."""
     ends = np.cumsum([r * c for r, c in shapes])
     return [flat[end - r * c:end].reshape(r, c) for (r, c), end in zip(shapes, ends)]
-
-
-def _flat_gradient(weights, x, y, loss):
-    return np.concatenate([g.ravel() for g in gradient(weights, x, y, loss)])
 
 
 def _two_loop(grad, pairs):
@@ -817,17 +751,21 @@ def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
 
     The descent runs on one flat parameter vector, the weights being
     reshaped views of it, and builds one ``NetworkPoint``, for its result.
-    Raises ``NumericalFailure`` when the objective or the gradient at the
-    start is not finite.
+    Each line-search trial makes one forward pass, and the accepted
+    trial's pass gives the next gradient, so the result's objective and
+    gradient norm are those ``objective`` and ``gradient_norm`` give at
+    its point.  Raises ``NumericalFailure`` when the objective or the
+    gradient at the start is not finite.
     """
     loss = loss or SquaredError()
     x, y = point.x, point.y
     shapes = [w.shape for w in point.weights]
-    flat = np.concatenate([w.ravel() for w in point.weights])
+    flat = _flat(point.weights)
     trial = np.empty_like(flat)
     weights, trial_weights = _flat_views(flat, shapes), _flat_views(trial, shapes)
-    obj = objective(weights, x, y, loss)
-    grad = _flat_gradient(weights, x, y, loss)
+    acts = _forward(weights, x)
+    obj = loss.value(acts[-1], y)
+    grad = _flat(_backward(weights, acts, loss.grad(acts[-1], y)))
     gnorm = float(np.linalg.norm(grad))
     if not (np.isfinite(obj) and np.isfinite(gnorm)):
         raise NumericalFailure(
@@ -863,14 +801,15 @@ def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
         t = 1.0
         for _ in range(60):
             np.add(flat, t * direction, out=trial)
-            val = objective(trial_weights, x, y, loss)
+            acts = _forward(trial_weights, x)
+            val = loss.value(acts[-1], y)
             if val <= obj + 1e-4 * t * slope + slack:
                 break
             t *= 0.5
         else:
             reason = LINE_SEARCH
             break
-        new_grad = _flat_gradient(trial_weights, x, y, loss)
+        new_grad = _flat(_backward(trial_weights, acts, loss.grad(acts[-1], y)))
         step, change = trial - flat, new_grad - grad
         curvature = float(step.dot(change))
         if curvature > 0.0:

@@ -1,15 +1,11 @@
+import functools
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
-from openmap.errors import (
-    InputError,
-    NotConstructible,
-    NumericalFailure,
-    UnsupportedActivation,
-)
+from openmap.errors import InputError, NotConstructible, NumericalFailure
 from openmap.landscape import (
     GLOBAL_MIN,
     INCONCLUSIVE,
@@ -17,21 +13,18 @@ from openmap.landscape import (
     SADDLE_HIGHER_ORDER,
     SECOND_ORDER_SADDLE,
     SPURIOUS_LOCAL_MIN,
-    ActivationSpec,
     ConvexPlugin,
     NetworkPoint,
     SquaredError,
     admissible_width_pair,
     classify,
     counterexample_factory,
-    forward_nonlinear,
     global_value,
     gradient,
     gradient_norm,
     local_min_probe,
     objective,
     product_matrix,
-    pyramidal_check,
     rank_deficient_y_fixture,
     run_gradient_descent,
 )
@@ -59,7 +52,51 @@ def fd_gradient(weights, x, y, loss, eps=1e-6):
     return grads
 
 
+def chain_reference(weights, x, y, loss):
+    """Objective and layer gradients from whole chain products, multiplied
+    top down: the output is ``W_h ... W_1 X``, and layer ``i`` gets
+    ``(W_h ... W_{i+1})^T G (W_{i-1} ... W_1 X)^T`` for the loss gradient
+    ``G`` at the output."""
+
+    def chain(mats):
+        return functools.reduce(np.matmul, mats)
+
+    g_out = loss.grad(chain(weights + [x]), y)
+    grads = []
+    for i in range(len(weights)):
+        above = chain(weights[:i]).T @ g_out if i else g_out
+        grads.append(above @ chain(weights[i + 1:] + [x]).T)
+    return loss.value(chain(weights + [x]), y), grads
+
+
+QUARTIC = ConvexPlugin(
+    value_fn=lambda p, y: 0.25 * float(np.sum((p - y) ** 4)),
+    grad_fn=lambda p, y: (p - y) ** 3,
+)
+
+
 class TestObjectiveGradient:
+    @pytest.mark.parametrize("loss", [SquaredError(), QUARTIC], ids=["squared", "quartic"])
+    def test_passes_match_the_chain_product_formulas(self, loss):
+        rng = np.random.default_rng(11)
+        for h in range(1, 6):
+            for draw in range(8):
+                dims = [int(d) for d in rng.integers(1, 5, size=h + 1)]
+                # every other draw routes the chain through a width-1 layer
+                if draw % 2:
+                    dims[int(rng.integers(h + 1))] = 1
+                n = int(rng.integers(1, 5))
+                weights = [rng.uniform(-1, 1, size=(dims[i], dims[i + 1])) for i in range(h)]
+                x = rng.uniform(-1, 1, size=(dims[-1], n))
+                y = rng.uniform(-1, 1, size=(dims[0], n))
+                value, grads = chain_reference(weights, x, y, loss)
+                assert objective(weights, x, y, loss) == pytest.approx(value, rel=1e-12)
+                got = gradient(weights, x, y, loss)
+                assert [g.shape for g in got] == [w.shape for w in weights]
+                scale = gradient_norm(grads)
+                for g, ref in zip(got, grads):
+                    assert np.linalg.norm(g - ref) <= 1e-12 * scale
+
     def test_zero_network_zero_target(self):
         weights = [np.zeros((2, 2)), np.zeros((2, 2))]
         assert objective(weights, np.eye(2), np.zeros((2, 2))) == 0.0
@@ -90,14 +127,10 @@ class TestObjectiveGradient:
 
     def test_plugin_loss_gradient(self):
         rng = np.random.default_rng(1)
-        loss = ConvexPlugin(
-            value_fn=lambda p, y: 0.25 * float(np.sum((p - y) ** 4)),
-            grad_fn=lambda p, y: (p - y) ** 3,
-        )
         w = [rng.uniform(-1, 1, size=(2, 2))]
         x, y = rng.uniform(-1, 1, size=(2, 3)), rng.uniform(-1, 1, size=(2, 3))
-        exact = gradient(w, x, y, loss)
-        approx = fd_gradient(w, x, y, loss)
+        exact = gradient(w, x, y, QUARTIC)
+        approx = fd_gradient(w, x, y, QUARTIC)
         assert np.allclose(exact[0], approx[0], atol=1e-6)
 
 
@@ -260,7 +293,9 @@ class TestClassify:
     def test_deep_grid_pins_the_descent_constructions(self):
         # degenerate critical points: every layer but one is zero, so the
         # gradient vanishes and the product has rank 0; digests were
-        # computed before the two deep constructions became one.
+        # computed before the two deep constructions became one, and the
+        # right-hinged one again when the decrease came to be measured
+        # with ``objective`` at both ends (directions and steps unchanged).
         # Right-hinged results are pinned bit for bit, left-hinged ones
         # by case and order only (SVDs of transposes round differently)
         rng = np.random.default_rng(20180308)
@@ -282,6 +317,7 @@ class TestClassify:
             after = np.linalg.multi_dot(moved + [point.x])
             drop = 0.5 * (np.sum(y**2) - np.sum((after - y) ** 2))
             assert drop > DEFAULT_TOL.residual_abs
+            assert d.decrease == objective(weights, point.x, y) - objective(moved, point.x, y)
             if not d.construction_case.endswith("_left"):
                 for m in d.directions:
                     right.update(repr(m.shape).encode() + m.tobytes())
@@ -290,7 +326,7 @@ class TestClassify:
             "dcb4b303ea40a3397e03aa5c1d0bc83d418679cd1539106b222640fca90c6eb5"
         )
         assert right.hexdigest() == (
-            "e14aeb49ed2bb306f8e9007a51f63b3c4edc56bd57b3fd823138f15c560de4f2"
+            "e7c6c1f166b35cb455152f6e1cf45c00793ddbd520905ce0edbf1be5c9a2d2df"
         )
 
     def test_two_layer_grid_pins_the_descent_constructions(self):
@@ -392,61 +428,6 @@ class TestFixture:
         assert rank(y) == 2
 
 
-class TestPyramidal:
-    def test_identity_linear_case(self):
-        rng = np.random.default_rng(6)
-        # widths (2, 3) with d0 = 3 > n = 2
-        point = NetworkPoint(
-            [rng.standard_normal((2, 3))],
-            np.vstack([np.eye(2), np.zeros((1, 2))]),
-            rng.standard_normal((2, 2)),
-        )
-        cert = pyramidal_check(point, [ActivationSpec("identity")])
-        assert cert.pyramidal_structure
-        assert all(cert.full_row_rank)
-        assert cert.x_full_column_rank
-        assert cert.locally_open
-
-    def test_rank_deficient_layer_fails(self):
-        point = NetworkPoint(
-            [np.zeros((2, 3))],
-            np.vstack([np.eye(2), np.zeros((1, 2))]),
-            np.zeros((2, 2)),
-        )
-        cert = pyramidal_check(point, [ActivationSpec("leaky_relu", 0.01)])
-        assert not all(cert.full_row_rank)
-        assert not cert.locally_open
-
-    def test_plain_relu_rejected(self):
-        with pytest.raises(UnsupportedActivation):
-            ActivationSpec("relu")
-        with pytest.raises(UnsupportedActivation):
-            ActivationSpec("leaky_relu", 0.0)
-
-    def test_forward_and_probe_no_spurious_structure(self):
-        rng = np.random.default_rng(7)
-        n = 2
-        x = np.vstack([np.eye(n), np.zeros((1, n))])  # d0 = 3 > n
-        w1 = rng.standard_normal((2, 3))
-        w2 = rng.standard_normal((2, 2))
-        acts = [ActivationSpec("leaky_relu", 0.01), ActivationSpec("leaky_relu", 0.01)]
-        weights = [w2, w1]
-        y = forward_nonlinear(weights, x, acts)
-        point = NetworkPoint(weights, x, y)
-        cert = pyramidal_check(point, acts)
-        assert cert.locally_open
-
-        def nonlinear_obj(ws):
-            return 0.5 * float(np.linalg.norm(forward_nonlinear(ws, x, acts) - y) ** 2)
-
-        rep = local_min_probe(
-            point,
-            tol=Tolerances(probe_samples=300),
-            objective_fn=nonlinear_obj,
-        )
-        assert rep.locally_minimal
-
-
 class TestGradientDescent:
     def test_converges_on_easy_instance(self):
         rng = np.random.default_rng(8)
@@ -458,6 +439,25 @@ class TestGradientDescent:
         res = run_gradient_descent(init, tol=Tolerances(grad_abs=1e-9))
         assert res.converged
         assert res.objective <= 1e-12
+
+    @pytest.mark.parametrize("loss", [SquaredError(), QUARTIC], ids=["squared", "quartic"])
+    def test_the_result_reports_its_own_point(self, loss):
+        # the descent takes the objective from each trial's forward pass
+        # and the gradient from the accepted trial's, across the swap of
+        # its two parameter buffers; both must be those of the point it
+        # returns, whether it converged or ran out of iterations
+        rng = np.random.default_rng(12)
+        for max_iter in (1, 2, 7, 40, 1000):
+            init = NetworkPoint(
+                [rng.uniform(-1, 1, size=(2, 3)), rng.uniform(-1, 1, size=(3, 1)),
+                 rng.uniform(-1, 1, size=(1, 3))],
+                rng.uniform(-1, 1, size=(3, 4)), rng.uniform(-1, 1, size=(2, 4)),
+            )
+            res = run_gradient_descent(init, loss, max_iter=max_iter)
+            assert 0 < res.iterations <= max_iter
+            weights, x, y = res.point.weights, res.point.x, res.point.y
+            assert res.objective == objective(weights, x, y, loss)
+            assert res.gradient_norm == gradient_norm(gradient(weights, x, y, loss))
 
     def test_a_descent_builds_at_most_one_network_point(self, monkeypatch):
         # the point is checked once at the boundary; trial steps are
