@@ -212,7 +212,9 @@ def _gd_trial(payload):
         result = run_gradient_descent(point, tol=tol, max_iter=max_iter)
     except NumericalFailure as exc:
         raise NumericalFailure(f"trial {trial}: {exc}") from exc
-    record = {
+    gv = global_value(min(dims), x, y, tol)
+    rep = classify(result.point, tol=tol) if result.converged else None
+    return {
         "trial": trial,
         "dims": list(dims),
         "n_samples": n,
@@ -221,19 +223,11 @@ def _gd_trial(payload):
         "iterations": result.iterations,
         "objective": result.objective,
         "gradient_norm": result.gradient_norm,
-        "status": None,
-        "global_value": None,
-        "objective_gap": None,
-        "has_descent_direction": None,
+        "status": rep.status if rep else None,
+        "global_value": gv,
+        "objective_gap": result.objective - gv,
+        "has_descent_direction": rep.descent_direction is not None if rep else None,
     }
-    gv = global_value(min(dims), x, y, tol)
-    record["global_value"] = gv
-    record["objective_gap"] = result.objective - gv
-    if result.converged:
-        rep = classify(result.point, tol=tol)
-        record["status"] = rep.status
-        record["has_descent_direction"] = rep.descent_direction is not None
-    return record
 
 
 def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, x=None, y=None,

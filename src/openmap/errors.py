@@ -84,4 +84,4 @@ class PivotTooSmall(DomainRefusal):
 
 
 class NotConstructible(DomainRefusal):
-    """No layer-width pair admits the spurious-minimum construction."""
+    """No layer-width pair admits the ``counterexample_factory`` construction."""

@@ -1,8 +1,9 @@
 """Training-landscape analysis for linear feedforward networks.
 
 The objective is ``loss(W_h @ ... @ W_1 @ X)`` with squared error against
-``Y`` by default.  Critical points are classified through the openness
-framework:
+``Y`` by default, under which every local minimum is global (the paper's
+two-layer result; Zhang 2019, arXiv:1901.09827, at every depth).  Critical
+points are classified through the openness framework:
 
 * unconstrained stationarity (the loss gradient times ``X.T`` vanishing)
   certifies a global minimum by convexity;
@@ -11,7 +12,7 @@ framework:
   is compared against the rank-constrained optimum;
 * degenerate critical points of every depth get a descent direction
   from one chain construction on null vectors of the weight stack;
-* what remains is probed by seeded sphere sampling.
+* what remains is ``Inconclusive``, with a seeded sphere probe attached.
 
 Entry points take a ``NetworkPoint``, the one input check, which carries
 its own widths, and a loss (``None`` means squared error);
@@ -32,6 +33,7 @@ from .numcore import DEFAULT_TOL, EPS, null_space, rank, spectrum
 GLOBAL_MIN = "GlobalMin"
 SECOND_ORDER_SADDLE = "SecondOrderSaddle"
 SADDLE_HIGHER_ORDER = "SaddleHigherOrder"
+# never a verdict; sweeps count it to show it stays at zero
 SPURIOUS_LOCAL_MIN = "SpuriousLocalMin"
 NOT_CRITICAL = "NotCritical"
 INCONCLUSIVE = "Inconclusive"
@@ -243,7 +245,7 @@ def _least_half_squares(norms):
     return [0.5 * float(s ** 2) for s in norms[sq <= cut]]
 
 
-def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=None, objective_fn=None):
+def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=None):
     """Sampled local-minimality check of ``loss`` (``None`` means
     ``SquaredError``): uniform directions on the parameter sphere at each
     scheduled radius; the verdict is minimal at resolution when no sampled
@@ -261,18 +263,14 @@ def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=None, objective_fn=N
     chunk size never changes a result: ``min_deltas`` equal, bit for bit,
     those of evaluating the samples one at a time.  A loss other than
     ``SquaredError`` is evaluated on each sample's slice of the stacked
-    product, and ``objective_fn`` once per sample with that sample's
-    weights.  Samples whose value is NaN are skipped.
+    product.  Samples whose value is NaN are skipped.
 
     Raises ``NumericalFailure`` when the objective at the point itself is
     not finite.
     """
     loss = loss or SquaredError()
     weights, x, y = point.weights, point.x, point.y
-    if objective_fn is None:
-        base = loss.value(product_matrix(weights + [x]), y)
-    else:
-        base = objective_fn(weights)
+    base = loss.value(product_matrix(weights + [x]), y)
     if not np.isfinite(base):
         raise NumericalFailure(f"the objective overflows at this point: {base}")
     sizes = [w.size for w in weights]
@@ -295,15 +293,12 @@ def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=None, objective_fn=N
             draws *= (radius / norms)[:, None]
             cols = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
             stacks = [w + d.reshape(len(d), *w.shape) for w, d in zip(weights, cols)]
-            if objective_fn is not None:
-                vals = [objective_fn([s[i] for s in stacks]) for i in range(len(draws))]
+            prod = _chain_product(order, stacks + [x])
+            if isinstance(loss, SquaredError):
+                resid = (prod - y).reshape(len(prod), y.size)
+                vals = _least_half_squares(np.sqrt(_row_dots(resid)))
             else:
-                prod = _chain_product(order, stacks + [x])
-                if isinstance(loss, SquaredError):
-                    resid = (prod - y).reshape(len(prod), y.size)
-                    vals = _least_half_squares(np.sqrt(_row_dots(resid)))
-                else:
-                    vals = [loss.value(out, y) for out in prod]
+                vals = [loss.value(out, y) for out in prod]
             deltas = np.asarray(vals, dtype=float) - base
             worst = min(worst, np.min(deltas, initial=np.inf, where=~np.isnan(deltas)))
         radii.append(float(radius))
@@ -356,7 +351,7 @@ def _verify_descent(point, loss, dirs, order, case, tol):
 
 def _best_pair(basis_a, basis_b):
     """Unit vectors maximizing the absolute inner product between two
-    subspaces, with the achieved value."""
+    subspaces, with the achieved value; None when they are orthogonal."""
     if basis_a.dim == 0 or basis_b.dim == 0:
         return None
     gram = basis_a.columns.T @ basis_b.columns
@@ -364,13 +359,6 @@ def _best_pair(basis_a, basis_b):
     if s.size == 0 or s[0] < _DIRECTION_TOL:
         return None
     return basis_a.columns @ u[:, 0], basis_b.columns @ vt[0], float(s[0])
-
-
-def _subspaces_orthogonal(basis_a, basis_b):
-    if basis_a.dim == 0 or basis_b.dim == 0:
-        return True
-    gram = basis_a.columns.T @ basis_b.columns
-    return float(np.linalg.norm(gram, 2)) <= _DIRECTION_TOL
 
 
 def _data_indices(g_x):
@@ -441,7 +429,7 @@ def _deep_chain(weights, i_idx, j_idx, tol):
     if null_w[h].dim == 0:
         return None
     k_set = [k for k in range(3, h + 1)
-             if null_w[k].dim > 0 and _subspaces_orthogonal(null_w[k], p_space(k))]
+             if null_w[k].dim > 0 and _best_pair(null_w[k], p_space(k)) is None]
     if k_set:
         kstar = max(k_set)
         mid = product_matrix(weights[h - kstar + 1 : h - 1])
@@ -532,7 +520,10 @@ def _deep_direction(point, loss, g_x, tol):
 
 def classify(point, loss=None, tol=DEFAULT_TOL, seed=None):
     """Classify a training point of the linear-network objective under
-    ``loss`` (``None`` means ``SquaredError``)."""
+    ``loss`` (``None`` means ``SquaredError``): ``NotCritical``,
+    ``GlobalMin``, ``SecondOrderSaddle`` or ``SaddleHigherOrder`` (depth
+    2 or more, with a verified descent direction), else ``Inconclusive``
+    with the evidence of a ``local-min-probe`` certificate."""
     loss = loss or SquaredError()
     certificates = []
     weights, x, y = point.weights, point.x, point.y
@@ -583,25 +574,17 @@ def classify(point, loss=None, tol=DEFAULT_TOL, seed=None):
         return report(GLOBAL_MIN)
 
     if not degenerate:
+        # a non-degenerate critical point strictly above the constrained
+        # optimum cannot be a local minimum; without a constructive
+        # direction the verdict stays inconclusive
         certificates.append(
             {"check": "non-degenerate-openness", "passed": True,
              "value": prod_rank}
         )
-        probe = local_min_probe(point, loss, tol, seed=seed)
-        certificates.append(
-            {"check": "local-min-probe", "passed": probe.locally_minimal,
-             "value": probe.min_deltas}
-        )
-        # a non-degenerate critical point strictly above the constrained
-        # optimum cannot be a local minimum; without a constructive
-        # direction the verdict stays inconclusive
-        return report(INCONCLUSIVE)
-
-    h = point.depth
-    if h >= 2:
+    else:  # depth >= 2: at depth one criticality is stationarity
         direction = _deep_direction(point, loss, g_x, tol)
         if direction is not None:
-            status = SECOND_ORDER_SADDLE if h == 2 else SADDLE_HIGHER_ORDER
+            status = SECOND_ORDER_SADDLE if point.depth == 2 else SADDLE_HIGHER_ORDER
             return report(status, direction)
 
     probe = local_min_probe(point, loss, tol, seed=seed)
@@ -609,13 +592,6 @@ def classify(point, loss=None, tol=DEFAULT_TOL, seed=None):
         {"check": "local-min-probe", "passed": probe.locally_minimal,
          "value": probe.min_deltas}
     )
-    if probe.locally_minimal and gv is not None:
-        gap = obj - gv
-        if gap > max(100.0 * tol.residual_abs, 1e-8 * (1.0 + abs(gv))):
-            certificates.append(
-                {"check": "objective-gap", "passed": True, "value": gap}
-            )
-            return report(SPURIOUS_LOCAL_MIN)
     return report(INCONCLUSIVE)
 
 
@@ -634,13 +610,14 @@ def admissible_width_pair(dims):
 
 
 def counterexample_factory(dims):
-    """Instance with a non-global basin: identity input, a single far
-    corner target, identity-padded outer layers and zeroed middle layers
-    between an admissible width pair.
+    """Degenerate critical point on an admissible width pair: identity
+    input, a single far corner target, identity-padded outer layers and
+    zeroed middle layers between the pair.  Under squared error it is a
+    saddle with a high-order escape, not a local minimum.
 
     Requires widths ``p1 < p2`` strictly inside the chain with
-    ``d_h > d_{p2}`` and ``d_0 > d_{p1}``; otherwise no such instance
-    exists for any data and ``NotConstructible`` is raised.
+    ``d_h > d_{p2}`` and ``d_0 > d_{p1}``; otherwise ``NotConstructible``
+    is raised.
     """
     dims = tuple(int(d) for d in dims)
     h = len(dims) - 1
@@ -653,23 +630,15 @@ def counterexample_factory(dims):
     chosen = admissible_width_pair(dims)
     if chosen is None:
         raise NotConstructible(
-            "no width pair admits a non-global basin: every local minimum "
-            "of this architecture is global for all data"
+            "no width pair p1 < p2 inside the chain has d_0 > d_p1 and "
+            "d_h > d_p2, which the construction needs"
         )
     p1, p2 = chosen
     x = np.eye(d(0))
     y = np.zeros((d(h), d(0)))
     y[-1, -1] = 1.0
-    weights = []
-    for i in range(h, 0, -1):
-        rows, cols = d(i), d(i - 1)
-        if p1 + 1 <= i <= p2:
-            weights.append(np.zeros((rows, cols)))
-        else:
-            pad = np.zeros((rows, cols))
-            m = min(rows, cols)
-            pad[:m, :m] = np.eye(m)
-            weights.append(pad)
+    weights = [np.zeros((d(i), d(i - 1))) if p1 < i <= p2 else np.eye(d(i), d(i - 1))
+               for i in range(h, 0, -1)]
     if gradient_norm(gradient(weights, x, y)) > 1e-12:
         raise NotConstructible("constructed point is not critical")
     return x, y, NetworkPoint(weights=weights, x=x, y=y)
@@ -677,7 +646,8 @@ def counterexample_factory(dims):
 
 def rank_deficient_y_fixture():
     """Hard-coded three-layer regression fixture whose target rank
-    exceeds the width-gap bound yet a non-global basin persists."""
+    exceeds the width-gap bound: a saddle with a fourth-order escape
+    that a sphere probe misses."""
     x = np.eye(3)
     y = np.array([[1.0, 0.0, -1.0], [0.0, 4.0, 0.0], [-1.0, 0.0, 1.0]])
     w3 = np.array([[1.0, -1.0], [-1.0, -1.0], [1.0, -1.0]])
@@ -747,7 +717,8 @@ def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
 
     The result names why the descent stopped: ``converged``, ``max_iter``,
     ``plateau`` (no measurable gradient contraction over ``_PLATEAU``
-    iterations) or ``line_search`` (no step passed the Armijo test).
+    iterations) or ``line_search`` (no step passed the Armijo test, or
+    the one that passed moved no weight).
 
     The descent runs on one flat parameter vector, the weights being
     reshaped views of it, and builds one ``NetworkPoint``, for its result.
@@ -809,8 +780,12 @@ def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
         else:
             reason = LINE_SEARCH
             break
+        step = trial - flat
+        if not step.any():  # every later iteration would repeat this one
+            reason = LINE_SEARCH
+            break
         new_grad = _flat(_backward(trial_weights, acts, loss.grad(acts[-1], y)))
-        step, change = trial - flat, new_grad - grad
+        change = new_grad - grad
         curvature = float(step.dot(change))
         if curvature > 0.0:
             pairs.append((step, change, 1.0 / curvature))

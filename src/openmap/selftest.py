@@ -8,11 +8,13 @@ subset and prints nothing (the CLI and the test module render results).
 import itertools
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DomainRefusal, IllConditioned
 from .landscape import (
+    INCONCLUSIVE,
     SPURIOUS_LOCAL_MIN,
     admissible_width_pair,
     classify,
@@ -20,7 +22,6 @@ from .landscape import (
     global_value,
     gradient,
     gradient_norm,
-    local_min_probe,
     objective,
     product_matrix,
     rank_deficient_y_fixture,
@@ -56,46 +57,82 @@ def _result(number, name, start, checks, budget_s, **details):
     )
 
 
-def criterion_1():
-    """Corner-target fixture: exact values, probe verdict, classification."""
-    start = time.perf_counter()
-    x, y, point = counterexample_factory((2, 1, 1, 2))
+def _exact_change(point, curve):
+    """``f(w(1/2)) - f(w)`` under squared error in ``Fraction`` arithmetic,
+    on the curve ``w(s)`` that moves each layer ``W_i`` (``W_h`` first) to
+    ``W_i + s^k D_i`` for ``(k, D_i)`` in ``curve``."""
+    exact = np.vectorize(Fraction, otypes=[object])
+
+    def value(weights):
+        resid = (product_matrix(weights + [exact(point.x)]) - exact(point.y)).ravel()
+        return resid.dot(resid) / 2
+
+    base = [exact(w) for w in point.weights]
+    moved = [w + Fraction(1, 2)**k * exact(d) for w, (k, d) in zip(base, curve)]
+    return value(moved) - value(base)
+
+
+def _probed_inconclusive(report):
+    last = report.certificates[-1]["check"]
+    return report.status == INCONCLUSIVE and last == "local-min-probe"
+
+
+def _factory_check(dims):
+    """Checks and details of a depth-3 ``counterexample_factory`` point: its
+    exact values, its ``Inconclusive`` verdict with the probe attached, and
+    the exact change on the escape that grows ``W_3[-1, 0]``, ``W_2[0, 0]``
+    and ``W_1[0, -1]`` as ``s``, ``s^2`` and ``s``."""
+    x, y, point = counterexample_factory(dims)
+    units = [np.zeros_like(w) for w in point.weights]
+    for d, idx in zip(units, ((-1, 0), (0, 0), (0, -1))):
+        d[idx] = 1.0
+    escape = _exact_change(point, list(zip((1, 2, 1), units)))
     obj = objective(point.weights, x, y)
     gnorm = gradient_norm(gradient(point.weights, x, y))
     gv = global_value(min(point.dims), x, y)
-    probe = local_min_probe(point)
     report = classify(point)
     checks = {
         "objective_half": abs(obj - 0.5) <= 1e-12,
         "gradient_zero": gnorm <= 1e-12,
         "global_value_zero": abs(gv) <= 1e-12,
-        "probe_locally_minimal": probe.locally_minimal,
-        "classified_spurious": report.status == SPURIOUS_LOCAL_MIN,
+        "classified_inconclusive": _probed_inconclusive(report),
+        "exact_escape": escape == Fraction(-7, 512),
     }
-    return _result(
-        1, "corner-target fixture", start, checks, budget_s=1.0,
-        objective=obj, gradient_norm=gnorm, global_value=gv,
-        probe_min_deltas=probe.min_deltas, status=report.status,
+    return checks, dict(
+        objective=obj, gradient_norm=gnorm, global_value=gv, status=report.status,
+        probe_min_deltas=report.certificates[-1]["value"], escape_at_half=str(escape),
     )
 
 
+def criterion_1():
+    """Corner-target fixture: exact values, exact escape, classification."""
+    start = time.perf_counter()
+    checks, details = _factory_check((2, 1, 1, 2))
+    return _result(1, "corner-target fixture", start, checks, budget_s=1.0, **details)
+
+
 def criterion_2():
-    """Rank-two-target fixture: exact identities and classification."""
+    """Rank-two-target fixture: exact identities, exact escape, classification."""
     start = time.perf_counter()
     x, y, point = rank_deficient_y_fixture()
     w3, _, w1 = point.weights
     delta = product_matrix(point.weights) @ x - y
     obj = objective(point.weights, x, y)
     report = classify(point)
+    escape = _exact_change(point, [(1, [[-1, 1], [0, 0], [1, -1]]),
+                                   (2, [[-0.25, 0.25], [0.25, -0.25]]),
+                                   (1, [[1, 0, -1], [-1, 0, 1]])])
     checks = {
         "objective_two": abs(obj - 2.0) <= 1e-12,
         "left_identity": float(np.abs(w3.T @ delta).max()) <= 1e-12,
         "right_identity": float(np.abs(delta @ w1.T).max()) <= 1e-12,
-        "classified_spurious": report.status == SPURIOUS_LOCAL_MIN,
+        "classified_inconclusive": _probed_inconclusive(report),
+        "exact_escape": escape == Fraction(-7, 128),
     }
     return _result(
-        2, "rank-two-target fixture", start, checks, budget_s=1.0,
-        objective=obj, status=report.status,
+        2, "rank-two-target fixture", start, checks, budget_s=1.0, objective=obj,
+        status=report.status, probe_min_deltas=report.certificates[-1]["value"],
+        escape_at_half=str(escape),
     )
 
 
@@ -357,22 +394,16 @@ def criterion_7(seed=0, jobs=1):
 
 
 def criterion_8(seed=0, jobs=1):
-    """Width dichotomy: constructible instances verify their exact
-    values and probe; architectures without an admissible width pair
+    """Width dichotomy: constructible instances check their exact values,
+    escape and verdict; architectures without an admissible width pair
     never produce a spurious verdict across seeded sweeps."""
     from .cli import gd_sweep
 
     start = time.perf_counter()
     factory_checks = {}
     for dims in ((2, 1, 1, 2), (3, 2, 2, 3)):
-        x, y, point = counterexample_factory(dims)
-        probe = local_min_probe(point)
-        factory_checks[str(dims)] = {
-            "gradient_zero": gradient_norm(gradient(point.weights, x, y)) <= 1e-12,
-            "objective_half": abs(objective(point.weights, x, y) - 0.5) <= 1e-12,
-            "probe_locally_minimal": probe.locally_minimal,
-            "probe_min_deltas": probe.min_deltas,
-        }
+        checks, details = _factory_check(dims)
+        factory_checks[str(dims)] = {**checks, **details}
 
     tol = Tolerances(grad_abs=1e-7)
     spurious_total = 0
@@ -381,13 +412,11 @@ def criterion_8(seed=0, jobs=1):
         for dims in itertools.product((1, 2, 3), repeat=h + 1):
             if admissible_width_pair(dims) is None:
                 lacking.append(dims)
-    sweeps = 0
     for t_idx, dims in enumerate(lacking):
         report = gd_sweep(
             trials=100, seed=seed + t_idx, tol=tol, dims=dims, jobs=jobs,
             max_iter=100000,
         )
-        sweeps += 1
         spurious_total += report.aggregates["status_counts"].get(
             SPURIOUS_LOCAL_MIN, 0
         )
@@ -396,14 +425,15 @@ def criterion_8(seed=0, jobs=1):
             c["gradient_zero"] and c["objective_half"]
             for c in factory_checks.values()
         ),
-        "factories_probe_minimal": all(
-            c["probe_locally_minimal"] for c in factory_checks.values()
+        "factories_inconclusive_with_exact_escape": all(
+            c["classified_inconclusive"] and c["exact_escape"]
+            for c in factory_checks.values()
         ),
         "zero_spurious_on_lacking_tuples": spurious_total == 0,
     }
     return _result(
         8, "width dichotomy sweep", start, checks, budget_s=600.0,
-        lacking_tuples=len(lacking), sweeps=sweeps,
+        lacking_tuples=len(lacking), sweeps=len(lacking),
         factory=factory_checks, spurious=spurious_total,
     )
 

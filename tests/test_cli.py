@@ -183,6 +183,23 @@ def test_a_drift_along_the_rescaling_symmetry_stops_on_the_plateau():
         "converged": 176, "max_iter": 0, "plateau": 1, "line_search": 0}
 
 
+def test_a_step_that_moves_no_weight_ends_the_descent():
+    # widths (3, 3, 1, 2), seed 213347265, trial 0: the accepted step
+    # falls under the weights' rounding near gradient norm 2.6e-7, and
+    # from then on every iteration would repeat the same state
+    def sweep(max_iter):
+        return cli.gd_sweep(trials=1, seed=213347265, tol=Tolerances(grad_abs=1e-7),
+                            dims=(3, 3, 1, 2), max_iter=max_iter).records[0]
+
+    rec = sweep(300)
+    assert rec["exit_reason"] == "line_search"
+    assert rec["iterations"] < 100
+    capped = sweep(rec["iterations"])
+    assert capped["exit_reason"] == "max_iter"
+    for key in ("objective", "gradient_norm", "iterations", "status"):
+        assert capped[key] == rec[key]
+
+
 @pytest.mark.parametrize("flag", ["--x", "--y"])
 def test_gd_sweep_data_without_dims_is_an_input_error(flag, tmp_path, capsys):
     # with --dim-cap 1 every drawn width fits this 1 x 1 matrix; the

@@ -37,14 +37,14 @@ def _sphere_direction(rng, shapes, radius):
     return out
 
 
-def reference_min_deltas(point, loss=None, tol=DEFAULT_TOL, seed=None, objective_fn=None):
+def reference_min_deltas(point, loss=None, tol=DEFAULT_TOL, seed=None):
     """The probe as it was before batching: one sample at a time."""
     loss = loss or landscape.SquaredError()
-    if objective_fn is None:
-        def objective_fn(weights):
-            mats = list(weights) + [point.x]
-            prod = np.linalg.multi_dot(mats) if len(mats) > 1 else mats[0]
-            return loss.value(prod, point.y)
+
+    def objective_fn(weights):
+        mats = list(weights) + [point.x]
+        prod = np.linalg.multi_dot(mats) if len(mats) > 1 else mats[0]
+        return loss.value(prod, point.y)
 
     base = objective_fn(point.weights)
     shapes = [w.shape for w in point.weights]
@@ -111,33 +111,21 @@ def test_a_plugin_loss_matches_slice_by_slice():
         assert got == reference_min_deltas(point, loss, TOL, seed=5)
 
 
-def test_an_objective_fn_is_called_once_per_sample():
-    point = _point((2, 3, 3), 3, zero=False, seed=11)
-    calls = []
-
-    def tanh_objective(ws):
-        calls.append(1)
-        out = np.tanh(ws[0] @ np.tanh(ws[1] @ point.x))
-        return 0.5 * float(np.linalg.norm(out - point.y) ** 2)
-
-    got = local_min_probe(point, tol=TOL, seed=2, objective_fn=tanh_objective).min_deltas
-    assert len(calls) == 1 + TOL.probe_samples * len(TOL.probe_radius_schedule)
-    assert got == reference_min_deltas(point, tol=TOL, seed=2, objective_fn=tanh_objective)
-
-
 def test_nan_samples_are_skipped():
     point = _point((2, 2, 2), 2, zero=False, seed=4)
     state = {"n": 0}
 
-    def every_third_nan(ws):
+    def every_third_nan(out, y):
         state["n"] += 1
         if state["n"] % 3 == 0:
             return np.nan
-        return 0.5 * float(np.linalg.norm(ws[0] @ ws[1] @ point.x - point.y) ** 2)
+        return 0.5 * float(np.linalg.norm(out - y) ** 2)
 
-    got = local_min_probe(point, tol=TOL, objective_fn=every_third_nan).min_deltas
+    loss = ConvexPlugin(every_third_nan, lambda out, y: out - y)
+    got = local_min_probe(point, loss, TOL).min_deltas
+    assert state["n"] == 1 + TOL.probe_samples * len(TOL.probe_radius_schedule)
     state["n"] = 0
-    assert got == reference_min_deltas(point, tol=TOL, objective_fn=every_third_nan)
+    assert got == reference_min_deltas(point, loss, TOL)
     assert all(np.isfinite(got))
 
 

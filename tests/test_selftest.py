@@ -6,9 +6,10 @@ from openmap import selftest
 from openmap.cli import main
 
 # criteria fast enough for tier-1, with the runtime check each one carries;
-# 1, 2 and 8 are left out: their SpuriousLocalMin expectation (criterion
-# 8's factories_probe_minimal) is a known defect, and 8 takes minutes
+# 3 and 8 take minutes (8 runs in tests/test_selftest_slow.py)
 FAST_CRITERIA = {
+    1: "runtime_under_1s",
+    2: "runtime_under_1s",
     4: "runtime_under_1min",
     5: "runtime_under_10s",
     6: "runtime_under_1min",
