@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, NotConstructible, NumericalFailure
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, EPS, null_space, rank, spectrum
+from .numcore import DEFAULT_TOL, EPS, _row_dots, null_space, rank, spectrum
 
 GLOBAL_MIN = "GlobalMin"
 SECOND_ORDER_SADDLE = "SecondOrderSaddle"
@@ -223,13 +223,6 @@ def _chain_product(order, mats):
         return mats[order]
     left, right = order
     return np.matmul(_chain_product(left, mats), _chain_product(right, mats))
-
-
-def _row_dots(a):
-    """Each row of ``a`` dotted with itself through BLAS ``ddot``, the
-    call ``np.linalg.norm`` makes, so the sums match it bit for bit
-    (``einsum`` adds in another order)."""
-    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
 
 
 def _least_half_squares(norms):

@@ -7,7 +7,11 @@ batched solver behind the recovery oracles.
 * A ``Spectrum`` holds one full SVD with the rank and ambiguity flag read
   off it, so a matrix whose ranks, flags and bases are all needed is
   decomposed once.
-* ``lm_fit`` is the one batched Levenberg-Marquardt loop.
+* ``truncated_svd`` takes a matrix or a ``(..., m, n)`` stack, as
+  ``rank`` and ``singular_values`` do; ``_row_dots`` gives the squared
+  row norms that ``np.linalg.norm`` computes, bit for bit.
+* ``lm_fit`` is the one batched Levenberg-Marquardt loop; each iteration
+  works only on the trials still live.
 
 All operations are pure functions of their arguments and safe to call
 concurrently.
@@ -130,12 +134,25 @@ def svd(mat, full_matrices=True):
     return u, s, vt.T
 
 
+def _as_stack(mat):
+    """A matrix or a ``(..., m, n)`` stack as a float array; a stack
+    passes the matrix checks as one tall matrix."""
+    mat = np.asarray(mat, dtype=float)
+    as_matrix(mat.reshape(-1, mat.shape[-1]) if mat.ndim > 2 else mat)
+    return mat
+
+
+def _row_dots(a):
+    """Each row of ``a`` dotted with itself through BLAS ``ddot``, the
+    call ``np.linalg.norm`` makes, so the sums match it bit for bit
+    (``einsum`` adds in another order)."""
+    return (a[:, None, :] @ a[:, :, None])[:, 0, 0]
+
+
 def singular_values(mat):
     """Descending singular values of a matrix, or of each matrix of a
     ``(..., m, n)`` stack."""
-    mat = np.asarray(mat, dtype=float)
-    # a stack passes the matrix checks as one tall matrix
-    as_matrix(mat.reshape(-1, mat.shape[-1]) if mat.ndim > 2 else mat)
+    mat = _as_stack(mat)
     try:
         return np.linalg.svd(mat, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -279,15 +296,20 @@ def bounded_basis(mat, tol=DEFAULT_TOL):
 
 
 def truncated_svd(mat, max_rank):
-    """Best approximation of ``mat`` with rank at most ``max_rank``."""
-    mat = as_matrix(mat)
+    """Best approximation of ``mat`` with rank at most ``max_rank``, or of
+    each matrix of a ``(..., m, n)`` stack; a slice of a stack equals,
+    bit for bit, the call on that matrix alone."""
+    mat = _as_stack(mat)
     k = int(max_rank)
-    if k >= min(mat.shape):
+    if k >= min(mat.shape[-2:]):
         return mat.copy()
     if k <= 0:
         return np.zeros_like(mat)
-    u, s, v = svd(mat, full_matrices=False)
-    return (u[:, :k] * s[:k]) @ v[:, :k].T
+    try:
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    return (u[..., :k] * s[..., None, :k]) @ vt[..., :k, :]
 
 
 def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
@@ -297,7 +319,10 @@ def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
     Blocks start at zero, or at seeded normal jitter of scale
     ``init_scale`` drawn block by block.  ``jacobian(*blocks)`` returns the
     ``(targets, entries, unknowns)`` Jacobian with unknowns in block order.
-    Returns (blocks, residual_norms).
+    Each iteration runs only on the live trials, those above the residual
+    goal whose damping is below its cap; ``product`` and ``jacobian`` see
+    the live slices alone, and a trial's iterates equal, bit for bit, those
+    of fitting it with any other batch.  Returns (blocks, residual_norms).
     """
     t_count = targets.shape[0]
     rng = np.random.default_rng(seed)
@@ -312,27 +337,29 @@ def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
     res_norm = np.linalg.norm(res.reshape(t_count, -1), axis=1)
     goal = 0.05 * tol.residual_abs
     for _ in range(max_iter):
-        active = (res_norm > goal) & (lam < 1e14)
-        if not np.any(active):
+        live = np.flatnonzero((res_norm > goal) & (lam < 1e14))
+        if not live.size:
             break
-        jac = jacobian(*blocks)
-        rflat = res.reshape(t_count, -1)
+        live_blocks = [blk[live] for blk in blocks]
+        jac = jacobian(*live_blocks)
+        rflat = res[live].reshape(live.size, -1)
         grad = np.einsum("tri,tr->ti", jac, rflat)
         hess = np.einsum("tri,trj->tij", jac, jac)
         step = np.linalg.solve(
-            hess + lam[:, None, None] * eye_p[None], -grad[..., None]
+            hess + lam[live, None, None] * eye_p[None], -grad[..., None]
         )[..., 0]
         tried = [
             blk + step[:, lo:hi].reshape(blk.shape)
-            for blk, lo, hi in zip(blocks, offsets, offsets[1:])
+            for blk, lo, hi in zip(live_blocks, offsets, offsets[1:])
         ]
-        res_try = product(*tried) - targets
-        norm_try = np.linalg.norm(res_try.reshape(t_count, -1), axis=1)
-        improved = active & (norm_try < res_norm)
+        res_try = product(*tried) - targets[live]
+        norm_try = np.linalg.norm(res_try.reshape(live.size, -1), axis=1)
+        better = norm_try < res_norm[live]
+        improved, worse = live[better], live[~better]
         for blk, blk_try in zip(blocks, tried):
-            blk[improved] = blk_try[improved]
-        res[improved] = res_try[improved]
-        res_norm[improved] = norm_try[improved]
+            blk[improved] = blk_try[better]
+        res[improved] = res_try[better]
+        res_norm[improved] = norm_try[better]
         lam[improved] = np.maximum(lam[improved] * 0.3, 1e-14)
-        lam[active & ~improved] *= 10.0
+        lam[worse] *= 10.0
     return blocks, res_norm

@@ -13,7 +13,10 @@ Two regimes, split by comparing the inner dimension ``k`` with
 ``probe_openness`` is the brute-force cross-check: it samples feasible
 targets near the product and attempts factor recovery with a damped
 Gauss-Newton solver, declaring the point empirically open when every
-sampled target is reachable with small factor perturbations.
+sampled target is reachable with small factor perturbations.  Both stages
+run on the stack of all trials at once: ``sample_feasible_target`` takes
+one generator per trial and ``lm_fit`` iterates the live trials only, and
+each trial's result is, bit for bit, what a batch of one would give.
 """
 
 from dataclasses import dataclass
@@ -25,6 +28,7 @@ from .matrixio import as_matrix
 from .numcore import (
     DEFAULT_TOL,
     SubspaceBasis,
+    _row_dots,
     _sv_rank,
     intersection_dim,
     lm_fit,
@@ -227,31 +231,54 @@ def _verify_witnesses(pair, wt1, wt2, tol):
         raise GenericScaleFailed("w2 + wt2 is not full row rank")
 
 
-def sample_feasible_target(z, rank_cap, delta, rng, iters=80):
-    """A matrix of rank at most ``rank_cap`` at Frobenius distance
+def _norms(stack):
+    """Frobenius norm of each matrix of a stack, bit for bit the
+    ``np.linalg.norm`` of that matrix."""
+    return np.sqrt(_row_dots(stack.reshape(len(stack), -1)))
+
+
+def sample_feasible_target(z, rank_cap, delta, rngs, iters=80):
+    """One target per generator of ``rngs``, as a ``(len(rngs), m, n)``
+    stack: a matrix of rank at most ``rank_cap`` at Frobenius distance
     approximately ``delta`` from ``z`` (exactly feasible, distance within
-    rounding of ``delta``)."""
+    rounding of ``delta``).
+
+    Trial ``t`` draws a standard-normal ``g`` from ``rngs[t]`` (up to 8
+    draws while its norm is zero), truncates ``z + r`` with ``r`` along
+    ``g`` at norm ``delta``, and then rescales ``r = zt - z`` to norm
+    ``delta`` and truncates again until ``|r|`` is ``delta`` to a relative
+    ``1e-12``, for at most ``iters`` rounds.  When truncation swallows the
+    move (``|r| <= 1e-9 delta``), ``r`` becomes ``g`` truncated to rank
+    ``max(1, rank_cap)``.  Each round runs on the stack of trials still
+    moving, so a slice equals, bit for bit, the target of a batch of one.
+    ``delta == 0`` returns copies of ``z`` and draws nothing.
+    """
     z = as_matrix(z, "z")
-    if delta == 0.0:
-        return z.copy()
-    for _ in range(8):
-        g = rng.standard_normal(z.shape)
-        norm = np.linalg.norm(g)
-        if norm > 0:
-            break
-    r = g * (delta / np.linalg.norm(g))
-    zt = truncated_svd(z + r, rank_cap)
+    if delta == 0.0 or not len(rngs):
+        return np.repeat(z[None], len(rngs), axis=0)
+    g = np.stack([rng.standard_normal(z.shape) for rng in rngs])
+    g_norm = _norms(g)
+    for t in np.flatnonzero(g_norm == 0.0):
+        for _ in range(7):
+            g[t] = rngs[t].standard_normal(z.shape)
+            g_norm[t] = np.linalg.norm(g[t])
+            if g_norm[t] > 0:
+                break
+    zt = truncated_svd(z + g * (delta / g_norm)[:, None, None], rank_cap)
+    live = np.arange(len(rngs))
     for _ in range(iters):
-        r = zt - z
-        nr = np.linalg.norm(r)
-        if nr <= delta * 1e-9:
+        r = zt[live] - z
+        nr = _norms(r)
+        swallowed = np.flatnonzero(nr <= delta * 1e-9)
+        if swallowed.size:
             # truncation swallowed the move; bias along a feasible direction
-            r = truncated_svd(g, max(1, rank_cap)) * 1.0
-            nr = np.linalg.norm(r)
-        if abs(nr - delta) <= 1e-12 * delta:
+            r[swallowed] = truncated_svd(g[live[swallowed]], max(1, rank_cap))
+            nr[swallowed] = _norms(r[swallowed])
+        moving = np.abs(nr - delta) > 1e-12 * delta
+        live, r, nr = live[moving], r[moving], nr[moving]
+        if not live.size:
             break
-        r = r * (delta / nr)
-        zt = truncated_svd(z + r, rank_cap)
+        zt[live] = truncated_svd(z + r * (delta / nr)[:, None, None], rank_cap)
     return zt
 
 
@@ -314,7 +341,9 @@ def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
 
 def probe_openness(pair, delta, trials, tol=DEFAULT_TOL, seed=None):
     """Empirical openness check: sample feasible targets at distance
-    ``delta`` and report the fraction recoverable with small factors."""
+    ``delta`` and report the fraction recoverable with small factors.
+    Trial ``t`` draws from the generator seeded ``[seed, t]``; one stacked
+    sampler call makes every target."""
     if delta < 0:
         raise InputError("delta must be non-negative")
     if trials <= 0:
@@ -322,12 +351,9 @@ def probe_openness(pair, delta, trials, tol=DEFAULT_TOL, seed=None):
     seed = tol.rng_seed if seed is None else seed
     z = pair.product
     rank_cap = min(pair.m, pair.n, pair.k)
-    targets = np.empty((trials, pair.m, pair.n))
-    input_deltas = np.empty(trials)
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        targets[t] = sample_feasible_target(z, rank_cap, delta, rng)
-        input_deltas[t] = np.linalg.norm(targets[t] - z)
+    rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
+    targets = sample_feasible_target(z, rank_cap, delta, rngs)
+    input_deltas = _norms(targets - z)
     fit = gauss_newton_recover(pair.w1, pair.w2, targets, delta, tol, seed=seed)
     success = fit["success"]
     norms = fit["factor_norm"][success]

@@ -295,9 +295,8 @@ def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=None):
             "max_residual": 0.0,
             "errors": [],
         }
-        for t in range(trials):
-            rng = np.random.default_rng([seed, d_idx, t])
-            target = sample_feasible_target(z, rank_cap, delta, rng)
+        rngs = [np.random.default_rng([seed, d_idx, t]) for t in range(trials)]
+        for target in sample_feasible_target(z, rank_cap, delta, rngs):
             try:
                 wit = realize(pair, target, tol)
             except Exception as exc:  # noqa: BLE001 - per-trial record

@@ -143,6 +143,36 @@ def _grid_matrices(rows, cols):
     return grid.reshape(-1, rows, cols)
 
 
+def _exact_rank(mats):
+    """Exact ranks of a ``(..., m, n)`` stack of integer-valued matrices
+    by fraction-free (Bareiss) elimination with row pivoting: each entry
+    stays an integer minor of the input, so no rounding decides a rank.
+    The minors and their pairwise products must fit in ``int64``, as they
+    do for the small grids of criterion 3."""
+    a = np.array(mats, dtype=np.int64)
+    lead, (m, n) = a.shape[:-2], a.shape[-2:]
+    a = a.reshape(-1, m, n)
+    every = np.arange(len(a))
+    row = np.arange(m)
+    ranks = np.zeros(len(a), dtype=int)
+    prev = np.ones(len(a), dtype=np.int64)
+    for c in range(n):
+        # pivot: the first row at or below the rank with a nonzero in column c
+        cand = (a[:, :, c] != 0) & (row >= ranks[:, None])
+        has = cand.any(axis=1)
+        r = np.minimum(ranks, m - 1)
+        p = np.where(has, cand.argmax(axis=1), r)
+        a[every, r], a[every, p] = a[every, p], a[every, r]
+        piv = a[every, r, c]
+        prow = a[every, r]
+        elim = (piv[:, None, None] * a - a[:, :, c:c + 1] * prow[:, None, :]) // prev[:, None, None]
+        below = has[:, None] & (row > r[:, None])
+        a[below] = elim[below]
+        prev[has] = piv[has]
+        ranks += has
+    return ranks.reshape(lead)
+
+
 def criterion_3(probe_trials=50, sample_cap=600, seed=0):
     """Exhaustive-grid verdicts cross-checked against the recovery oracle.
 
@@ -151,6 +181,9 @@ def criterion_3(probe_trials=50, sample_cap=600, seed=0):
     for the enumeration); the Gauss-Newton probe validates the verdicts
     exhaustively on the small shapes and on seeded samples of the large
     ones (full probing of all 7e5 pairs would dwarf the runtime budget).
+    Verdicts rest on exact ranks from integer elimination; the float ranks
+    of every grid matrix and product, and those ``check_openness`` reads
+    off its spectra, must equal them.
     """
     start = time.perf_counter()
     tol = DEFAULT_TOL
@@ -158,7 +191,7 @@ def criterion_3(probe_trials=50, sample_cap=600, seed=0):
     shapes = [
         (m, k, n) for m in (1, 2, 3) for n in (1, 2, 3) for k in (1, 2)
     ]
-    probed = agreed = flagged = verdict_mismatch = 0
+    probed = agreed = flagged = verdict_mismatch = rank_mismatch = 0
     enumerated = 0
     per_shape = []
     rng_master = np.random.default_rng(seed)
@@ -167,9 +200,14 @@ def criterion_3(probe_trials=50, sample_cap=600, seed=0):
         n1, n2 = len(w1s), len(w2s)
         total = n1 * n2
         enumerated += total
-        r1, r2 = rank(w1s, tol), rank(w2s, tol)
+        prods = np.einsum("aik,bkj->abij", w1s, w2s)
+        r1, r2 = _exact_rank(w1s), _exact_rank(w2s)
+        rp = np.array([_exact_rank(row) for row in prods])  # row by row: small temporaries
+        rank_mismatch += sum(
+            int((rank(mats, tol) != exact).sum())
+            for mats, exact in ((w1s, r1), (w2s, r2), (prods, rp))
+        )
         # verdicts for every pair via the rank identity
-        rp = rank(np.einsum("aik,bkj->abij", w1s, w2s), tol)
         if k >= min(m, n):
             d_nc = r2[None, :] - rp
             open_all = (d_nc <= k - m) | (
@@ -192,7 +230,8 @@ def criterion_3(probe_trials=50, sample_cap=600, seed=0):
             except IllConditioned:
                 flagged += 1
                 continue
-            if rep.open != bool(open_all[i, j]):
+            ranks = (rep.rank_w1, rep.rank_w2, rep.rank_product)
+            if rep.open != bool(open_all[i, j]) or ranks != (r1[i], r2[j], rp[i, j]):
                 verdict_mismatch += 1
                 continue
             probe = probe_openness(pair, delta, probe_trials, tol, seed=seed)
@@ -203,12 +242,13 @@ def criterion_3(probe_trials=50, sample_cap=600, seed=0):
     checks = {
         "agreement_at_least_99pct": agreement >= 0.99,
         "all_disagreements_flagged": (probed - agreed - flagged) == 0,
-        "decision_procedure_consistent": verdict_mismatch == 0,
+        "decision_procedure_consistent": verdict_mismatch == 0 and rank_mismatch == 0,
     }
     return _result(
         3, "openness oracle agreement", start, checks, budget_s=300.0,
         enumerated_pairs=enumerated, probed_pairs=probed,
-        agreement=agreement, flagged=flagged, per_shape=per_shape,
+        agreement=agreement, flagged=flagged, verdict_mismatches=verdict_mismatch,
+        float_rank_mismatches=rank_mismatch, per_shape=per_shape,
     )
 
 
@@ -234,8 +274,8 @@ def criterion_4(seed=0):
             continue
         ratios = []
         for d_idx, delta in enumerate(deltas):
-            target = sample_feasible_target(
-                pair.product, k, delta, np.random.default_rng([seed, pairs_done, d_idx])
+            (target,) = sample_feasible_target(
+                pair.product, k, delta, [np.random.default_rng([seed, pairs_done, d_idx])]
             )
             try:
                 wit = realize(pair, target)

@@ -32,7 +32,7 @@ class TestRealizeBasics:
     def test_rank_one_pair_small_target(self):
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
         rng = np.random.default_rng(1)
-        target = sample_feasible_target(p.product, 1, 1e-6, rng)
+        (target,) = sample_feasible_target(p.product, 1, 1e-6, [rng])
         wit = realize(p, target)
         assert wit.target_residual <= 1e-10
         assert wit.delta_norm <= 100 * 1e-6
@@ -46,7 +46,7 @@ class TestRealizeBasics:
         # rank-deficient regime: the realization reuses the product SVD
         # that the openness check made
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
-        target = sample_feasible_target(p.product, 1, 1e-6, np.random.default_rng(1))
+        (target,) = sample_feasible_target(p.product, 1, 1e-6, [np.random.default_rng(1)])
         product_svds = []
         real_svd = np.linalg.svd
 
@@ -74,8 +74,8 @@ class TestRealizeBasics:
     def test_delta_too_large_reports_radius(self):
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
         sigma_min = np.linalg.svd(p.product, compute_uv=False)[0]
-        big = sample_feasible_target(
-            p.product, 1, 2.0 * sigma_min, np.random.default_rng(3)
+        (big,) = sample_feasible_target(
+            p.product, 1, 2.0 * sigma_min, [np.random.default_rng(3)]
         )
         with pytest.raises(DeltaTooLarge) as err:
             realize(p, big)
@@ -83,8 +83,8 @@ class TestRealizeBasics:
 
     def test_zero_point_realizes_any_small_target(self):
         p = pair(np.zeros((3, 2)), np.zeros((2, 3)))
-        target = sample_feasible_target(
-            np.zeros((3, 3)), 2, 1e-6, np.random.default_rng(4)
+        (target,) = sample_feasible_target(
+            np.zeros((3, 3)), 2, 1e-6, [np.random.default_rng(4)]
         )
         wit = realize(p, target)
         assert wit.target_residual <= 1e-10
@@ -101,8 +101,8 @@ class TestRealizeRankDeficientStructure:
         w2 = np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0]])
         w1 = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
         p = pair(w1, w2)
-        target = sample_feasible_target(
-            p.product, 2, 1e-5, np.random.default_rng(5)
+        (target,) = sample_feasible_target(
+            p.product, 2, 1e-5, [np.random.default_rng(5)]
         )
         wit = realize(p, target)
         assert wit.target_residual <= 1e-10
@@ -118,7 +118,7 @@ class TestRealizeRankDeficientStructure:
         w2 = rng.standard_normal((2, 5))
         p = pair(w1, w2)
         u, _, v = svd(p.product)
-        target = sample_feasible_target(p.product, 2, 1e-4, rng)
+        (target,) = sample_feasible_target(p.product, 2, 1e-4, [rng])
         wit = realize(p, target)
         rotated = pair(u.T @ w1, w2 @ v)
         wit_rot = realize(rotated, u.T @ target @ v)
@@ -133,8 +133,8 @@ class TestRealizeRankDeficientStructure:
             p = pair(rng.standard_normal((m, k)), rng.standard_normal((k, n)))
             ratios = []
             for d_i, delta in enumerate(deltas):
-                target = sample_feasible_target(
-                    p.product, k, delta, np.random.default_rng([7, d_i])
+                (target,) = sample_feasible_target(
+                    p.product, k, delta, [np.random.default_rng([7, d_i])]
                 )
                 wit = realize(p, target)
                 assert wit.target_residual <= 1e-10
@@ -163,6 +163,11 @@ class TestMeasureDeltaRatio:
     def test_empty_delta_list(self):
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
         assert measure_delta_ratio(p, [], trials=3) == []
+
+    def test_zero_trials_give_empty_rows(self):
+        p = pair([[1.0], [2.0]], [[1.0, 1.0]])
+        table = measure_delta_ratio(p, [1e-3], trials=0)
+        assert table[0]["successes"] == 0 and table[0]["max_ratio"] is None
 
     def test_errors_recorded_not_raised(self):
         p = pair([[1.0], [1.0]], [[0.0, 0.0]])  # not open

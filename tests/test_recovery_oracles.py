@@ -62,10 +62,8 @@ def factor_outputs(name):
     w1, w2 = np.array(w1, dtype=float), np.array(w2, dtype=float)
     z = w1 @ w2
     cap = min(w1.shape[0], w1.shape[1], w2.shape[1])
-    targets = np.stack([
-        sample_feasible_target(z, cap, delta, np.random.default_rng([seed, t]))
-        for t in range(trials)
-    ])
+    rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
+    targets = sample_feasible_target(z, cap, delta, rngs)
     return _jsonable(gauss_newton_recover(w1, w2, targets, delta, DEFAULT_TOL, seed=seed))
 
 

@@ -1,12 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from openmap import selftest
 from openmap.cli import main
 
 # criteria fast enough for tier-1, with the runtime check each one carries;
-# 3 and 8 take minutes (8 runs in tests/test_selftest_slow.py)
+# 3 and 8 take a minute or more and run in tests/test_selftest_slow.py
 FAST_CRITERIA = {
     1: "runtime_under_1s",
     2: "runtime_under_1s",
@@ -61,3 +62,22 @@ def test_out_writes_one_object_per_criterion(tmp_path, capsys):
     for r in results:
         assert list(r) == ["number", "name", "passed", "seconds", "details"]
         assert r["passed"] is True
+
+
+def test_exact_rank_matches_the_float_rank_on_small_integer_matrices():
+    rng = np.random.default_rng(0)
+    for shape in ((1, 1), (2, 3), (3, 2), (3, 3), (4, 4), (3, 5)):
+        full = rng.integers(-3, 4, size=(500, *shape))
+        low = rng.integers(-2, 3, size=(500, shape[0], 2)) @ rng.integers(
+            -2, 3, size=(500, 2, shape[1]))
+        for mats in (full, low, 0 * full):
+            want = [np.linalg.matrix_rank(mat) for mat in mats]
+            assert selftest._exact_rank(mats).tolist() == want, shape
+
+
+def test_exact_rank_keeps_the_stack_shape_and_pivots_past_zero_columns():
+    mats = np.array([[[0, 1, 0], [0, 2, 0], [0, 0, 3]],
+                     [[0, 0, 0], [0, 0, 0], [1, 1, 1]],
+                     [[2, 4, 6], [1, 2, 3], [3, 6, 9]],
+                     [[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+    assert selftest._exact_rank(mats.reshape(2, 2, 3, 3)).tolist() == [[2, 1], [1, 3]]

@@ -1,4 +1,5 @@
-"""Acceptance criteria that take minutes; run them with ``pytest -m slow``."""
+"""Acceptance criteria that take a minute or more; run them with
+``pytest -m slow``."""
 
 import pytest
 
@@ -11,3 +12,12 @@ def test_criterion_8_passes_inside_its_budget():
     checks = res.details["checks"]
     assert res.passed, checks
     assert list(checks)[-1] == "runtime_under_10min"
+
+
+@pytest.mark.slow
+def test_criterion_3_passes_inside_its_budget():
+    res = selftest.criterion_3()
+    checks = res.details["checks"]
+    assert res.passed, checks
+    assert list(checks)[-1] == "runtime_under_5min"
+    assert res.details["float_rank_mismatches"] == 0
