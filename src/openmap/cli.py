@@ -128,7 +128,6 @@ def _config_from(args, command, default_trials):
                 raise InputError(f"{flag} must be positive")
             kwargs[name] = value
     seed = args.seed if args.seed is not None else _env_int("OPENMAP_SEED", 0)
-    kwargs["rng_seed"] = seed
     jobs = args.jobs if args.jobs is not None else _env_int(
         "OPENMAP_JOBS", os.cpu_count() or 1
     )

@@ -193,38 +193,6 @@ class ProbeReport:
 _CHUNK_ELEMENTS = 1 << 18
 
 
-def _chain_order(p):
-    """Association tree in which ``np.linalg.multi_dot`` multiplies the
-    matrices of shapes ``p[i] x p[i + 1]``: a leaf is a matrix index, a
-    pair a product.  This is numpy's chain-order DP with its float costs
-    and strict ``<`` tie-break; for three matrices it reduces to
-    ``multi_dot``'s comparison of the two costs, for two to one product."""
-    n = len(p) - 1
-    cost = [[0.0] * n for _ in range(n)]
-    split = [[0] * n for _ in range(n)]
-    for length in range(1, n):
-        for i in range(n - length):
-            j = i + length
-            cost[i][j] = np.inf
-            for k in range(i, j):
-                q = cost[i][k] + cost[k + 1][j] + p[i] * p[k + 1] * p[j + 1]
-                if q < cost[i][j]:
-                    cost[i][j], split[i][j] = q, k
-
-    def tree(i, j):
-        return i if i == j else (tree(i, split[i][j]), tree(split[i][j] + 1, j))
-
-    return tree(0, n - 1)
-
-
-def _chain_product(order, mats):
-    """Product of ``mats`` (matrices or ``(n, r, c)`` stacks) in ``order``."""
-    if isinstance(order, int):
-        return mats[order]
-    left, right = order
-    return np.matmul(_chain_product(left, mats), _chain_product(right, mats))
-
-
 def _least_half_squares(norms):
     """The values ``0.5 * float(s ** 2)`` that ``SquaredError.value``
     gives the rows that can hold the least of them, NaN rows left out.
@@ -238,7 +206,7 @@ def _least_half_squares(norms):
     return [0.5 * float(s ** 2) for s in norms[sq <= cut]]
 
 
-def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=None):
+def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=0):
     """Sampled local-minimality check of ``loss`` (``None`` means
     ``SquaredError``): uniform directions on the parameter sphere at each
     scheduled radius; the verdict is minimal at resolution when no sampled
@@ -251,28 +219,26 @@ def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=None):
     skipped and the next one taken.  The draws come in chunks of rows
     sized so that no stacked array exceeds ``_CHUNK_ELEMENTS`` doubles,
     and each chunk is scaled to the sphere, split into ``(rows, *shape)``
-    weight stacks and pushed through the chain ``(W_h+D_h)...(W_1+D_1) X``
-    with stacked matmuls, in the order ``np.linalg.multi_dot`` picks.  The
+    weight stacks and pushed through ``_forward``, whose matmuls broadcast
+    the stacks against ``X``; the base is ``_forward`` at the point, so
+    ``min_deltas`` are measured from the value ``objective`` gives.  The
     chunk size never changes a result: ``min_deltas`` equal, bit for bit,
-    those of evaluating the samples one at a time.  A loss other than
-    ``SquaredError`` is evaluated on each sample's slice of the stacked
-    product.  Samples whose value is NaN are skipped.
+    those of evaluating ``objective`` on the samples one at a time.  A loss
+    other than ``SquaredError`` is evaluated on each sample's slice of the
+    stacked output.  Samples whose value is NaN are skipped.
 
     Raises ``NumericalFailure`` when the objective at the point itself is
     not finite.
     """
     loss = loss or SquaredError()
     weights, x, y = point.weights, point.x, point.y
-    base = loss.value(product_matrix(weights + [x]), y)
+    base = loss.value(_forward(weights, x)[-1], y)
     if not np.isfinite(base):
         raise NumericalFailure(f"the objective overflows at this point: {base}")
     sizes = [w.size for w in weights]
     total = sum(sizes)
-    p = [w.shape[0] for w in weights] + list(x.shape)
-    order = _chain_order(p)
-    widest = max([total] + [a * b for i, a in enumerate(p) for b in p[i + 1:]])
+    widest = max([total] + [w.shape[0] * x.shape[1] for w in weights])
     chunk = max(1, _CHUNK_ELEMENTS // widest)
-    seed = tol.rng_seed if seed is None else seed
     radii, min_deltas = [], []
     for r_idx, radius in enumerate(tol.probe_radius_schedule):
         rng = np.random.default_rng([seed, r_idx])
@@ -286,12 +252,12 @@ def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=None):
             draws *= (radius / norms)[:, None]
             cols = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
             stacks = [w + d.reshape(len(d), *w.shape) for w, d in zip(weights, cols)]
-            prod = _chain_product(order, stacks + [x])
+            outs = _forward(stacks, x)[-1]
             if isinstance(loss, SquaredError):
-                resid = (prod - y).reshape(len(prod), y.size)
+                resid = (outs - y).reshape(len(outs), y.size)
                 vals = _least_half_squares(np.sqrt(_row_dots(resid)))
             else:
-                vals = [loss.value(out, y) for out in prod]
+                vals = [loss.value(out, y) for out in outs]
             deltas = np.asarray(vals, dtype=float) - base
             worst = min(worst, np.min(deltas, initial=np.inf, where=~np.isnan(deltas)))
         radii.append(float(radius))
@@ -324,8 +290,7 @@ class ClassificationReport:
     certificates: list
 
 
-def _verify_descent(point, loss, dirs, order, case, tol):
-    base = objective(point.weights, point.x, point.y, loss)
+def _verify_descent(point, loss, base, dirs, order, case, tol):
     t = 1.0
     for _ in range(_MAX_HALVINGS):
         moved = [w + t * d for w, d in zip(point.weights, dirs)]
@@ -359,18 +324,17 @@ def _data_indices(g_x):
     return int(i), int(j)
 
 
-def _choose_alphas(point, loss, dirs, q, primary_idx, secondary_idx, t1, t2):
+def _choose_alphas(point, loss, out, g_mat, dirs, q, primary_idx, secondary_idx, t1, t2):
     """Fix the two free scalars so the leading surviving term of the loss
-    expansion is strictly negative, then verify by backtracking."""
-    out_base = product_matrix(point.weights) @ point.x
-    g_mat = loss.grad(out_base, point.y)
+    expansion, against the output ``out`` and loss gradient ``g_mat`` at
+    the point, is strictly negative."""
     scale = max(1.0, np.linalg.norm(t1) * np.linalg.norm(g_mat))
     v1 = float(np.sum(t1 * g_mat))
     if primary_idx is not None and abs(v1) > 1e-9 * scale:
         sign = -np.sign(v1)
-        out = list(dirs)
-        out[primary_idx] = sign * out[primary_idx]
-        return out, q
+        scaled = list(dirs)
+        scaled[primary_idx] = sign * scaled[primary_idx]
+        return scaled, q
     # leading term vanishes; push the next order negative with the
     # secondary scalar, inflating past the curvature constant when the
     # two orders collide
@@ -385,14 +349,14 @@ def _choose_alphas(point, loss, dirs, q, primary_idx, secondary_idx, t1, t2):
         else:
             h_step = 1e-4 / max(1.0, np.linalg.norm(t1))
             c_alpha = 0.5 * abs(
-                loss.value(out_base + h_step * t1, point.y)
-                + loss.value(out_base - h_step * t1, point.y)
-                - 2 * loss.value(out_base, point.y)
+                loss.value(out + h_step * t1, point.y)
+                + loss.value(out - h_step * t1, point.y)
+                - 2 * loss.value(out, point.y)
             ) / h_step**2
     alpha = -np.sign(v2) * 2.0 * (c_alpha + 1.0) / abs(v2)
-    out = list(dirs)
-    out[secondary_idx] = alpha * out[secondary_idx]
-    return out, q + 1
+    scaled = list(dirs)
+    scaled[secondary_idx] = alpha * scaled[secondary_idx]
+    return scaled, q + 1
 
 
 def _chain_pairs(ks, p_space, b_space):
@@ -461,8 +425,10 @@ def _deep_chain(weights, i_idx, j_idx, tol):
     return dirs, case, h - kstar + 1
 
 
-def _deep_direction(point, loss, g_x, tol):
-    """Descent direction at a degenerate critical point of depth >= 2.
+def _deep_direction(point, loss, out, g_out, g_x, obj, tol):
+    """Descent direction at a degenerate critical point of depth >= 2,
+    given the output ``out``, loss gradient ``g_out``, its pull-back
+    ``g_x`` to the input and the objective ``obj`` at the point.
 
     ``_deep_chain`` hinges on a null vector of the top layer.  Because
     ``(W_h ... W_1)^T = W_1^T ... W_h^T``, the same construction run on
@@ -502,16 +468,17 @@ def _deep_direction(point, loss, g_x, tol):
         t1 = product_matrix(mats + [point.x])
         mats[secondary] = dirs[secondary]
         t2 = product_matrix(mats + [point.x])
-        chosen, order = _choose_alphas(point, loss, dirs, q, primary, secondary, t1, t2)
+        chosen, order = _choose_alphas(
+            point, loss, out, g_out, dirs, q, primary, secondary, t1, t2)
         if chosen is None:
             continue
-        found = _verify_descent(point, loss, chosen, order, case, tol)
+        found = _verify_descent(point, loss, obj, chosen, order, case, tol)
         if found is not None:
             return found
     return None
 
 
-def classify(point, loss=None, tol=DEFAULT_TOL, seed=None):
+def classify(point, loss=None, tol=DEFAULT_TOL, seed=0):
     """Classify a training point of the linear-network objective under
     ``loss`` (``None`` means ``SquaredError``): ``NotCritical``,
     ``GlobalMin``, ``SecondOrderSaddle`` or ``SaddleHigherOrder`` (depth
@@ -575,7 +542,7 @@ def classify(point, loss=None, tol=DEFAULT_TOL, seed=None):
              "value": prod_rank}
         )
     else:  # depth >= 2: at depth one criticality is stationarity
-        direction = _deep_direction(point, loss, g_x, tol)
+        direction = _deep_direction(point, loss, acts[-1], g_out, g_x, obj, tol)
         if direction is not None:
             status = SECOND_ORDER_SADDLE if point.depth == 2 else SADDLE_HIGHER_ORDER
             return report(status, direction)

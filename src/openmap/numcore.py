@@ -49,7 +49,6 @@ class Tolerances:
     residual_abs: float = 1e-10
     probe_radius_schedule: tuple = (1e-2, 1e-3, 1e-4)
     probe_samples: int = 2000
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.rank_rel is not None and self.rank_rel <= 0:

@@ -339,7 +339,7 @@ def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
     }
 
 
-def probe_openness(pair, delta, trials, tol=DEFAULT_TOL, seed=None):
+def probe_openness(pair, delta, trials, tol=DEFAULT_TOL, seed=0):
     """Empirical openness check: sample feasible targets at distance
     ``delta`` and report the fraction recoverable with small factors.
     Trial ``t`` draws from the generator seeded ``[seed, t]``; one stacked
@@ -348,7 +348,6 @@ def probe_openness(pair, delta, trials, tol=DEFAULT_TOL, seed=None):
         raise InputError("delta must be non-negative")
     if trials <= 0:
         raise InputError("trials must be a positive count")
-    seed = tol.rng_seed if seed is None else seed
     z = pair.product
     rank_cap = min(pair.m, pair.n, pair.k)
     rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
@@ -363,7 +362,7 @@ def probe_openness(pair, delta, trials, tol=DEFAULT_TOL, seed=None):
         "successes": int(success.sum()),
         "success_fraction": float(success.mean()),
         "max_factor_norm": float(norms.max()) if norms.size else 0.0,
-        "max_input_delta": float(input_deltas.max()) if trials else 0.0,
+        "max_input_delta": float(input_deltas.max()),
         "per_trial": [
             {
                 "trial": t,

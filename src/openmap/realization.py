@@ -279,10 +279,9 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
     return _realize_full_rank(pair, z_tilde, input_delta, report, tol)
 
 
-def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=None):
+def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=0):
     """Empirical proportionality constant between target distance and
     factor-perturbation size; one row per requested distance."""
-    seed = tol.rng_seed if seed is None else seed
     z = pair.product
     rank_cap = min(pair.m, pair.n, pair.k)
     table = []

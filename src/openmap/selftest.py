@@ -19,7 +19,6 @@ from .landscape import (
     admissible_width_pair,
     classify,
     counterexample_factory,
-    global_value,
     gradient,
     gradient_norm,
     objective,
@@ -82,24 +81,22 @@ def _factory_check(dims):
     exact values, its ``Inconclusive`` verdict with the probe attached, and
     the exact change on the escape that grows ``W_3[-1, 0]``, ``W_2[0, 0]``
     and ``W_1[0, -1]`` as ``s``, ``s^2`` and ``s``."""
-    x, y, point = counterexample_factory(dims)
+    _, _, point = counterexample_factory(dims)
     units = [np.zeros_like(w) for w in point.weights]
     for d, idx in zip(units, ((-1, 0), (0, 0), (0, -1))):
         d[idx] = 1.0
     escape = _exact_change(point, list(zip((1, 2, 1), units)))
-    obj = objective(point.weights, x, y)
-    gnorm = gradient_norm(gradient(point.weights, x, y))
-    gv = global_value(min(point.dims), x, y)
     report = classify(point)
     checks = {
-        "objective_half": abs(obj - 0.5) <= 1e-12,
-        "gradient_zero": gnorm <= 1e-12,
-        "global_value_zero": abs(gv) <= 1e-12,
+        "objective_half": abs(report.objective - 0.5) <= 1e-12,
+        "gradient_zero": report.gradient_norm <= 1e-12,
+        "global_value_zero": abs(report.global_value) <= 1e-12,
         "classified_inconclusive": _probed_inconclusive(report),
         "exact_escape": escape == Fraction(-7, 512),
     }
     return checks, dict(
-        objective=obj, gradient_norm=gnorm, global_value=gv, status=report.status,
+        objective=report.objective, gradient_norm=report.gradient_norm,
+        global_value=report.global_value, status=report.status,
         probe_min_deltas=report.certificates[-1]["value"], escape_at_half=str(escape),
     )
 
@@ -263,8 +260,6 @@ def criterion_4(seed=0):
     pairs_done = 0
     while pairs_done < 20:
         m, n = (int(v) for v in rng.integers(2, 7, size=2))
-        if min(m, n) < 2:
-            continue
         k = int(rng.integers(1, min(m, n)))
         pair = FactorPair(
             rng.standard_normal((m, k)), rng.standard_normal((k, n))
@@ -280,7 +275,7 @@ def criterion_4(seed=0):
             try:
                 wit = realize(pair, target)
             except DomainRefusal as exc:
-                if isinstance(exc, DomainRefusal) and getattr(exc, "delta0", None):
+                if getattr(exc, "delta0", None):
                     continue  # above the certified radius: allowed to refuse
                 failures.append(f"{type(exc).__name__} at delta={delta}")
                 continue

@@ -32,7 +32,7 @@ from .errors import (
     RankInfeasible,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, _sv_rank, lm_fit, null_space, rank
+from .numcore import DEFAULT_TOL, _sv_rank, lm_fit, null_space
 
 # safety floors from the diagonal recursion: radicands must stay above
 # 1/4 and pivots above 1/2 for the sweep to be well defined
@@ -163,7 +163,7 @@ def sym_realize(w, sigma_tilde, tol=DEFAULT_TOL):
     scale = max(1.0, float(np.abs(t_vals).max()))
     if t_vals.min() < -tol.residual_abs * scale:
         raise NotPSD(f"target has eigenvalue {t_vals.min():.3e} below tolerance")
-    r_target = rank(sigma_tilde, tol)
+    r_target = _sv_rank(np.sort(np.abs(t_vals))[::-1], sigma_tilde.shape, tol)
     if r_target > k:
         raise RankInfeasible(f"target rank {r_target} exceeds the factor width {k}")
 

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module-level private function or class is named somewhere in the
+package outside its own definition.
 
-No linter is part of the toolchain, so this guard parses each source
+No linter is part of the toolchain, so these guards parse each source
 file with ``ast``.  An import statement marked ``# noqa: F401`` (the
 package's re-exports) is exempt.
 """
@@ -30,6 +32,29 @@ def _unused_imports(path):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _orphans(paths):
+    """``(file, name)`` of each module-level private function or class in
+    ``paths`` that no top-level statement but its own definition names, as
+    a name, an attribute or an imported name."""
+    defs, uses = [], []
+    for path in paths:
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                defs.append((path.name, stmt.name, len(uses)))
+            uses.append(names)
+    return sorted((file, name) for file, name, own in defs
+                  if not any(name in used for i, used in enumerate(uses) if i != own))
+
+
 @pytest.mark.parametrize("path", SRC, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
@@ -40,3 +65,16 @@ def test_the_guard_sees_an_unused_import(tmp_path):
     path.write_text("import os\nfrom json import dumps, loads  # noqa: F401\n"
                     "from math import pi, tau\n\nprint(tau)\n")
     assert _unused_imports(path) == [(1, "os"), (3, "pi")]
+
+
+def test_every_private_definition_is_named_outside_itself():
+    assert _orphans(SRC) == []
+
+
+def test_the_guard_sees_an_orphan(tmp_path):
+    lib, user = tmp_path / "lib.py", tmp_path / "user.py"
+    lib.write_text("def _chain(n):\n    return n and _chain(n - 1)\n\n\n"
+                   "def _used():\n    pass\n\n\nclass _Dead:\n    pass\n\n\n"
+                   "def _attr():\n    pass\n")
+    user.write_text("import lib\nfrom lib import _used  # noqa: F401\n\nlib._attr()\n")
+    assert _orphans([lib, user]) == [("lib.py", "_Dead"), ("lib.py", "_chain")]

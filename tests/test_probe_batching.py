@@ -1,6 +1,6 @@
 """``local_min_probe`` evaluates its sphere samples as stacked matmuls in
-row chunks; these tests pin it, bit for bit, to the one-sample-at-a-time
-probe it replaced, which is kept here as the reference."""
+row chunks; these tests pin it, bit for bit, to a reference probe that
+evaluates ``landscape.objective`` on one sample at a time."""
 
 import itertools
 import tracemalloc
@@ -10,10 +10,10 @@ import pytest
 
 from openmap import landscape
 from openmap.landscape import (
+    INCONCLUSIVE,
     ConvexPlugin,
     NetworkPoint,
-    _chain_order,
-    _chain_product,
+    classify,
     local_min_probe,
     rank_deficient_y_fixture,
 )
@@ -37,18 +37,15 @@ def _sphere_direction(rng, shapes, radius):
     return out
 
 
-def reference_min_deltas(point, loss=None, tol=DEFAULT_TOL, seed=None):
-    """The probe as it was before batching: one sample at a time."""
-    loss = loss or landscape.SquaredError()
+def reference_min_deltas(point, loss=None, tol=DEFAULT_TOL, seed=0, base=None):
+    """The least ``objective(sample) - base`` at each radius, one sample at
+    a time; ``base`` defaults to ``objective`` at the point."""
 
     def objective_fn(weights):
-        mats = list(weights) + [point.x]
-        prod = np.linalg.multi_dot(mats) if len(mats) > 1 else mats[0]
-        return loss.value(prod, point.y)
+        return landscape.objective(weights, point.x, point.y, loss)
 
-    base = objective_fn(point.weights)
+    base = objective_fn(point.weights) if base is None else base
     shapes = [w.shape for w in point.weights]
-    seed = tol.rng_seed if seed is None else seed
     min_deltas = []
     for r_idx, radius in enumerate(tol.probe_radius_schedule):
         rng = np.random.default_rng([seed, r_idx])
@@ -141,34 +138,9 @@ def test_least_half_squares_square_the_scalar_way():
         assert min(landscape._least_half_squares(rows)) == want
 
 
-def test_chain_order_matches_multi_dot_bit_for_bit():
-    rng = np.random.default_rng(0)
-    for count, widths in ((2, (1, 2, 3, 5)), (3, (1, 2, 3, 5)), (4, (1, 2, 3, 5)),
-                          (5, (1, 3, 5))):
-        for p in itertools.product(widths, repeat=count + 1):
-            mats = [rng.standard_normal((p[i], p[i + 1])) for i in range(count)]
-            order = _chain_order(list(p))
-            assert np.array_equal(_chain_product(order, mats), np.linalg.multi_dot(mats)), p
-            stacks = [np.stack([m, 2.0 * m - 1.0]) for m in mats]
-            stacked = _chain_product(order, stacks)
-            for i in range(2):
-                assert np.array_equal(
-                    stacked[i], np.linalg.multi_dot([s[i] for s in stacks])
-                ), p
-
-
-def test_chain_order_keeps_the_strict_tie_break():
-    assert _chain_order([10, 100, 5, 50]) == ((0, 1), 2)
-    assert _chain_order([1, 1, 1, 1]) == (0, (1, 2))  # equal costs: A(BC)
-    assert _chain_order([1, 1, 1, 1, 1]) == (0, (1, (2, 3)))
-    assert _chain_order([3, 4]) == 0
-    assert _chain_order([3, 4, 5]) == (0, 1)
-
-
 def _chunk_rows(monkeypatch, point, rows):
-    p = [w.shape[0] for w in point.weights] + list(point.x.shape)
     widest = max([sum(w.size for w in point.weights)]
-                 + [a * b for i, a in enumerate(p) for b in p[i + 1:]])
+                 + [w.shape[0] * point.x.shape[1] for w in point.weights])
     monkeypatch.setattr(landscape, "_CHUNK_ELEMENTS", rows * widest)
 
 
@@ -234,7 +206,7 @@ def test_zero_draws_are_skipped_in_stream_order(monkeypatch):
 
 def test_memory_stays_bounded_on_a_wide_net():
     # unchunked, each radius would stack 2000 x 3200 draws, their weight
-    # stacks and the chain products: a peak of about 195 MB
+    # stacks and the activations: a peak of about 195 MB
     dims = (40, 40, 40)
     point = _point(dims, 40, zero=False, seed=12)
     tracemalloc.start()
@@ -251,3 +223,21 @@ def test_a_net_of_64_parameters_takes_one_chunk_per_radius(monkeypatch):
     chunks = _record_chunks(monkeypatch)
     local_min_probe(point, tol=DEFAULT_TOL)
     assert chunks == [DEFAULT_TOL.probe_samples] * len(DEFAULT_TOL.probe_radius_schedule)
+
+
+def test_a_non_degenerate_inconclusive_point_probes_from_its_objective():
+    """Two layers of width 1 on the second principal direction of ``y``
+    are critical, of full product rank and above the rank-one optimum:
+    ``Inconclusive``, and the probe's deltas are measured from the
+    objective the report gives."""
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((3, 3))
+    y = rng.standard_normal((2, 3))
+    u, s, vt = np.linalg.svd(y)
+    root = np.sqrt(s[1])
+    point = NetworkPoint([root * u[:, 1:2], root * vt[1:2] @ np.linalg.inv(x)], x, y)
+    report = classify(point, tol=TOL, seed=4)
+    assert report.status == INCONCLUSIVE and not report.degenerate
+    assert report.objective > report.global_value
+    want = reference_min_deltas(point, tol=TOL, seed=4, base=report.objective)
+    assert report.certificates[-1]["value"] == want
