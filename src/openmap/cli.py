@@ -211,8 +211,8 @@ def _gd_trial(payload):
         result = run_gradient_descent(point, tol=tol, max_iter=max_iter)
     except NumericalFailure as exc:
         raise NumericalFailure(f"trial {trial}: {exc}") from exc
-    gv = global_value(min(dims), x, y, tol)
     rep = classify(result.point, tol=tol) if result.converged else None
+    gv = rep.global_value if rep else global_value(min(dims), x, y, tol)
     return {
         "trial": trial,
         "dims": list(dims),

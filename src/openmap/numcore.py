@@ -11,7 +11,8 @@ batched solver behind the recovery oracles.
   ``rank`` and ``singular_values`` do; ``_row_dots`` gives the squared
   row norms that ``np.linalg.norm`` computes, bit for bit.
 * ``lm_fit`` is the one batched Levenberg-Marquardt loop; each iteration
-  works only on the trials still live.
+  works only on the trials still live and forms its normal equations with
+  one stacked matmul.
 
 All operations are pure functions of their arguments and safe to call
 concurrently.
@@ -321,7 +322,9 @@ def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
     Each iteration runs only on the live trials, those above the residual
     goal whose damping is below its cap; ``product`` and ``jacobian`` see
     the live slices alone, and a trial's iterates equal, bit for bit, those
-    of fitting it with any other batch.  Returns (blocks, residual_norms).
+    of fitting it with any other batch.  ``Jᵀr`` and ``JᵀJ`` come from one
+    stacked matmul, ``Jᵀ [r J]``, per iteration.  Returns (blocks,
+    residual_norms).
     """
     t_count = targets.shape[0]
     rng = np.random.default_rng(seed)
@@ -342,10 +345,10 @@ def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
         live_blocks = [blk[live] for blk in blocks]
         jac = jacobian(*live_blocks)
         rflat = res[live].reshape(live.size, -1)
-        grad = np.einsum("tri,tr->ti", jac, rflat)
-        hess = np.einsum("tri,trj->tij", jac, jac)
+        normal = jac.transpose(0, 2, 1) @ np.concatenate([rflat[..., None], jac], axis=2)
+        grad, hess = normal[..., :1], normal[..., 1:]
         step = np.linalg.solve(
-            hess + lam[live, None, None] * eye_p[None], -grad[..., None]
+            hess + lam[live, None, None] * eye_p[None], -grad
         )[..., 0]
         tried = [
             blk + step[:, lo:hi].reshape(blk.shape)

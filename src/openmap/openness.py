@@ -16,7 +16,9 @@ Gauss-Newton solver, declaring the point empirically open when every
 sampled target is reachable with small factor perturbations.  Both stages
 run on the stack of all trials at once: ``sample_feasible_target`` takes
 one generator per trial and ``lm_fit`` iterates the live trials only, and
-each trial's result is, bit for bit, what a batch of one would give.
+each trial's result is, bit for bit, what a batch of one would give.  The
+sampler stops a trial once its distance matches ``delta`` to within the
+rounding floor of ``(z + r) - z``.
 """
 
 from dataclasses import dataclass
@@ -27,6 +29,7 @@ from .errors import GenericScaleFailed, IllConditioned, InputError, NotOpen
 from .matrixio import as_matrix
 from .numcore import (
     DEFAULT_TOL,
+    EPS,
     SubspaceBasis,
     _row_dots,
     _sv_rank,
@@ -246,12 +249,15 @@ def sample_feasible_target(z, rank_cap, delta, rngs, iters=80):
     Trial ``t`` draws a standard-normal ``g`` from ``rngs[t]`` (up to 8
     draws while its norm is zero), truncates ``z + r`` with ``r`` along
     ``g`` at norm ``delta``, and then rescales ``r = zt - z`` to norm
-    ``delta`` and truncates again until ``|r|`` is ``delta`` to a relative
-    ``1e-12``, for at most ``iters`` rounds.  When truncation swallows the
-    move (``|r| <= 1e-9 delta``), ``r`` becomes ``g`` truncated to rank
-    ``max(1, rank_cap)``.  Each round runs on the stack of trials still
-    moving, so a slice equals, bit for bit, the target of a batch of one.
-    ``delta == 0`` returns copies of ``z`` and draws nothing.
+    ``delta`` and truncates again until ``|r|`` is ``delta`` to within
+    ``1e-12 delta + 8 EPS |z|``, for at most ``iters`` rounds.  The second
+    term is the rounding floor of ``(z + r) - z``, below which distances
+    cannot be told apart; the bound depends on ``z`` and ``delta`` alone.
+    When truncation swallows the move (``|r| <= 1e-9 delta``), ``r``
+    becomes ``g`` truncated to rank ``max(1, rank_cap)``.  Each round runs
+    on the stack of trials still moving, so a slice equals, bit for bit,
+    the target of a batch of one.  ``delta == 0`` returns copies of ``z``
+    and draws nothing.
     """
     z = as_matrix(z, "z")
     if delta == 0.0 or not len(rngs):
@@ -265,6 +271,7 @@ def sample_feasible_target(z, rank_cap, delta, rngs, iters=80):
             if g_norm[t] > 0:
                 break
     zt = truncated_svd(z + g * (delta / g_norm)[:, None, None], rank_cap)
+    floor = 1e-12 * delta + 8.0 * EPS * np.linalg.norm(z)
     live = np.arange(len(rngs))
     for _ in range(iters):
         r = zt[live] - z
@@ -274,7 +281,7 @@ def sample_feasible_target(z, rank_cap, delta, rngs, iters=80):
             # truncation swallowed the move; bias along a feasible direction
             r[swallowed] = truncated_svd(g[live[swallowed]], max(1, rank_cap))
             nr[swallowed] = _norms(r[swallowed])
-        moving = np.abs(nr - delta) > 1e-12 * delta
+        moving = np.abs(nr - delta) > floor
         live, r, nr = live[moving], r[moving], nr[moving]
         if not live.size:
             break

@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from openmap import cli
+from openmap import cli, landscape
 from openmap.cli import COMMANDS, main
+from openmap.landscape import global_value
 from openmap.matrixio import matrix_to_payload
 from openmap.numcore import Tolerances
 
@@ -167,6 +168,22 @@ def test_gd_sweep_records_do_not_depend_on_jobs(capsys):
         del result["wall_clock_seconds"]
         results.append(result)
     assert results[0] == results[1]
+
+
+def test_gd_sweep_computes_one_global_value_per_trial(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return global_value(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "global_value", counted)
+    monkeypatch.setattr(landscape, "global_value", counted)
+    # at 10 iterations 9 of the 12 trials converge: both record paths run
+    report = cli.gd_sweep(trials=12, seed=4, tol=Tolerances(), depth=2, dim_cap=3,
+                          max_iter=10)
+    assert sum(rec["converged"] for rec in report.records) == 9
+    assert len(calls) == 12
 
 
 def test_a_drift_along_the_rescaling_symmetry_stops_on_the_plateau():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from openmap import openness, symmetric
-from openmap.numcore import DEFAULT_TOL, truncated_svd
+from openmap.numcore import DEFAULT_TOL, EPS, rank, truncated_svd
 from openmap.openness import gauss_newton_recover, probe_openness, sample_feasible_target
 from openmap.symmetric import gauss_newton_sym_recover
 from test_recovery_oracles import FACTOR_CASES, SYM_CASES
@@ -31,9 +31,11 @@ def reference_truncated_svd(mat, max_rank):
 
 
 def reference_target(z, rank_cap, delta, rng, iters=80):
-    """The sampler as it was before batching: one target per call."""
+    """The sampler as it was before batching, one target per call, with
+    the stop test at the rounding floor of ``(z + r) - z``."""
     if delta == 0.0:
         return z.copy()
+    floor = 1e-12 * delta + 8.0 * EPS * np.linalg.norm(z)
     for _ in range(8):
         g = rng.standard_normal(z.shape)
         norm = np.linalg.norm(g)
@@ -47,7 +49,7 @@ def reference_target(z, rank_cap, delta, rng, iters=80):
         if nr <= delta * 1e-9:
             r = reference_truncated_svd(g, max(1, rank_cap)) * 1.0
             nr = np.linalg.norm(r)
-        if abs(nr - delta) <= 1e-12 * delta:
+        if abs(nr - delta) <= floor:
             break
         r = r * (delta / nr)
         zt = reference_truncated_svd(z + r, rank_cap)
@@ -55,8 +57,9 @@ def reference_target(z, rank_cap, delta, rng, iters=80):
 
 
 def reference_lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
-    """``lm_fit`` as it was before live-trial slicing: every iteration
-    computes the step of every trial and keeps the active ones."""
+    """``lm_fit`` as it was before live-trial slicing, with the normal
+    equations from one stacked matmul: every iteration computes the step
+    of every trial and keeps the active ones."""
     t_count = targets.shape[0]
     rng = np.random.default_rng(seed)
     if init_scale > 0.0:
@@ -75,10 +78,9 @@ def reference_lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_sca
             break
         jac = jacobian(*blocks)
         rflat = res.reshape(t_count, -1)
-        grad = np.einsum("tri,tr->ti", jac, rflat)
-        hess = np.einsum("tri,trj->tij", jac, jac)
+        normal = jac.transpose(0, 2, 1) @ np.concatenate([rflat[..., None], jac], axis=2)
         step = np.linalg.solve(
-            hess + lam[:, None, None] * eye_p[None], -grad[..., None]
+            normal[..., 1:] + lam[:, None, None] * eye_p[None], -normal[..., :1]
         )[..., 0]
         tried = [
             blk + step[:, lo:hi].reshape(blk.shape)
@@ -119,6 +121,27 @@ def test_criterion_3_shapes_match_the_one_target_sampler(shape, delta):
         z, cap = w1 @ w2, min(shape)
         got = sample_feasible_target(z, cap, delta, _rngs(case, 12))
         assert got.tobytes() == _reference_stack(z, cap, delta, case, 12).tobytes()
+
+
+@pytest.mark.parametrize("shape", CRITERION_3_SHAPES)
+@pytest.mark.parametrize("delta", [1e-5, 1e-3])
+def test_trials_stop_at_the_rounding_floor(monkeypatch, shape, delta):
+    # a stop test finer than the rounding of (z + r) - z runs all 80
+    # rounds, 81 truncations, on some trial of about half of these calls
+    calls = []
+
+    def counted(mat, max_rank):
+        calls.append(max_rank)
+        return truncated_svd(mat, max_rank)
+
+    monkeypatch.setattr(openness, "truncated_svd", counted)
+    w1, w2 = _grid_pair(shape, [*shape, 0])
+    z, cap = w1 @ w2, min(shape)
+    got = sample_feasible_target(z, cap, delta, _rngs(0, 50))
+    assert len(calls) <= 3
+    floor = 1e-12 * delta + 8.0 * EPS * np.linalg.norm(z)
+    assert np.all(np.abs(openness._norms(got - z) - delta) <= floor)
+    assert np.all(rank(got) <= cap)
 
 
 @pytest.mark.parametrize("rank_cap", [0, 1, 2, 3])

@@ -21,3 +21,6 @@ def test_criterion_3_passes_inside_its_budget():
     assert res.passed, checks
     assert list(checks)[-1] == "runtime_under_5min"
     assert res.details["float_rank_mismatches"] == 0
+    # the criterion passes at 99% agreement; every probed pair agrees
+    assert res.details["agreement"] == 1.0
+    assert res.details["flagged"] == 0
