@@ -13,6 +13,11 @@ Reports reach the wire through ``to_jsonable`` alone: a dataclass
 instance becomes ``{field.name: value}`` in field order, so a field's
 name is its wire name; arrays become matrix payloads; Python and numpy
 booleans become JSON ``true``/``false``, never ``1``/``0``.
+
+``dump_json`` writes one compact line with no indentation or newline,
+so ``json`` runs its C encoder.  Every report on stdout, every error
+object on stderr and the ``selftest --out`` file use this layout; a
+parser reads the same keys and values as from an indented one.
 """
 
 import dataclasses
@@ -36,7 +41,7 @@ def as_matrix(obj, name="matrix"):
 def matrix_to_payload(arr):
     arr = as_matrix(arr)
     m, n = arr.shape
-    return {"rows": int(m), "cols": int(n), "data": [float(x) for x in arr.ravel()]}
+    return {"rows": int(m), "cols": int(n), "data": arr.ravel().tolist()}
 
 
 def matrix_from_payload(obj, name="matrix"):
@@ -89,19 +94,21 @@ def load_matrices(path):
     return matrices_from_payload(_read_json(path), name=str(path))
 
 
-def dump_json(obj, indent=2):
-    """Serialize a report object; refuses NaN/Inf rather than emitting
-    non-standard JSON."""
-    return json.dumps(obj, indent=indent, allow_nan=False)
+def dump_json(obj):
+    """Serialize a report object as one compact line; refuses NaN/Inf
+    rather than emitting non-standard JSON."""
+    return json.dumps(obj, allow_nan=False)
 
 
 def to_jsonable(value):
     """Recursively convert a report into plain JSON types: arrays become
     matrix payloads, dataclass instances dicts of their fields."""
+    # exact builtin scalars, the common case, are already JSON values
+    if value is None or type(value) in (float, int, str, bool):
+        return value
     if isinstance(value, np.ndarray):
         return matrix_to_payload(value)
-    # bool before int: ``bool`` is a subclass of ``int``
-    if isinstance(value, (np.bool_, bool)):
+    if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, (np.floating, float)):
         return float(value)

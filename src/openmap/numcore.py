@@ -11,8 +11,11 @@ batched solver behind the recovery oracles.
   ``rank`` and ``singular_values`` do; ``_row_dots`` gives the squared
   row norms that ``np.linalg.norm`` computes, bit for bit.
 * ``lm_fit`` is the one batched Levenberg-Marquardt loop; each iteration
-  works only on the trials still live and forms its normal equations with
-  one stacked matmul.
+  works only on the trials still live and solves the smaller of its two
+  normal systems, ``JᵀJ`` over the unknowns or ``JJᵀ`` over the residual
+  entries, which give the same step by
+  ``(JᵀJ + λI)⁻¹Jᵀ = Jᵀ(JJᵀ + λI)⁻¹``; the smaller Gram matrix has the
+  fewer null directions for ``1/λ`` to amplify rounding noise along.
 
 All operations are pure functions of their arguments and safe to call
 concurrently.
@@ -312,6 +315,21 @@ def truncated_svd(mat, max_rank):
     return (u[..., :k] * s[..., None, :k]) @ vt[..., :k, :]
 
 
+def _lm_step(jac, res, lam):
+    """``lm_fit``'s damped step ``-(JᵀJ + λI)⁻¹Jᵀr`` for each slice of a
+    ``(T, E, P)`` Jacobian stack, residuals ``(T, E, 1)`` and dampings
+    ``(T,)``: ``Jᵀz`` with ``(JJᵀ + λI_E) z = -r`` when ``E < P``, else the
+    ``JᵀJ`` system with ``Jᵀr`` and ``JᵀJ`` from one stacked matmul,
+    ``Jᵀ [r J]``.  Each slice's step is computed on its own."""
+    e, p = jac.shape[1:]
+    jac_t = jac.transpose(0, 2, 1)
+    damping = lam[:, None, None] * np.eye(min(e, p))
+    if e < p:
+        return (jac_t @ np.linalg.solve(jac @ jac_t + damping, -res))[..., 0]
+    normal = jac_t @ np.concatenate([res, jac], axis=2)
+    return np.linalg.solve(normal[..., 1:] + damping, -normal[..., :1])[..., 0]
+
+
 def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
     """Batched Levenberg-Marquardt on ``product(*blocks) = target``, one
     slice of each matrix block of ``shapes`` per target.
@@ -321,10 +339,18 @@ def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
     ``(targets, entries, unknowns)`` Jacobian with unknowns in block order.
     Each iteration runs only on the live trials, those above the residual
     goal whose damping is below its cap; ``product`` and ``jacobian`` see
-    the live slices alone, and a trial's iterates equal, bit for bit, those
-    of fitting it with any other batch.  ``Jᵀr`` and ``JᵀJ`` come from one
-    stacked matmul, ``Jᵀ [r J]``, per iteration.  Returns (blocks,
-    residual_norms).
+    the live slices alone, and a trial's iterates from a given start equal,
+    bit for bit, those of fitting it with any other batch.  A jittered
+    start is drawn for the whole batch, so it depends on the batch.
+
+    Each step solves the smaller of the two normal systems, ``JᵀJ + λI``
+    over the ``P`` unknowns or ``JJᵀ + λI`` over the ``E`` residual
+    entries, since ``(JᵀJ + λI)⁻¹Jᵀ = Jᵀ(JJᵀ + λI)⁻¹`` (``_lm_step``).  The
+    smaller system is also the better-conditioned one: as ``λ`` falls
+    towards ``1e-14``, the ``1/λ`` amplification of rounding noise acts
+    only on null directions of the Gram matrix solved, of which ``JJᵀ`` has
+    ``E - rank J`` and ``JᵀJ`` has ``P - rank J``, so at a full-rank ``J``
+    the smaller one has none.  Returns (blocks, residual_norms).
     """
     t_count = targets.shape[0]
     rng = np.random.default_rng(seed)
@@ -333,7 +359,6 @@ def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
     else:
         blocks = [np.zeros((t_count, *s)) for s in shapes]
     offsets = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
-    eye_p = np.eye(offsets[-1])
     lam = np.full(t_count, 1e-4)
     res = product(*blocks) - targets
     res_norm = np.linalg.norm(res.reshape(t_count, -1), axis=1)
@@ -344,12 +369,7 @@ def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
             break
         live_blocks = [blk[live] for blk in blocks]
         jac = jacobian(*live_blocks)
-        rflat = res[live].reshape(live.size, -1)
-        normal = jac.transpose(0, 2, 1) @ np.concatenate([rflat[..., None], jac], axis=2)
-        grad, hess = normal[..., :1], normal[..., 1:]
-        step = np.linalg.solve(
-            hess + lam[live, None, None] * eye_p[None], -grad
-        )[..., 0]
+        step = _lm_step(jac, res[live].reshape(live.size, -1, 1), lam[live])
         tried = [
             blk + step[:, lo:hi].reshape(blk.shape)
             for blk, lo, hi in zip(live_blocks, offsets, offsets[1:])

@@ -15,10 +15,15 @@ targets near the product and attempts factor recovery with a damped
 Gauss-Newton solver, declaring the point empirically open when every
 sampled target is reachable with small factor perturbations.  Both stages
 run on the stack of all trials at once: ``sample_feasible_target`` takes
-one generator per trial and ``lm_fit`` iterates the live trials only, and
-each trial's result is, bit for bit, what a batch of one would give.  The
-sampler stops a trial once its distance matches ``delta`` to within the
-rounding floor of ``(z + r) - z``.
+one generator per trial, and ``lm_fit`` iterates the live trials only,
+each step solving the smaller of its two normal systems (``m n`` residual
+entries against ``k (m + n)`` unknowns).  Each sampled target, each
+``lm_fit`` call given its start, and each trial that the first fit settles
+from the zero start is, bit for bit, what a batch of one would give.  A
+retried trial is not: a retry round draws its jitter as one block per
+factor over the trials still failing, so its start depends on which
+trials failed with it.  The sampler stops a trial once its distance
+matches ``delta`` to within the rounding floor of ``(z + r) - z``.
 """
 
 from dataclasses import dataclass
@@ -297,6 +302,13 @@ def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
     and combined factor perturbation within ``PROBE_NORM_SLACK * delta``.
     Trials that stall from the degenerate start are retried with seeded
     jitter at a few square-root-of-delta scales.
+
+    The first fit and the trials it settles do not depend on the batch:
+    each such trial's outputs equal, bit for bit, those of a batch of one.
+    Retry round ``i`` draws its jitter from ``default_rng(seed + 1 + i)``
+    as one block per factor over the trials still failing, so a retried
+    trial's start, and with it its result, depends on which trials failed
+    before it.
     """
     targets = np.asarray(targets, dtype=float)
     m, k = w1.shape

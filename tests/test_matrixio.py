@@ -102,3 +102,41 @@ def test_dump_json_refuses_inf():
 def test_to_jsonable_keeps_booleans_boolean():
     out = to_jsonable({"a": True, "b": np.bool_(False), "c": 1, "d": np.int64(2)})
     assert json.dumps(out) == '{"a": true, "b": false, "c": 1, "d": 2}'
+
+
+def test_payload_data_equals_the_per_entry_floats_bit_for_bit():
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((4, 5)) * 10.0 ** rng.integers(-300, 300, size=(4, 5))
+    m[0, :4] = [-0.0, 5e-324, -2.2e-308, np.finfo(float).max]
+    data = matrix_to_payload(m)["data"]
+    want = [float(x) for x in m.ravel()]
+    assert all(type(x) is float for x in data)
+    assert np.array(data).tobytes() == np.array(want).tobytes()
+
+
+def test_dump_json_writes_one_compact_line():
+    report = to_jsonable({"open": np.bool_(True), "w": np.eye(2), "n": np.int64(3),
+                          "x": np.float32(0.5), "records": [{"ok": False}]})
+    text = dump_json(report)
+    assert "\n" not in text
+    assert json.loads(text) == {"open": True, "w": {"rows": 2, "cols": 2,
+                                                    "data": [1.0, 0.0, 0.0, 1.0]},
+                                "n": 3, "x": 0.5, "records": [{"ok": False}]}
+    assert '"open": true' in text
+
+
+def test_dump_json_refuses_nan():
+    with pytest.raises(ValueError):
+        dump_json(to_jsonable({"x": np.float64("nan")}))
+
+
+def test_cli_reports_and_errors_are_one_line(tmp_path, capsys):
+    eye = tmp_path / "eye.json"
+    eye.write_text(json.dumps(matrix_to_payload(np.eye(2))))
+    assert main(["openness", "check", "--w1", str(eye), "--w2", str(eye)]) == 0
+    out, err = capsys.readouterr()
+    assert out.count("\n") == 1 and out.endswith("\n") and not err
+    assert main(["net", "fixture", "--name", "no-such-fixture"]) == 2
+    out, err = capsys.readouterr()
+    assert err.count("\n") == 1 and not out
+    assert json.loads(err)["error"] == "InputError"
