@@ -10,6 +10,11 @@ batched solver behind the recovery oracles.
 * ``truncated_svd`` takes a matrix or a ``(..., m, n)`` stack, as
   ``rank`` and ``singular_values`` do; ``_row_dots`` gives the squared
   row norms that ``np.linalg.norm`` computes, bit for bit.
+* ``bounded_basis`` reads its coefficients off the rank's own
+  ``Spectrum``: the rows of ``u[:, :r]`` combine as the rows of the
+  matrix do, so each exchange step and the final coefficients are
+  ``r x r`` solves.  Its pivot order comes from LAPACK ``geqp3``, which
+  never forms Q.
 * ``lm_fit`` is the one batched Levenberg-Marquardt loop; each iteration
   works only on the trials still live and solves the smaller of its two
   normal systems, ``JᵀJ`` over the unknowns or ``JJᵀ`` over the residual
@@ -24,7 +29,7 @@ concurrently.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import IllConditioned, InputError, NotRankDeficient, NumericalFailure
 from .matrixio import as_matrix
@@ -239,13 +244,7 @@ def intersection_dim(basis1, basis2, tol=DEFAULT_TOL):
     return by_rank
 
 
-def _row_coefficients(v_basis, row):
-    # unique solution of a @ v_basis = row when v_basis has full row rank
-    sol, *_ = np.linalg.lstsq(v_basis.T, row, rcond=None)
-    return sol
-
-
-def bounded_basis(mat, tol=DEFAULT_TOL):
+def bounded_basis(mat, tol=DEFAULT_TOL, sp=None):
     """Select ``r`` rows spanning the row space so that every other row is
     a combination of them with coefficients bounded by ``2**(m - r - 1)``.
 
@@ -253,11 +252,14 @@ def bounded_basis(mat, tol=DEFAULT_TOL):
     the row being adjoined has a coefficient above the inductive bound
     for the current step, the argmax basis row is swapped out.  Each
     adjoined row causes at most one swap, so the loop terminates in at
-    most ``m - r`` passes.
+    most ``m - r`` passes.  ``sp`` is the ``Spectrum`` of ``mat`` when the
+    caller already holds one; otherwise it is computed here.
     """
     mat = as_matrix(mat)
     m = mat.shape[0]
-    r = rank(mat, tol)
+    if sp is None:
+        sp = spectrum(mat, tol)
+    r = sp.rank
     if r >= m:
         raise NotRankDeficient(f"matrix has full row rank {r}; no dependent rows")
     bound = 2.0 ** (m - r - 1)
@@ -265,26 +267,30 @@ def bounded_basis(mat, tol=DEFAULT_TOL):
         coeffs = np.zeros((m, 0))
         return BoundedBasisResult(basis_rows=(), coeffs=coeffs, bound=bound)
 
+    # rows of mat are the rows of f times diag(s) v.T, so a @ mat[rows] =
+    # mat[j] exactly when a @ f[rows] = f[j]: an r x r system
+    f = sp.u[:, :r]
     # pivoted QR on columns of mat.T ranks the rows by importance
-    _, _, piv = scipy.linalg.qr(mat.T, pivoting=True, mode="economic")
+    # (LAPACK geqp3, 1-based pivots, without forming Q)
+    piv = scipy.linalg.lapack.dgeqp3(mat.T)[1] - 1
     basis = list(piv[:r])
     pending = list(piv[r:])
 
-    for step, j in enumerate(pending, start=1):
-        threshold = 2.0 ** (step - 1)
-        a = _row_coefficients(mat[basis], mat[j])
-        istar = int(np.argmax(np.abs(a)))
-        if abs(a[istar]) > threshold * (1.0 + 64.0 * EPS):
-            basis[istar] = j
+    try:
+        for step, j in enumerate(pending, start=1):
+            threshold = 2.0 ** (step - 1)
+            a = np.linalg.solve(f[basis].T, f[j])
+            istar = int(np.argmax(np.abs(a)))
+            if abs(a[istar]) > threshold * (1.0 + 64.0 * EPS):
+                basis[istar] = j
 
-    basis_sorted = sorted(basis)
-    nonbasis = [i for i in range(m) if i not in set(basis_sorted)]
-    vb = mat[basis_sorted]
-    coeffs = np.zeros((len(nonbasis), r))
-    for out, i in enumerate(nonbasis):
-        coeffs[out] = _row_coefficients(vb, mat[i])
+        basis_sorted = sorted(basis)
+        nonbasis = sorted(set(range(m)) - set(basis))
+        coeffs = np.linalg.solve(f[basis_sorted].T, f[nonbasis].T).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"row basis is singular: {exc}") from exc
 
-    inf_norm = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
+    inf_norm = float(np.max(np.abs(coeffs)))
     if inf_norm > bound * (1.0 + 1e-9):
         raise NumericalFailure(
             f"row-basis exchange exceeded its coefficient bound: "

@@ -12,6 +12,8 @@ The rank-deficient-regime pipeline:
 2. classify target columns into an independent block and a dependent
    block via the bounded-coefficient row-basis selection (applied to
    columns), checking that the diagonal pivot columns stay independent;
+   the target's spectrum, taken once for its rank check, is rotated into
+   the frame of step 1 rather than decomposed again;
 3. complete the leading square block of the right factor to an
    invertible matrix using a scaled null-space basis of the left factor;
 4. read off both perturbations from closed forms, un-permute, rotate
@@ -26,12 +28,13 @@ from .errors import (
     DeltaTooLarge,
     GenericScaleFailed,
     IllConditioned,
+    InputError,
     NotOpen,
     NumericalFailure,
     RankInfeasible,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, bounded_basis, null_space, rank
+from .numcore import DEFAULT_TOL, Spectrum, bounded_basis, null_space, rank, spectrum
 from .openness import (
     REGIME_DEFICIENT,
     _openness_and_product_spectrum,
@@ -117,11 +120,12 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, tol):
     return best
 
 
-def _column_classification(st, r, k, tol):
+def _column_classification(st, sp_st_t, r, k, tol):
     """Permutation putting the pivot columns first, then the remaining
     independent columns, then fills up to k; returns (perm, coeff matrix
-    for the far block over the first k columns, rank of the target)."""
-    bb = bounded_basis(st.T, tol)
+    for the far block over the first k columns, rank of the target).
+    ``sp_st_t`` is the ``Spectrum`` of ``st.T``."""
+    bb = bounded_basis(st.T, tol, sp_st_t)
     basis = list(bb.basis_rows)
     r_t = len(basis)
     if not set(range(r)).issubset(basis):
@@ -129,7 +133,6 @@ def _column_classification(st, r, k, tol):
             "a diagonal pivot column classified as dependent; the target "
             "perturbation is too large for a trustworthy classification"
         )
-    n = st.shape[1]
     rest_basis = [c for c in basis if c >= r]
     nonbasis = list(bb.nonbasis_rows)
     front = list(range(r)) + rest_basis + nonbasis[: k - r_t]
@@ -148,8 +151,9 @@ def _column_classification(st, r, k, tol):
     return perm, a_bar, r_t
 
 
-def _realize_rank_deficient(pair, z_tilde, input_delta, sp, tol):
-    """``sp`` is the ``Spectrum`` of ``pair.product``."""
+def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, tol):
+    """``sp`` and ``sp_z`` are the ``Spectrum`` of ``pair.product`` and of
+    ``z_tilde``."""
     w1, w2 = pair.w1, pair.w2
     m, k, n = pair.m, pair.k, pair.n
     u, s, v, r = sp.u, sp.s, sp.v, sp.rank
@@ -171,7 +175,9 @@ def _realize_rank_deficient(pair, z_tilde, input_delta, sp, tol):
     sigma[:, r:] = 0.0
     sigma[r:, :] = 0.0
 
-    perm, a_bar, r_t = _column_classification(st, r, k, tol)
+    # st.T = (v.T V_z) S_z (u.T U_z).T for z_tilde = U_z S_z V_z.T
+    sp_st_t = Spectrum(v.T @ sp_z.v, sp_z.s, u.T @ sp_z.u, sp_z.rank, sp_z.ambiguous)
+    perm, a_bar, r_t = _column_classification(st, sp_st_t, r, k, tol)
     if r_t < r:
         raise IllConditioned("target rank dropped below the product rank")
     st_p = st[:, perm]
@@ -246,6 +252,7 @@ def _realize_rank_deficient(pair, z_tilde, input_delta, sp, tol):
 def realize(pair, z_tilde, tol=DEFAULT_TOL):
     """Realize ``z_tilde`` as a product of perturbed factors.
 
+    Raises ``InputError`` when the target's shape is not the product's.
     Refuses with ``NotOpen`` when the point is not locally open,
     ``RankInfeasible`` when the target leaves the image of the map, and
     ``DeltaTooLarge`` when the target distance exceeds the certified
@@ -253,12 +260,13 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
     """
     z_tilde = as_matrix(z_tilde, "z_tilde")
     if z_tilde.shape != (pair.m, pair.n):
-        raise RankInfeasible(
+        raise InputError(
             f"target shape {z_tilde.shape} does not match the product "
             f"shape {(pair.m, pair.n)}"
         )
     rank_cap = min(pair.m, pair.n, pair.k)
-    r_target = rank(z_tilde, tol)
+    sp_z = spectrum(z_tilde, tol)
+    r_target = sp_z.rank
     if r_target > rank_cap:
         raise RankInfeasible(f"target rank {r_target} exceeds the image bound {rank_cap}")
     report, product_spectrum = _openness_and_product_spectrum(pair, tol)
@@ -275,7 +283,9 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
             delta0=None,
         )
     if report.regime == REGIME_DEFICIENT:
-        return _realize_rank_deficient(pair, z_tilde, input_delta, product_spectrum, tol)
+        return _realize_rank_deficient(
+            pair, z_tilde, input_delta, product_spectrum, sp_z, tol
+        )
     return _realize_full_rank(pair, z_tilde, input_delta, report, tol)
 
 

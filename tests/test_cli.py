@@ -241,3 +241,24 @@ def test_gd_sweep_rejects_bad_flags_up_front(flags, capsys):
     argv = ["net", "gd-sweep", *flags, "--trials", "2", "--seed", "0", "--jobs", "1"]
     assert main(argv) == 2
     assert _error(capsys)["error"] == "InputError"
+
+
+def _write(tmp_path, name, mat):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(matrix_to_payload(np.asarray(mat, dtype=float))))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "--w1", "{w1}", "--w2", "{w2}", "--target", "{target}"],
+    ["sym", "realize", "--w", "{w1}", "--target", "{target}"],
+])
+def test_a_mis_shaped_target_exits_2(argv, tmp_path, capsys):
+    # the products are 3x3; a 2x2 target is malformed input, not a refusal
+    paths = {"w1": _write(tmp_path, "w1", np.ones((3, 1))),
+             "w2": _write(tmp_path, "w2", np.ones((1, 3))),
+             "target": _write(tmp_path, "target", np.eye(2))}
+    assert main([tok.format(**paths) for tok in argv] + ["--jobs", "1"]) == 2
+    err = _error(capsys)
+    assert err["error"] == "InputError"
+    assert err["exit_code"] == 2

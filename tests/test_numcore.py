@@ -2,10 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from openmap.errors import InputError, NotRankDeficient
 from openmap.numcore import (
     DEFAULT_TOL,
+    EPS,
     Tolerances,
     bounded_basis,
     column_space,
@@ -13,6 +15,7 @@ from openmap.numcore import (
     null_space,
     rank,
     singular_values,
+    spectrum,
     svd,
     truncated_svd,
 )
@@ -192,6 +195,41 @@ class TestIntersectionDim:
             )
 
 
+def reference_bounded_basis(mat, tol=DEFAULT_TOL):
+    """The row-basis exchange as first written: the rank from singular
+    values, pivots from ``scipy.linalg.qr`` and every coefficient vector
+    from its own ``lstsq`` against the rows of ``mat``.  Returns
+    (basis_rows, coeffs)."""
+    m = mat.shape[0]
+    r = rank(mat, tol)
+    if r == 0:
+        return (), np.zeros((m, 0))
+    _, _, piv = scipy.linalg.qr(mat.T, pivoting=True, mode="economic")
+    basis = list(piv[:r])
+    for step, j in enumerate(piv[r:], start=1):
+        a, *_ = np.linalg.lstsq(mat[basis].T, mat[j], rcond=None)
+        istar = int(np.argmax(np.abs(a)))
+        if abs(a[istar]) > 2.0 ** (step - 1) * (1.0 + 64.0 * EPS):
+            basis[istar] = j
+    basis = sorted(basis)
+    coeffs = np.array([np.linalg.lstsq(mat[basis].T, mat[i], rcond=None)[0]
+                       for i in range(m) if i not in basis])
+    return tuple(int(i) for i in basis), coeffs
+
+
+def seeded_sweep():
+    """Rank-deficient matrices of ``test_bound_holds_on_seeded_sweep``."""
+    rng = np.random.default_rng(99)
+    for _ in range(200):
+        m = int(rng.integers(2, 9))
+        n = int(rng.integers(1, 9))
+        r = int(rng.integers(0, min(m - 1, n) + 1))
+        v = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+        v *= 10.0 ** rng.integers(-2, 3)
+        if rank(v) < m:
+            yield v
+
+
 class TestBoundedBasis:
     def test_identity_block_kept(self):
         a = np.array([[0.5, -1.0], [0.25, 1.0], [1.0, 0.0]])
@@ -251,15 +289,8 @@ class TestBoundedBasis:
         assert res.coeffs.shape == (3, 0)
 
     def test_bound_holds_on_seeded_sweep(self):
-        rng = np.random.default_rng(99)
-        for _ in range(200):
-            m = int(rng.integers(2, 9))
-            n = int(rng.integers(1, 9))
-            r = int(rng.integers(0, min(m - 1, n) + 1))
-            v = rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
-            v *= 10.0 ** rng.integers(-2, 3)
-            if rank(v) >= m:
-                continue
+        for v in seeded_sweep():
+            m = v.shape[0]
             res = bounded_basis(v)
             r_eff = len(res.basis_rows)
             assert res.coeff_inf_norm <= 2.0 ** (m - r_eff - 1) * (1 + 1e-9)
@@ -268,3 +299,39 @@ class TestBoundedBasis:
                 vn = v[list(res.nonbasis_rows)]
                 scale = max(1.0, np.abs(v).max())
                 assert np.linalg.norm(vn - res.coeffs @ vb) <= 1e-10 * scale
+
+    def test_matches_the_lstsq_exchange_on_seeded_sweep(self):
+        checked = 0
+        for v in seeded_sweep():
+            res = bounded_basis(v)
+            rows, coeffs = reference_bounded_basis(v)
+            assert res.basis_rows == rows
+            assert res.coeffs.shape == coeffs.shape
+            if coeffs.size:
+                scale = max(1.0, np.abs(coeffs).max())
+                assert np.abs(res.coeffs - coeffs).max() <= 1e-10 * scale
+            checked += 1
+        assert checked > 100
+
+    def test_takes_no_lstsq_and_no_scipy_qr(self, monkeypatch):
+        called = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                called.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "lstsq", spy("lstsq", np.linalg.lstsq))
+        monkeypatch.setattr(scipy.linalg, "qr", spy("qr", scipy.linalg.qr))
+        for v in seeded_sweep():
+            bounded_basis(v)
+        assert called == []
+
+    def test_a_given_spectrum_gives_the_same_result(self):
+        for v in seeded_sweep():
+            own = bounded_basis(v)
+            given = bounded_basis(v, sp=spectrum(v))
+            assert given.basis_rows == own.basis_rows
+            assert given.coeffs.tobytes() == own.coeffs.tobytes()
+            assert given.bound == own.bound

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openmap.errors import DeltaTooLarge, NotOpen, RankInfeasible
+from openmap.errors import DeltaTooLarge, InputError, NotOpen, RankInfeasible
 from openmap.matrixio import to_jsonable
 from openmap.numcore import DEFAULT_TOL, Tolerances, rank, svd
 from openmap.openness import FactorPair, gauss_newton_recover, sample_feasible_target
@@ -44,27 +44,35 @@ class TestRealizeBasics:
 
     def test_product_decomposed_once(self, monkeypatch):
         # rank-deficient regime: the realization reuses the product SVD
-        # that the openness check made
+        # that the openness check made, and the column classification
+        # reuses the target's: one SVD each of w1, w2, the product and the
+        # target
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
         (target,) = sample_feasible_target(p.product, 1, 1e-6, [np.random.default_rng(1)])
-        product_svds = []
+        svds = []
         real_svd = np.linalg.svd
 
         def counting_svd(a, *args, **kwargs):
-            if np.array_equal(a, p.product):
-                product_svds.append(a.shape)
+            svds.append(np.array(a, copy=True))
             return real_svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         wit = realize(p, target)
         assert wit.target_residual <= 1e-10
-        assert product_svds == [(2, 2)]
+        assert sum(np.array_equal(a, p.product) for a in svds) == 1
+        assert sum(np.array_equal(a, target) for a in svds) == 1
+        assert len(svds) == 4
 
     def test_not_open_refused(self):
         p = pair([[1.0], [1.0]], [[0.0, 0.0]])
         target = np.array([[1e-4, 0.0], [0.0, 0.0]])
         with pytest.raises(NotOpen):
             realize(p, target)
+
+    def test_mis_shaped_target_is_an_input_error(self):
+        p = pair(np.ones((3, 1)), np.ones((1, 3)))
+        with pytest.raises(InputError):
+            realize(p, np.eye(2))
 
     def test_rank_infeasible_refused(self):
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
