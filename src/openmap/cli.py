@@ -304,11 +304,6 @@ def _openness_probe(args, config):
     )
 
 
-def _openness_witnesses(args, config):
-    wt1, wt2 = construct_witnesses(_pair(args), config.tolerances, seed=config.seed)
-    return {"witness_w1_tilde": wt1, "witness_w2_tilde": wt2}
-
-
 def _realize(args, config):
     return realize(_pair(args), load_matrix(args.target), config.tolerances)
 
@@ -474,7 +469,6 @@ COMMANDS = {
     ("openness", "probe"): Command(
         _PAIR + (("--delta", {"type": float, "default": 1e-5}),), _openness_probe,
         trials=50),
-    ("openness", "witnesses"): Command(_PAIR, _openness_witnesses),
     ("realize",): Command(_PAIR + _required("--target"), _realize),
     ("realize", "ratio-sweep"): Command(
         _PAIR + _required("--deltas"), _ratio_sweep, trials=5),

@@ -1,11 +1,12 @@
 """Training-landscape analysis for linear feedforward networks.
 
-The objective is ``loss(W_h @ ... @ W_1 @ X)`` with squared error against
-``Y`` by default, under which every local minimum is global (the paper's
-two-layer result; Zhang 2019, arXiv:1901.09827, at every depth).  Critical
-points are classified through the openness framework:
+The objective is half the squared Frobenius distance between
+``W_h @ ... @ W_1 @ X`` and ``Y``, under which every local minimum is
+global (the paper's two-layer result; Zhang 2019, arXiv:1901.09827, at
+every depth).  Critical points are classified through the openness
+framework:
 
-* unconstrained stationarity (the loss gradient times ``X.T`` vanishing)
+* unconstrained stationarity (the residual times ``X.T`` vanishing)
   certifies a global minimum by convexity;
 * non-degenerate points (full product rank equal to the smallest layer
   width) inherit local openness of the product chain, so their objective
@@ -15,10 +16,9 @@ points are classified through the openness framework:
 * what remains is ``Inconclusive``, with a seeded sphere probe attached.
 
 Entry points take a ``NetworkPoint``, the one input check, which carries
-its own widths, and a loss (``None`` means squared error);
-``product_matrix``, ``objective`` and ``gradient`` work on checked weight
-lists.  Weight lists are ordered ``W_h`` first throughout, matching the
-wire format.
+its own widths; ``product_matrix``, ``objective`` and ``gradient`` work on
+checked weight lists.  Weight lists are ordered ``W_h`` first throughout,
+matching the wire format.
 """
 
 from collections import deque
@@ -53,32 +53,6 @@ _HISTORY = 10
 # length of a steepest-descent step, relative to the gradient, taken
 # before the first curvature pair and after a history reset
 _STEEPEST_STEP = 0.1
-
-
-class SquaredError:
-    """Half squared Frobenius distance to the targets."""
-
-    def value(self, output, y):
-        return 0.5 * float(np.linalg.norm(output - y) ** 2)
-
-    def grad(self, output, y):
-        return output - y
-
-
-@dataclass
-class ConvexPlugin:
-    """Convex loss supplied as callables ``value(output, y)`` and
-    ``grad(output, y)``; squared-error-specific shortcuts (the
-    rank-constrained optimum) are disabled for plugins."""
-
-    value_fn: object
-    grad_fn: object
-
-    def value(self, output, y):
-        return float(self.value_fn(output, y))
-
-    def grad(self, output, y):
-        return np.asarray(self.grad_fn(output, y), dtype=float)
 
 
 @dataclass
@@ -129,9 +103,15 @@ def _forward(weights, x):
     return acts
 
 
+def _loss(output, y):
+    """Half the squared Frobenius distance to the targets; its gradient in
+    ``output`` is the residual ``output - y``."""
+    return 0.5 * float(np.linalg.norm(output - y) ** 2)
+
+
 def _backward(weights, acts, g_out):
     """Layer gradients, ``W_h`` first, from ``_forward``'s activations and
-    the loss gradient at the output, carried down as ``W^T g``."""
+    the residual ``g_out`` at the output, carried down as ``W^T g``."""
     grads = [g_out @ acts[-2].T]
     for w, a in zip(weights, reversed(acts[:-2])):
         g_out = w.T @ g_out
@@ -139,16 +119,14 @@ def _backward(weights, acts, g_out):
     return grads
 
 
-def objective(weights, x, y, loss=None):
-    loss = loss or SquaredError()
-    return loss.value(_forward(weights, x)[-1], y)
+def objective(weights, x, y):
+    return _loss(_forward(weights, x)[-1], y)
 
 
-def gradient(weights, x, y, loss=None):
+def gradient(weights, x, y):
     """Layer gradients, ordered like ``weights`` (``W_h`` first)."""
-    loss = loss or SquaredError()
     acts = _forward(weights, x)
-    return _backward(weights, acts, loss.grad(acts[-1], y))
+    return _backward(weights, acts, acts[-1] - y)
 
 
 def _flat(mats):
@@ -194,24 +172,24 @@ _CHUNK_ELEMENTS = 1 << 18
 
 
 def _least_half_squares(norms):
-    """The values ``0.5 * float(s ** 2)`` that ``SquaredError.value``
-    gives the rows that can hold the least of them, NaN rows left out.
-    A numpy scalar ``** 2`` calls libm ``pow``, which lands one step off
-    ``s * s`` in about 1 case in 1300, so the least scalar square comes
-    from a row whose ``s * s`` is within two steps of the least ``s * s``;
-    only those rows are squared the scalar way."""
+    """The values ``0.5 * float(s ** 2)`` that ``_loss`` gives the rows
+    that can hold the least of them, NaN rows left out.  A numpy scalar
+    ``** 2`` calls libm ``pow``, which lands one step off ``s * s`` in
+    about 1 case in 1300, so the least scalar square comes from a row
+    whose ``s * s`` is within two steps of the least ``s * s``; only those
+    rows are squared the scalar way."""
     sq = norms * norms
     least = np.min(sq, initial=np.inf, where=~np.isnan(sq))
     cut = np.nextafter(np.nextafter(least, np.inf), np.inf)
     return [0.5 * float(s ** 2) for s in norms[sq <= cut]]
 
 
-def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=0):
-    """Sampled local-minimality check of ``loss`` (``None`` means
-    ``SquaredError``): uniform directions on the parameter sphere at each
-    scheduled radius; the verdict is minimal at resolution when no sampled
-    value undercuts the base objective by more than ``residual_abs`` and
-    every radius had a finite sample.
+def local_min_probe(point, tol=DEFAULT_TOL, seed=0):
+    """Sampled local-minimality check of the objective: uniform directions
+    on the parameter sphere at each scheduled radius; the verdict is
+    minimal at resolution when no sampled value undercuts the base
+    objective by more than ``residual_abs`` and every radius had a finite
+    sample.
 
     Each radius seeds its own generator with ``[seed, radius index]`` and
     draws ``probe_samples`` standard-normal vectors over all parameters,
@@ -223,16 +201,14 @@ def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=0):
     the stacks against ``X``; the base is ``_forward`` at the point, so
     ``min_deltas`` are measured from the value ``objective`` gives.  The
     chunk size never changes a result: ``min_deltas`` equal, bit for bit,
-    those of evaluating ``objective`` on the samples one at a time.  A loss
-    other than ``SquaredError`` is evaluated on each sample's slice of the
-    stacked output.  Samples whose value is NaN are skipped.
+    those of evaluating ``objective`` on the samples one at a time.
+    Samples whose value is NaN are skipped.
 
     Raises ``NumericalFailure`` when the objective at the point itself is
     not finite.
     """
-    loss = loss or SquaredError()
     weights, x, y = point.weights, point.x, point.y
-    base = loss.value(_forward(weights, x)[-1], y)
+    base = _loss(_forward(weights, x)[-1], y)
     if not np.isfinite(base):
         raise NumericalFailure(f"the objective overflows at this point: {base}")
     sizes = [w.size for w in weights]
@@ -242,7 +218,7 @@ def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=0):
     radii, min_deltas = [], []
     for r_idx, radius in enumerate(tol.probe_radius_schedule):
         rng = np.random.default_rng([seed, r_idx])
-        worst, left = np.inf, tol.probe_samples
+        least, left = np.inf, tol.probe_samples
         while left:
             draws = rng.standard_normal((min(chunk, left), total))
             norms = np.sqrt(_row_dots(draws))
@@ -252,16 +228,11 @@ def local_min_probe(point, loss=None, tol=DEFAULT_TOL, seed=0):
             draws *= (radius / norms)[:, None]
             cols = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
             stacks = [w + d.reshape(len(d), *w.shape) for w, d in zip(weights, cols)]
-            outs = _forward(stacks, x)[-1]
-            if isinstance(loss, SquaredError):
-                resid = (outs - y).reshape(len(outs), y.size)
-                vals = _least_half_squares(np.sqrt(_row_dots(resid)))
-            else:
-                vals = [loss.value(out, y) for out in outs]
-            deltas = np.asarray(vals, dtype=float) - base
-            worst = min(worst, np.min(deltas, initial=np.inf, where=~np.isnan(deltas)))
+            resid = (_forward(stacks, x)[-1] - y).reshape(len(draws), y.size)
+            least = min([least, *_least_half_squares(np.sqrt(_row_dots(resid)))])
         radii.append(float(radius))
-        min_deltas.append(float(worst))
+        # rounding is monotone, so this is the least of the sample deltas
+        min_deltas.append(float(least - base))
     # a radius without one finite sample gives no evidence of minimality
     minimal = all(-tol.residual_abs <= d < np.inf for d in min_deltas)
     return ProbeReport(
@@ -285,16 +256,16 @@ class ClassificationReport:
     degenerate: bool
     gradient_norm: float
     objective: float
-    global_value: float | None
+    global_value: float
     descent_direction: DirectionTuple | None
     certificates: list
 
 
-def _verify_descent(point, loss, base, dirs, order, case, tol):
+def _verify_descent(point, base, dirs, order, case, tol):
     t = 1.0
     for _ in range(_MAX_HALVINGS):
         moved = [w + t * d for w, d in zip(point.weights, dirs)]
-        val = objective(moved, point.x, point.y, loss)
+        val = objective(moved, point.x, point.y)
         if val < base - tol.residual_abs:
             return DirectionTuple(
                 directions=dirs,
@@ -324,10 +295,10 @@ def _data_indices(g_x):
     return int(i), int(j)
 
 
-def _choose_alphas(point, loss, out, g_mat, dirs, q, primary_idx, secondary_idx, t1, t2):
-    """Fix the two free scalars so the leading surviving term of the loss
-    expansion, against the output ``out`` and loss gradient ``g_mat`` at
-    the point, is strictly negative."""
+def _choose_alphas(g_mat, dirs, q, primary_idx, secondary_idx, t1, t2):
+    """Fix the two free scalars so the leading surviving term of the
+    objective's expansion, against the residual ``g_mat`` at the point, is
+    strictly negative."""
     scale = max(1.0, np.linalg.norm(t1) * np.linalg.norm(g_mat))
     v1 = float(np.sum(t1 * g_mat))
     if primary_idx is not None and abs(v1) > 1e-9 * scale:
@@ -342,17 +313,7 @@ def _choose_alphas(point, loss, out, g_mat, dirs, q, primary_idx, secondary_idx,
     scale2 = max(1.0, np.linalg.norm(t2) * np.linalg.norm(g_mat))
     if abs(v2) <= 1e-9 * scale2:
         return None, None
-    c_alpha = 0.0
-    if q == 1:
-        if isinstance(loss, SquaredError):
-            c_alpha = 0.5 * float(np.linalg.norm(t1) ** 2)
-        else:
-            h_step = 1e-4 / max(1.0, np.linalg.norm(t1))
-            c_alpha = 0.5 * abs(
-                loss.value(out + h_step * t1, point.y)
-                + loss.value(out - h_step * t1, point.y)
-                - 2 * loss.value(out, point.y)
-            ) / h_step**2
+    c_alpha = 0.5 * float(np.linalg.norm(t1) ** 2) if q == 1 else 0.0
     alpha = -np.sign(v2) * 2.0 * (c_alpha + 1.0) / abs(v2)
     scaled = list(dirs)
     scaled[secondary_idx] = alpha * scaled[secondary_idx]
@@ -425,10 +386,10 @@ def _deep_chain(weights, i_idx, j_idx, tol):
     return dirs, case, h - kstar + 1
 
 
-def _deep_direction(point, loss, out, g_out, g_x, obj, tol):
+def _deep_direction(point, g_out, g_x, obj, tol):
     """Descent direction at a degenerate critical point of depth >= 2,
-    given the output ``out``, loss gradient ``g_out``, its pull-back
-    ``g_x`` to the input and the objective ``obj`` at the point.
+    given the residual ``g_out``, its pull-back ``g_x`` to the input and
+    the objective ``obj`` at the point.
 
     ``_deep_chain`` hinges on a null vector of the top layer.  Because
     ``(W_h ... W_1)^T = W_1^T ... W_h^T``, the same construction run on
@@ -437,9 +398,10 @@ def _deep_direction(point, loss, out, g_out, g_x, obj, tol):
     of the bottom layer ``W_1``.  The top chain is tried first.  A
     mirrored result has its directions transposed and reversed back, so
     its chain is the last ``q`` layers, and its case name gets the suffix
-    ``_left``.  The surviving terms of the loss expansion are formed in
-    the original orientation: ``t1`` with the chain's directions in place
-    of their weights, ``t2`` with the opposite end's direction as well.
+    ``_left``.  The surviving terms of the objective's expansion are
+    formed in the original orientation: ``t1`` with the chain's directions
+    in place of their weights, ``t2`` with the opposite end's direction as
+    well.
 
     At depth 2 the chain has no interior layer: it is case B, ``q = 1``.
     There ``t1`` pairs a direction with its layer's gradient, which
@@ -468,36 +430,33 @@ def _deep_direction(point, loss, out, g_out, g_x, obj, tol):
         t1 = product_matrix(mats + [point.x])
         mats[secondary] = dirs[secondary]
         t2 = product_matrix(mats + [point.x])
-        chosen, order = _choose_alphas(
-            point, loss, out, g_out, dirs, q, primary, secondary, t1, t2)
+        chosen, order = _choose_alphas(g_out, dirs, q, primary, secondary, t1, t2)
         if chosen is None:
             continue
-        found = _verify_descent(point, loss, obj, chosen, order, case, tol)
+        found = _verify_descent(point, obj, chosen, order, case, tol)
         if found is not None:
             return found
     return None
 
 
-def classify(point, loss=None, tol=DEFAULT_TOL, seed=0):
-    """Classify a training point of the linear-network objective under
-    ``loss`` (``None`` means ``SquaredError``): ``NotCritical``,
-    ``GlobalMin``, ``SecondOrderSaddle`` or ``SaddleHigherOrder`` (depth
-    2 or more, with a verified descent direction), else ``Inconclusive``
-    with the evidence of a ``local-min-probe`` certificate."""
-    loss = loss or SquaredError()
+def classify(point, tol=DEFAULT_TOL, seed=0):
+    """Classify a training point of the linear-network objective:
+    ``NotCritical``, ``GlobalMin``, ``SecondOrderSaddle`` or
+    ``SaddleHigherOrder`` (depth 2 or more, with a verified descent
+    direction), else ``Inconclusive`` with the evidence of a
+    ``local-min-probe`` certificate."""
     certificates = []
     weights, x, y = point.weights, point.x, point.y
     acts = _forward(weights, x)
-    obj = loss.value(acts[-1], y)
-    g_out = loss.grad(acts[-1], y)
+    obj = _loss(acts[-1], y)
+    g_out = acts[-1] - y
     gnorm = gradient_norm(_backward(weights, acts, g_out))
     if not (np.isfinite(obj) and np.isfinite(gnorm)):
         raise NumericalFailure(
             f"the objective or its gradient overflows at this point: "
             f"objective {obj}, gradient norm {gnorm}"
         )
-    squared = isinstance(loss, SquaredError)
-    gv = global_value(min(point.dims), x, y, tol) if squared else None
+    gv = global_value(min(point.dims), x, y, tol)
 
     def report(status, direction=None):
         return ClassificationReport(
@@ -526,7 +485,7 @@ def classify(point, loss=None, tol=DEFAULT_TOL, seed=0):
     )
     if stat <= tol.grad_abs:
         return report(GLOBAL_MIN)
-    if gv is not None and obj <= gv + tol.residual_abs:
+    if obj <= gv + tol.residual_abs:
         certificates.append(
             {"check": "achieves-constrained-optimum", "passed": True,
              "value": obj - gv}
@@ -542,12 +501,12 @@ def classify(point, loss=None, tol=DEFAULT_TOL, seed=0):
              "value": prod_rank}
         )
     else:  # depth >= 2: at depth one criticality is stationarity
-        direction = _deep_direction(point, loss, acts[-1], g_out, g_x, obj, tol)
+        direction = _deep_direction(point, g_out, g_x, obj, tol)
         if direction is not None:
             status = SECOND_ORDER_SADDLE if point.depth == 2 else SADDLE_HIGHER_ORDER
             return report(status, direction)
 
-    probe = local_min_probe(point, loss, tol, seed=seed)
+    probe = local_min_probe(point, tol, seed=seed)
     certificates.append(
         {"check": "local-min-probe", "passed": probe.locally_minimal,
          "value": probe.min_deltas}
@@ -660,9 +619,9 @@ def _two_loop(grad, pairs):
     return q
 
 
-def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
-    """L-BFGS on ``loss`` (``None`` means ``SquaredError``) until the
-    gradient norm falls below ``grad_abs``.
+def run_gradient_descent(point, tol=DEFAULT_TOL, max_iter=100000):
+    """L-BFGS on the objective until the gradient norm falls below
+    ``grad_abs``.
 
     The direction comes from the two-loop recursion over the last
     ``_HISTORY`` curvature pairs; a pair with ``s.y <= 0`` is skipped, and
@@ -688,15 +647,14 @@ def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
     its point.  Raises ``NumericalFailure`` when the objective or the
     gradient at the start is not finite.
     """
-    loss = loss or SquaredError()
     x, y = point.x, point.y
     shapes = [w.shape for w in point.weights]
     flat = _flat(point.weights)
     trial = np.empty_like(flat)
     weights, trial_weights = _flat_views(flat, shapes), _flat_views(trial, shapes)
     acts = _forward(weights, x)
-    obj = loss.value(acts[-1], y)
-    grad = _flat(_backward(weights, acts, loss.grad(acts[-1], y)))
+    obj = _loss(acts[-1], y)
+    grad = _flat(_backward(weights, acts, acts[-1] - y))
     gnorm = float(np.linalg.norm(grad))
     if not (np.isfinite(obj) and np.isfinite(gnorm)):
         raise NumericalFailure(
@@ -733,7 +691,7 @@ def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
         for _ in range(60):
             np.add(flat, t * direction, out=trial)
             acts = _forward(trial_weights, x)
-            val = loss.value(acts[-1], y)
+            val = _loss(acts[-1], y)
             if val <= obj + 1e-4 * t * slope + slack:
                 break
             t *= 0.5
@@ -744,7 +702,7 @@ def run_gradient_descent(point, loss=None, tol=DEFAULT_TOL, max_iter=100000):
         if not step.any():  # every later iteration would repeat this one
             reason = LINE_SEARCH
             break
-        new_grad = _flat(_backward(trial_weights, acts, loss.grad(acts[-1], y)))
+        new_grad = _flat(_backward(trial_weights, acts, acts[-1] - y))
         change = new_grad - grad
         curvature = float(step.dot(change))
         if curvature > 0.0:

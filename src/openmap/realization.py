@@ -15,7 +15,8 @@ The rank-deficient-regime pipeline:
    the target's spectrum, taken once for its rank check, is rotated into
    the frame of step 1 rather than decomposed again;
 3. complete the leading square block of the right factor to an
-   invertible matrix using a scaled null-space basis of the left factor;
+   invertible matrix using a scaled null-space basis of the left factor,
+   read off the spectrum the openness check took;
 4. read off both perturbations from closed forms, un-permute, rotate
    back, and verify the product equation.
 """
@@ -34,10 +35,10 @@ from .errors import (
     RankInfeasible,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, Spectrum, bounded_basis, null_space, rank, spectrum
+from .numcore import DEFAULT_TOL, Spectrum, bounded_basis, rank, spectrum
 from .openness import (
     REGIME_DEFICIENT,
-    _openness_and_product_spectrum,
+    _openness_and_spectra,
     null_completion,
     sample_feasible_target,
 )
@@ -151,9 +152,9 @@ def _column_classification(st, sp_st_t, r, k, tol):
     return perm, a_bar, r_t
 
 
-def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, tol):
-    """``sp`` and ``sp_z`` are the ``Spectrum`` of ``pair.product`` and of
-    ``z_tilde``."""
+def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, sp1, tol):
+    """``sp``, ``sp_z`` and ``sp1`` are the ``Spectrum`` of
+    ``pair.product``, of ``z_tilde`` and of ``pair.w1``."""
     w1, w2 = pair.w1, pair.w2
     m, k, n = pair.m, pair.k, pair.n
     u, s, v, r = sp.u, sp.s, sp.v, sp.rank
@@ -167,7 +168,6 @@ def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, tol):
             delta0=delta0,
         )
 
-    w1b = u.T @ w1
     w2b = w2 @ v
     st = u.T @ z_tilde @ v
     sigma = np.zeros((m, n))
@@ -186,12 +186,9 @@ def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, tol):
     r2_block = c1[:, r:k]
 
     if r < k:
-        nb = null_space(w1b, tol)
-        if nb.dim != k - r:
-            raise IllConditioned(
-                "null-space dimension of the rotated left factor does not "
-                "match the product rank"
-            )
+        # N(u.T @ w1) = N(w1), of dimension k - r: an open pair of this
+        # regime has rank(w1) equal to the product rank
+        nb = sp1.v[:, sp1.rank:]
         # scale balancing the two perturbation blocks: the inverse of the
         # completed square factor acts as 1/scale on the new-rank block
         r2_norm = np.linalg.norm(r2_block)
@@ -208,7 +205,7 @@ def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, tol):
     for scale in candidates:
         wt21 = np.zeros((k, k))
         if nb is not None:
-            wt21[:, r:] = scale * nb.columns
+            wt21[:, r:] = scale * nb
         m_block = w2b1 + wt21
         try:
             w1b0 = np.linalg.solve(m_block.T, np.hstack([r1_block, r2_block]).T).T
@@ -269,7 +266,7 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
     r_target = sp_z.rank
     if r_target > rank_cap:
         raise RankInfeasible(f"target rank {r_target} exceeds the image bound {rank_cap}")
-    report, product_spectrum = _openness_and_product_spectrum(pair, tol)
+    report, w1_spectrum, product_spectrum = _openness_and_spectra(pair, tol)
     if not report.open:
         raise NotOpen("the product map is not locally open at this pair")
     input_delta = float(np.linalg.norm(z_tilde - pair.product))
@@ -284,7 +281,7 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
         )
     if report.regime == REGIME_DEFICIENT:
         return _realize_rank_deficient(
-            pair, z_tilde, input_delta, product_spectrum, sp_z, tol
+            pair, z_tilde, input_delta, product_spectrum, sp_z, w1_spectrum, tol
         )
     return _realize_full_rank(pair, z_tilde, input_delta, report, tol)
 

@@ -96,8 +96,6 @@ CASES = {
     "openness_probe": (
         ["openness", "probe", "--w1", "{w1_open}", "--w2", "{w2_open}",
          "--delta", "1e-5", "--trials", "4"], 0),
-    "openness_witnesses": (
-        ["openness", "witnesses", "--w1", "{w1_open}", "--w2", "{w2_open}"], 0),
     "realize": (
         ["realize", "--w1", "{w1_generic}", "--w2", "{w2_generic}",
          "--target", "{target_generic}"], 0),
@@ -217,6 +215,12 @@ def test_golden_comparison_tells_bool_from_int():
     with pytest.raises(AssertionError):
         assert_matches({"b": 1, "a": 2}, {"a": 2, "b": 1})
     assert_matches({"x": 1.0 + 1e-14}, {"x": 1.0})
+
+
+def test_every_golden_file_belongs_to_a_case():
+    # tests/test_recovery_oracles.py owns recovery_oracles.json
+    goldens = {path.stem for path in GOLDEN_DIR.glob("*.json")}
+    assert goldens - {"recovery_oracles"} <= set(CASES)
 
 
 def test_every_command_in_the_table_has_a_golden_case():

@@ -12,9 +12,7 @@ from openmap.landscape import (
     NOT_CRITICAL,
     SADDLE_HIGHER_ORDER,
     SECOND_ORDER_SADDLE,
-    ConvexPlugin,
     NetworkPoint,
-    SquaredError,
     admissible_width_pair,
     classify,
     counterexample_factory,
@@ -35,7 +33,7 @@ def intro_point():
     return x, y, point
 
 
-def fd_gradient(weights, x, y, loss, eps=1e-6):
+def fd_gradient(weights, x, y, eps=1e-6):
     grads = []
     for idx, w in enumerate(weights):
         g = np.zeros_like(w)
@@ -46,37 +44,30 @@ def fd_gradient(weights, x, y, loss, eps=1e-6):
             plus[idx] = w + bump
             minus = list(weights)
             minus[idx] = w - bump
-            g[pos] = (objective(plus, x, y, loss) - objective(minus, x, y, loss)) / (2 * eps)
+            g[pos] = (objective(plus, x, y) - objective(minus, x, y)) / (2 * eps)
         grads.append(g)
     return grads
 
 
-def chain_reference(weights, x, y, loss):
+def chain_reference(weights, x, y):
     """Objective and layer gradients from whole chain products, multiplied
     top down: the output is ``W_h ... W_1 X``, and layer ``i`` gets
-    ``(W_h ... W_{i+1})^T G (W_{i-1} ... W_1 X)^T`` for the loss gradient
+    ``(W_h ... W_{i+1})^T G (W_{i-1} ... W_1 X)^T`` for the residual
     ``G`` at the output."""
 
     def chain(mats):
         return functools.reduce(np.matmul, mats)
 
-    g_out = loss.grad(chain(weights + [x]), y)
+    g_out = chain(weights + [x]) - y
     grads = []
     for i in range(len(weights)):
         above = chain(weights[:i]).T @ g_out if i else g_out
         grads.append(above @ chain(weights[i + 1:] + [x]).T)
-    return loss.value(chain(weights + [x]), y), grads
-
-
-QUARTIC = ConvexPlugin(
-    value_fn=lambda p, y: 0.25 * float(np.sum((p - y) ** 4)),
-    grad_fn=lambda p, y: (p - y) ** 3,
-)
+    return 0.5 * float(np.sum(g_out**2)), grads
 
 
 class TestObjectiveGradient:
-    @pytest.mark.parametrize("loss", [SquaredError(), QUARTIC], ids=["squared", "quartic"])
-    def test_passes_match_the_chain_product_formulas(self, loss):
+    def test_passes_match_the_chain_product_formulas(self):
         rng = np.random.default_rng(11)
         for h in range(1, 6):
             for draw in range(8):
@@ -88,9 +79,9 @@ class TestObjectiveGradient:
                 weights = [rng.uniform(-1, 1, size=(dims[i], dims[i + 1])) for i in range(h)]
                 x = rng.uniform(-1, 1, size=(dims[-1], n))
                 y = rng.uniform(-1, 1, size=(dims[0], n))
-                value, grads = chain_reference(weights, x, y, loss)
-                assert objective(weights, x, y, loss) == pytest.approx(value, rel=1e-12)
-                got = gradient(weights, x, y, loss)
+                value, grads = chain_reference(weights, x, y)
+                assert objective(weights, x, y) == pytest.approx(value, rel=1e-12)
+                got = gradient(weights, x, y)
                 assert [g.shape for g in got] == [w.shape for w in weights]
                 scale = gradient_norm(grads)
                 for g, ref in zip(got, grads):
@@ -108,7 +99,6 @@ class TestObjectiveGradient:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        loss = SquaredError()
         for _ in range(10):
             h = int(rng.integers(1, 5))
             dims = [int(d) for d in rng.integers(1, 5, size=h + 1)]
@@ -118,19 +108,11 @@ class TestObjectiveGradient:
             ]
             x = rng.uniform(-1, 1, size=(dims[-1], n))
             y = rng.uniform(-1, 1, size=(dims[0], n))
-            exact = gradient(weights, x, y, loss)
-            approx = fd_gradient(weights, x, y, loss)
+            exact = gradient(weights, x, y)
+            approx = fd_gradient(weights, x, y)
             num = np.sqrt(sum(np.linalg.norm(a - b) ** 2 for a, b in zip(exact, approx)))
             den = max(1e-12, gradient_norm(exact))
             assert num / den <= 1e-6
-
-    def test_plugin_loss_gradient(self):
-        rng = np.random.default_rng(1)
-        w = [rng.uniform(-1, 1, size=(2, 2))]
-        x, y = rng.uniform(-1, 1, size=(2, 3)), rng.uniform(-1, 1, size=(2, 3))
-        exact = gradient(w, x, y, QUARTIC)
-        approx = fd_gradient(w, x, y, QUARTIC)
-        assert np.allclose(exact[0], approx[0], atol=1e-6)
 
 
 class TestGlobalValue:
@@ -441,8 +423,7 @@ class TestGradientDescent:
         assert res.converged
         assert res.objective <= 1e-12
 
-    @pytest.mark.parametrize("loss", [SquaredError(), QUARTIC], ids=["squared", "quartic"])
-    def test_the_result_reports_its_own_point(self, loss):
+    def test_the_result_reports_its_own_point(self):
         # the descent takes the objective from each trial's forward pass
         # and the gradient from the accepted trial's, across the swap of
         # its two parameter buffers; both must be those of the point it
@@ -454,11 +435,11 @@ class TestGradientDescent:
                  rng.uniform(-1, 1, size=(1, 3))],
                 rng.uniform(-1, 1, size=(3, 4)), rng.uniform(-1, 1, size=(2, 4)),
             )
-            res = run_gradient_descent(init, loss, max_iter=max_iter)
+            res = run_gradient_descent(init, max_iter=max_iter)
             assert 0 < res.iterations <= max_iter
             weights, x, y = res.point.weights, res.point.x, res.point.y
-            assert res.objective == objective(weights, x, y, loss)
-            assert res.gradient_norm == gradient_norm(gradient(weights, x, y, loss))
+            assert res.objective == objective(weights, x, y)
+            assert res.gradient_norm == gradient_norm(gradient(weights, x, y))
 
     def test_a_descent_builds_at_most_one_network_point(self, monkeypatch):
         # the point is checked once at the boundary; trial steps are
