@@ -108,16 +108,6 @@ class ExperimentReport:
     version: str = __version__
 
 
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{name} must be an integer, got {raw!r}") from exc
-
-
 def _config_from(args, command, default_trials):
     kwargs = {}
     for flag, name in (("--tol-rank", "rank_rel"), ("--tol-grad", "grad_abs"),
@@ -127,11 +117,7 @@ def _config_from(args, command, default_trials):
             if value <= 0:
                 raise InputError(f"{flag} must be positive")
             kwargs[name] = value
-    seed = args.seed if args.seed is not None else _env_int("OPENMAP_SEED", 0)
-    jobs = args.jobs if args.jobs is not None else _env_int(
-        "OPENMAP_JOBS", os.cpu_count() or 1
-    )
-    if jobs < 1:
+    if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
     trials = args.trials if args.trials is not None else default_trials
     if trials < 0:
@@ -139,9 +125,9 @@ def _config_from(args, command, default_trials):
     return RunConfig(
         command=command,
         tolerances=Tolerances(**kwargs),
-        seed=seed,
+        seed=args.seed,
         trials=trials,
-        jobs=jobs,
+        jobs=args.jobs,
         out=args.out,
         report_format=args.format,
     )
@@ -495,9 +481,9 @@ _COMMON = (
     ("--tol-rank", {"type": float}),
     ("--tol-grad", {"type": float}),
     ("--tol-residual", {"type": float}),
-    ("--seed", {"type": int}),
+    ("--seed", {"type": int, "default": 0}),
     ("--trials", {"type": int}),
-    ("--jobs", {"type": int}),
+    ("--jobs", {"type": int, "default": os.cpu_count() or 1}),
     ("--out", {}),
     ("--format", {"choices": ("json", "text-summary"), "default": "json"}),
 )

@@ -320,18 +320,6 @@ def _choose_alphas(g_mat, dirs, q, primary_idx, secondary_idx, t1, t2):
     return scaled, q + 1
 
 
-def _chain_pairs(ks, p_space, b_space):
-    """Select ``(p_k, b_{k-1})`` with non-vanishing inner product for each
-    required chain index; None when any coupling falls below tolerance."""
-    pairs = {}
-    for k in ks:
-        got = _best_pair(p_space(k), b_space(k))
-        if got is None:
-            return None
-        pairs[k] = got
-    return pairs
-
-
 def _deep_chain(weights, i_idx, j_idx, tol):
     """Descent chain hinging on a null vector of the top layer of
     ``weights`` (``W_h`` first).  Returns the directions, ordered like
@@ -339,21 +327,21 @@ def _deep_chain(weights, i_idx, j_idx, tol):
     surviving term, whose top chain is the first ``q`` directions; or
     None."""
     h = len(weights)
-
-    def p_space(k):
-        return null_space(product_matrix(weights[h - k + 1 : h - 1]).T, tol)
-
     null_w = {k: null_space(weights[h - k], tol) for k in range(2, h + 1)}
     if null_w[h].dim == 0:
         return None
-    k_set = [k for k in range(3, h + 1)
-             if null_w[k].dim > 0 and _best_pair(null_w[k], p_space(k)) is None]
+    # for each chain index, the left null space of the interior product
+    # and the best-coupled (p_k, b_{k-1}) pair, None below tolerance
+    p_null = {k: null_space(product_matrix(weights[h - k + 1 : h - 1]).T, tol)
+              for k in range(3, h + 1)}
+    pairs = {k: _best_pair(p_null[k], null_w[k]) for k in p_null}
+    k_set = [k for k in pairs if null_w[k].dim > 0 and pairs[k] is None]
     if k_set:
         kstar = max(k_set)
         mid = product_matrix(weights[h - kstar + 1 : h - 1])
         # b: a null vector of W_{k*} inside the column space of the
         # interior product (all of it, when the product has full row rank)
-        if null_space(mid.T, tol).dim == 0:
+        if p_null[kstar].dim == 0:
             b_vec = null_w[kstar].columns[:, 0]
         else:
             cands = mid @ np.linalg.pinv(mid) @ null_w[kstar].columns
@@ -363,17 +351,15 @@ def _deep_chain(weights, i_idx, j_idx, tol):
                 return None
             b_vec = cands[:, best] / norms[best]
         b1, *_ = np.linalg.lstsq(mid, b_vec, rcond=None)
-        pairs = _chain_pairs(range(kstar + 1, h + 1), p_space, null_w.get)
-        if pairs is None:
-            return None
         case = "DeepCaseA"
     else:
         kstar = 2
-        pairs = _chain_pairs(range(3, h + 1), p_space, null_w.get)
-        if pairs is None or null_w[2].dim == 0:
+        if null_w[2].dim == 0:
             return None
         b_vec = b1 = null_w[2].columns[:, 0]
         case = "DeepCaseB"
+    if any(pairs[k] is None for k in range(kstar + 1, h + 1)):
+        return None
     dirs = [np.zeros_like(m) for m in weights]
     if kstar == h:
         dirs[0][j_idx, :] = b_vec

@@ -21,6 +21,9 @@ batched solver behind the recovery oracles.
   entries, which give the same step by
   ``(JᵀJ + λI)⁻¹Jᵀ = Jᵀ(JJᵀ + λI)⁻¹``; the smaller Gram matrix has the
   fewer null directions for ``1/λ`` to amplify rounding noise along.
+* ``lm_recover`` is the one retry engine of the two recovery oracles: a
+  first ``lm_fit`` of every trial from zero, then seeded jittered refits
+  of the trials still failing, keeping each accepted refit.
 
 All operations are pure functions of their arguments and safe to call
 concurrently.
@@ -391,3 +394,41 @@ def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
         lam[improved] = np.maximum(lam[improved] * 0.3, 1e-14)
         lam[worse] *= 10.0
     return blocks, res_norm
+
+
+def lm_recover(product, jacobian, shapes, targets, tol, rounds, seed, goals, cap):
+    """``lm_fit`` of every target from zero, then retry rounds on the
+    trials still failing; ``rounds`` lists ``(max_iter, init_scale)``, the
+    first round with scale zero.
+
+    Round ``i`` fits with seed ``seed + i``.  A fit is accepted when its
+    residual norm is at most ``goals[t]`` and its factor norm,
+    ``sqrt(Σ‖block‖²)``, at most ``cap`` (for one block, the block's norm
+    bit for bit, since ``sqrt(fl(x²)) = x`` barring under- and overflow);
+    an accepted refit replaces the trial's first-pass outputs, and a trial
+    no round accepts keeps them.  The first round and the trials it
+    accepts do not depend on the batch, but a retry draws its jitter as
+    one block per factor over the trials still failing, so a retried
+    trial's start, and with it its result, depends on which trials failed
+    with it.  Returns (blocks, residual_norms, factor_norms, success).
+    """
+    todo = np.arange(targets.shape[0])
+    for i, (max_iter, init_scale) in enumerate(rounds):
+        got, rn = lm_fit(product, jacobian, shapes, targets[todo], tol,
+                         max_iter, init_scale, seed + i)
+        norm = np.sqrt(sum(
+            np.linalg.norm(blk.reshape(len(blk), -1), axis=1) ** 2 for blk in got
+        ))
+        ok = (rn <= goals[todo]) & (norm <= cap)
+        if i == 0:
+            blocks, res_norm, factor_norm, success = got, rn, norm, ok
+        else:
+            idx = todo[ok]
+            success[idx] = True
+            for blk, new in zip(blocks, got):
+                blk[idx] = new[ok]
+            res_norm[idx], factor_norm[idx] = rn[ok], norm[ok]
+        todo = np.flatnonzero(~success)
+        if not todo.size:
+            break
+    return blocks, res_norm, factor_norm, success

@@ -17,13 +17,14 @@ sampled target is reachable with small factor perturbations.  Both stages
 run on the stack of all trials at once: ``sample_feasible_target`` takes
 one generator per trial, and ``lm_fit`` iterates the live trials only,
 each step solving the smaller of its two normal systems (``m n`` residual
-entries against ``k (m + n)`` unknowns).  Each sampled target, each
-``lm_fit`` call given its start, and each trial that the first fit settles
-from the zero start is, bit for bit, what a batch of one would give.  A
-retried trial is not: a retry round draws its jitter as one block per
-factor over the trials still failing, so its start depends on which
-trials failed with it.  The sampler stops a trial once its distance
-matches ``delta`` to within the rounding floor of ``(z + r) - z``.
+entries against ``k (m + n)`` unknowns), and ``lm_recover`` retries the
+trials that stall.  Each sampled target, each ``lm_fit`` call given its
+start, and each trial that the first fit settles from the zero start is,
+bit for bit, what a batch of one would give.  A retried trial is not:
+``lm_recover`` draws a retry round's jitter as one block per factor over
+the trials still failing, so its start depends on which trials failed
+with it.  The sampler stops a trial once its distance matches ``delta``
+to within the rounding floor of ``(z + r) - z``.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .numcore import (
     _row_dots,
     _sv_rank,
     intersection_dim,
-    lm_fit,
+    lm_recover,
     null_space,
     rank,
     singular_values,
@@ -301,21 +302,18 @@ def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
     Solves ``(w1 + A)(w2 + B) = target`` by batched Levenberg-Marquardt
     from ``A = B = 0``.  Success means residual within ``residual_abs``
     and combined factor perturbation within ``PROBE_NORM_SLACK * delta``.
-    Trials that stall from the degenerate start are retried with seeded
-    jitter at a few square-root-of-delta scales.
+    When ``delta > 0``, trials that stall from the degenerate start are
+    retried with seeded jitter at a few square-root-of-delta scales.
 
-    The first fit and the trials it settles do not depend on the batch:
-    each such trial's outputs equal, bit for bit, those of a batch of one.
-    Retry round ``i`` draws its jitter from ``default_rng(seed + 1 + i)``
-    as one block per factor over the trials still failing, so a retried
-    trial's start, and with it its result, depends on which trials failed
-    before it.
+    ``lm_recover`` runs the first fit and the retry rounds: the first fit
+    and the trials it settles do not depend on the batch, and each such
+    trial's outputs equal, bit for bit, those of a batch of one, while a
+    retried trial's result depends on which trials failed with it.
     """
     targets = np.asarray(targets, dtype=float)
     m, k = w1.shape
     n = w2.shape[1]
     eye_m, eye_n = np.eye(m), np.eye(n)
-    cap = PROBE_NORM_SLACK * delta
 
     def product(a, b):
         return (w1[None] + a) @ (w2[None] + b)
@@ -328,28 +326,13 @@ def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
             ja.reshape(t_count, m * n, m * k), jb.reshape(t_count, m * n, k * n)
         ], axis=2)
 
-    def fit(tgts, max_iter, init_scale, fit_seed):
-        (a, b), rn = lm_fit(product, jacobian, (w1.shape, w2.shape), tgts, tol,
-                            max_iter, init_scale, fit_seed)
-        norm = np.sqrt(
-            np.linalg.norm(a.reshape(len(a), -1), axis=1) ** 2
-            + np.linalg.norm(b.reshape(len(b), -1), axis=1) ** 2
-        )
-        return a, b, rn, norm, (rn <= tol.residual_abs) & (norm <= cap)
-
-    a, b, rn, pair_norm, success = fit(targets, 80, 0.0, seed)
-    if delta > 0.0:
-        for round_idx, factor in enumerate((0.5, 1.5, 0.25, 0.75)):
-            retry = ~success
-            if not np.any(retry):
-                break
-            a2, b2, rn2, norm2, ok2 = fit(
-                targets[retry], 120, factor * np.sqrt(delta), seed + 1 + round_idx
-            )
-            idx = np.flatnonzero(retry)[ok2]
-            success[idx] = True
-            a[idx], b[idx] = a2[ok2], b2[ok2]
-            pair_norm[idx], rn[idx] = norm2[ok2], rn2[ok2]
+    rounds = [(80, 0.0)] + [
+        (120, f * np.sqrt(delta)) for f in (0.5, 1.5, 0.25, 0.75) if delta > 0.0
+    ]
+    (a, b), rn, pair_norm, success = lm_recover(
+        product, jacobian, (w1.shape, w2.shape), targets, tol, rounds, seed,
+        np.full(len(targets), tol.residual_abs), PROBE_NORM_SLACK * delta,
+    )
     return {
         "success": success,
         "factor_norm": pair_norm,

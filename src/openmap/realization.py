@@ -55,7 +55,7 @@ class RealizationWitness:
     guarantee_eps: float | None = None
 
 
-def _witness(pair, dw1, dw2, z_tilde, input_delta, tol, delta0, eps=None):
+def _witness(pair, dw1, dw2, z_tilde, input_delta, tol, delta0):
     residual = float(
         np.linalg.norm((pair.w1 + dw1) @ (pair.w2 + dw2) - z_tilde)
     )
@@ -71,8 +71,24 @@ def _witness(pair, dw1, dw2, z_tilde, input_delta, tol, delta0, eps=None):
         delta_norm=float(max(np.linalg.norm(dw1), np.linalg.norm(dw2))),
         input_delta=float(input_delta),
         delta0=delta0,
-        guarantee_eps=eps,
     )
+
+
+def _least_witness(candidates, pair, z_tilde, input_delta, tol, delta0):
+    """Of the ``(key, dw1, dw2)`` of ``candidates`` whose product meets
+    the target, the witness of least ``delta_norm`` (the first on ties)
+    and its key."""
+    best = best_key = None
+    for key, dw1, dw2 in candidates:
+        try:
+            cand = _witness(pair, dw1, dw2, z_tilde, input_delta, tol, delta0)
+        except NumericalFailure:
+            continue
+        if best is None or cand.delta_norm < best.delta_norm:
+            best, best_key = cand, key
+    if best is None:
+        raise NumericalFailure("no candidate perturbation realized the target")
+    return best, best_key
 
 
 def _realize_full_rank(pair, z_tilde, input_delta, rep, tol):
@@ -90,35 +106,25 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, tol):
     # target distance (rank-raising targets force sqrt-sized witnesses)
     nr = np.linalg.norm(r_delta)
     scales = sorted({np.sqrt(max(nr, 1e-300)) * 2.0**j for j in range(-2, 3)})
-    best = None
 
-    def consider(dw1, dw2):
-        nonlocal best
-        try:
-            cand = _witness(pair, dw1, dw2, z_tilde, input_delta, tol, None)
-        except NumericalFailure:
-            return
-        if best is None or cand.delta_norm < best.delta_norm:
-            best = cand
+    def candidates():
+        for s in scales:
+            if rep.condition_flags.get("w1_completion_exists"):
+                try:
+                    wt1 = null_completion(w2.T, w1.T, tol, seed=17, scale=s).T
+                except GenericScaleFailed:
+                    wt1 = None
+                if wt1 is not None and rank(w1 + wt1, tol) == pair.m:
+                    yield s, wt1, np.linalg.pinv(w1 + wt1) @ r_delta
+            if rep.condition_flags.get("w2_completion_exists"):
+                try:
+                    wt2 = null_completion(w1, w2, tol, seed=19, scale=s)
+                except GenericScaleFailed:
+                    wt2 = None
+                if wt2 is not None and rank(w2 + wt2, tol) == pair.n:
+                    yield s, r_delta @ np.linalg.pinv(w2 + wt2), wt2
 
-    for s in scales:
-        if rep.condition_flags.get("w1_completion_exists"):
-            try:
-                wt1 = null_completion(w2.T, w1.T, tol, seed=17, scale=s).T
-            except GenericScaleFailed:
-                wt1 = None
-            if wt1 is not None and rank(w1 + wt1, tol) == pair.m:
-                consider(wt1, np.linalg.pinv(w1 + wt1) @ r_delta)
-        if rep.condition_flags.get("w2_completion_exists"):
-            try:
-                wt2 = null_completion(w1, w2, tol, seed=19, scale=s)
-            except GenericScaleFailed:
-                wt2 = None
-            if wt2 is not None and rank(w2 + wt2, tol) == pair.n:
-                consider(r_delta @ np.linalg.pinv(w2 + wt2), wt2)
-    if best is None:
-        raise NumericalFailure("no full-rank completion produced a valid witness")
-    return best
+    return _least_witness(candidates(), pair, z_tilde, input_delta, tol, None)[0]
 
 
 def _column_classification(st, sp_st_t, r, k, tol):
@@ -138,24 +144,17 @@ def _column_classification(st, sp_st_t, r, k, tol):
     nonbasis = list(bb.nonbasis_rows)
     front = list(range(r)) + rest_basis + nonbasis[: k - r_t]
     far = nonbasis[k - r_t :]
-    perm = front + far
 
     # coefficients of far columns over the basis columns, re-indexed to
     # positions inside the front block (zeros for the dependent fillers)
-    coeff_rows = {row: bb.coeffs[i] for i, row in enumerate(nonbasis)}
-    basis_pos = {col: front.index(col) for col in basis}
     a_bar = np.zeros((k, len(far)))
-    for j, col in enumerate(far):
-        coeff = coeff_rows[col]
-        for b_idx, col_b in enumerate(basis):
-            a_bar[basis_pos[col_b], j] = coeff[b_idx]
-    return perm, a_bar, r_t
+    a_bar[[front.index(col) for col in basis]] = bb.coeffs[k - r_t :].T
+    return front + far, a_bar, r_t
 
 
 def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, sp1, tol):
     """``sp``, ``sp_z`` and ``sp1`` are the ``Spectrum`` of
     ``pair.product``, of ``z_tilde`` and of ``pair.w1``."""
-    w1, w2 = pair.w1, pair.w2
     m, k, n = pair.m, pair.k, pair.n
     u, s, v, r = sp.u, sp.s, sp.v, sp.rank
 
@@ -168,81 +167,54 @@ def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, sp1, tol):
             delta0=delta0,
         )
 
-    w2b = w2 @ v
     st = u.T @ z_tilde @ v
-    sigma = np.zeros((m, n))
-    np.fill_diagonal(sigma, s)
-    sigma[:, r:] = 0.0
-    sigma[r:, :] = 0.0
-
     # st.T = (v.T V_z) S_z (u.T U_z).T for z_tilde = U_z S_z V_z.T
     sp_st_t = Spectrum(v.T @ sp_z.v, sp_z.s, u.T @ sp_z.u, sp_z.rank, sp_z.ambiguous)
     perm, a_bar, r_t = _column_classification(st, sp_st_t, r, k, tol)
     if r_t < r:
         raise IllConditioned("target rank dropped below the product rank")
-    st_p = st[:, perm]
-    c1 = st_p[:, :k]
-    r1_block = c1[:, :r] - sigma[:, :r]
-    r2_block = c1[:, r:k]
+    c1 = st[:, perm[:k]]
+    rhs = np.hstack([c1[:, :r] - np.eye(m, r) * s[:r], c1[:, r:]]).T
 
+    # N(u.T @ w1) = N(w1), of dimension k - r: an open pair of this regime
+    # has rank(w1) equal to the product rank
+    nb = sp1.v[:, sp1.rank:]
+    scales = [0.0]
     if r < k:
-        # N(u.T @ w1) = N(w1), of dimension k - r: an open pair of this
-        # regime has rank(w1) equal to the product rank
-        nb = sp1.v[:, sp1.rank:]
         # scale balancing the two perturbation blocks: the inverse of the
         # completed square factor acts as 1/scale on the new-rank block
-        r2_norm = np.linalg.norm(r2_block)
-        candidates = sorted(
+        r2_norm = np.linalg.norm(c1[:, r:])
+        scales = sorted(
             {np.sqrt(max(r2_norm, 1e-300)) * 2.0**j for j in range(-3, 4)}
             | {max(input_delta, 1e-300)}
         )
-    else:
-        nb = None
-        candidates = [None]
+    w2b1 = (pair.w2 @ v)[:, :k]
 
-    w2b1 = w2b[:, :k]
-    best = None
-    for scale in candidates:
-        wt21 = np.zeros((k, k))
-        if nb is not None:
+    def candidates():
+        for scale in scales:
+            wt21 = np.zeros((k, k))
             wt21[:, r:] = scale * nb
-        m_block = w2b1 + wt21
-        try:
-            w1b0 = np.linalg.solve(m_block.T, np.hstack([r1_block, r2_block]).T).T
-        except np.linalg.LinAlgError:
-            continue
-        w2b0_p = np.zeros((k, n))
-        w2b0_p[:, :k] = wt21
-        w2b0_p[:, k:] = m_block @ a_bar
+            m_block = w2b1 + wt21
+            try:
+                w1b0 = np.linalg.solve(m_block.T, rhs).T
+            except np.linalg.LinAlgError:
+                continue
+            dw2b = np.zeros((k, n))
+            dw2b[:, perm] = np.hstack([wt21, m_block @ a_bar])
+            yield m_block, u @ w1b0, dw2b @ v.T
 
-        dw2b = np.zeros((k, n))
-        dw2b[:, perm] = w2b0_p
-        dw1 = u @ w1b0
-        dw2 = dw2b @ v.T
-        eps_bound = None
-        if nb is not None:
-            n_cap = n * 2.0**n
-            minv = 1.0 / max(np.linalg.svd(m_block, compute_uv=False)[-1], 1e-300)
-            term = minv
-            if sigma_min is not None:
-                term = max(
-                    minv,
-                    np.sqrt(2.0)
-                    * np.linalg.norm(w2b1)
-                    * (2.0 + 2.0 * n_cap)
-                    / sigma_min,
-                )
-            eps_bound = float(input_delta * (1.0 + term))
-        try:
-            cand = _witness(
-                pair, dw1, dw2, z_tilde, input_delta, tol, delta0, eps=eps_bound
+    best, m_block = _least_witness(
+        candidates(), pair, z_tilde, input_delta, tol, delta0
+    )
+    if r < k:
+        n_cap = n * 2.0**n
+        term = 1.0 / max(np.linalg.svd(m_block, compute_uv=False)[-1], 1e-300)
+        if sigma_min is not None:
+            term = max(
+                term,
+                np.sqrt(2.0) * np.linalg.norm(w2b1) * (2.0 + 2.0 * n_cap) / sigma_min,
             )
-        except NumericalFailure:
-            continue
-        if best is None or cand.delta_norm < best.delta_norm:
-            best = cand
-    if best is None:
-        raise NumericalFailure("rank-deficient realization failed on all scales")
+        best.guarantee_eps = float(input_delta * (1.0 + term))
     return best
 
 
@@ -271,14 +243,8 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
         raise NotOpen("the product map is not locally open at this pair")
     input_delta = float(np.linalg.norm(z_tilde - pair.product))
     if input_delta == 0.0:
-        return RealizationWitness(
-            delta_w1=np.zeros_like(pair.w1),
-            delta_w2=np.zeros_like(pair.w2),
-            target_residual=0.0,
-            delta_norm=0.0,
-            input_delta=0.0,
-            delta0=None,
-        )
+        return _witness(pair, np.zeros_like(pair.w1), np.zeros_like(pair.w2),
+                        z_tilde, 0.0, tol, None)
     if report.regime == REGIME_DEFICIENT:
         return _realize_rank_deficient(
             pair, z_tilde, input_delta, product_spectrum, sp_z, w1_spectrum, tol

@@ -32,7 +32,7 @@ from .errors import (
     RankInfeasible,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, _sv_rank, lm_fit, null_space
+from .numcore import DEFAULT_TOL, _sv_rank, lm_recover, null_space
 
 # safety floors from the diagonal recursion: radicands must stay above
 # 1/4 and pivots above 1/2 for the sweep to be well defined
@@ -292,12 +292,11 @@ def certify_bm_transfer(w, tol=DEFAULT_TOL):
 def gauss_newton_sym_recover(w, targets, delta, tol=DEFAULT_TOL, seed=0):
     """Independent oracle for symmetric-target feasibility: batched
     Levenberg-Marquardt on ``(w + A)(w + A).T = target`` from ``A = 0``,
-    with one jittered retry of the trials that fail."""
+    with one jittered retry of the trials that fail (``lm_recover``)."""
     targets = np.asarray(targets, dtype=float)
     t_count = targets.shape[0]
     n, k = w.shape
     eye_n = np.eye(n)
-    cap = 1e3 * delta
     scale = np.maximum(
         1.0, np.linalg.norm(targets.reshape(t_count, -1), axis=1)
     )
@@ -313,19 +312,9 @@ def gauss_newton_sym_recover(w, targets, delta, tol=DEFAULT_TOL, seed=0):
             a.shape[0], n * n, n * k
         )
 
-    def fit(tgts, init_scale, fit_seed):
-        (a,), rn = lm_fit(product, jacobian, (w.shape,), tgts, tol, 100,
-                          init_scale, fit_seed)
-        return a, rn, np.linalg.norm(a.reshape(len(a), -1), axis=1)
-
-    a, rn, norms = fit(targets, 0.0, seed)
-    success = (rn <= tol.residual_abs * scale) & (norms <= cap)
-    retry = ~success
-    if np.any(retry) and delta > 0.0:
-        a2, rn2, norm2 = fit(targets[retry], 0.5 * np.sqrt(delta), seed + 1)
-        ok2 = (rn2 <= tol.residual_abs * scale[retry]) & (norm2 <= cap)
-        idx = np.flatnonzero(retry)[ok2]
-        success[idx] = True
-        a[idx] = a2[ok2]
-        norms[idx], rn[idx] = norm2[ok2], rn2[ok2]
+    rounds = [(100, 0.0)] + ([(100, 0.5 * np.sqrt(delta))] if delta > 0.0 else [])
+    (a,), rn, norms, success = lm_recover(
+        product, jacobian, (w.shape,), targets, tol, rounds, seed,
+        tol.residual_abs * scale, 1e3 * delta,
+    )
     return {"success": success, "a": a, "residual": rn, "a_norm": norms}

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import warnings
 
 import numpy as np
@@ -52,6 +53,19 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     err = _error(capsys)
     assert err["error"] == "InputError"
     assert "not UTF-8" in err["message"]
+
+
+def test_environment_variables_set_no_defaults(monkeypatch, tmp_path, capsys):
+    # --seed defaults to 0 and --jobs to the CPU count, whatever the
+    # environment holds
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(matrix_to_payload(np.eye(2))))
+    monkeypatch.setenv("OPENMAP_SEED", "5")
+    monkeypatch.setenv("OPENMAP_JOBS", str((os.cpu_count() or 1) + 1))
+    assert main(["sym", "certify", "--w", str(path)]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["seed"] == 0
+    assert config["jobs"] == (os.cpu_count() or 1)
 
 
 @pytest.mark.parametrize("path", sorted(COMMANDS))

@@ -63,6 +63,25 @@ class TestRealizeBasics:
         assert sum(np.array_equal(a, target) for a in svds) == 1
         assert len(svds) == 4
 
+    def test_the_guarantee_decomposes_the_winning_block_once(self, monkeypatch):
+        # r < k at the ratio-sweep golden pair: eight scale candidates, but
+        # only the winner's m_block is decomposed for guarantee_eps
+        # (16 SVDs when each candidate took its own)
+        p = pair([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        (target,) = sample_feasible_target(p.product, 2, 1e-3, [np.random.default_rng([0, 0, 0])])
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        wit = realize(p, target)
+        assert len(calls) <= 9
+        assert wit.guarantee_eps == 0.07171067811861778
+        assert wit.delta_norm == 0.029011546029110224
+
     def test_not_open_refused(self):
         p = pair([[1.0], [1.0]], [[0.0, 0.0]])
         target = np.array([[1e-4, 0.0], [0.0, 0.0]])

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
-from openmap import numcore, openness, symmetric
+from openmap import numcore, openness
 from openmap.numcore import DEFAULT_TOL, EPS, _lm_step, rank, truncated_svd
 from openmap.openness import gauss_newton_recover, probe_openness, sample_feasible_target
 from openmap.symmetric import gauss_newton_sym_recover
@@ -200,21 +200,22 @@ def test_trials_settled_by_the_first_fit_equal_their_batch_of_one(monkeypatch):
     w1, w2 = _grid_pair((3, 2, 3), 168)
     targets = sample_feasible_target(w1 @ w2, 2, 1e-3, _rngs(168, 8))
     fits = []
+    lm_fit = numcore.lm_fit
 
     def recorded(*args):
-        blocks, res_norm = numcore.lm_fit(*args)
-        # copies: the oracle writes retry results into the arrays returned
+        blocks, res_norm = lm_fit(*args)
+        # copies: lm_recover writes retry results into the arrays returned
         fits.append((args, ([blk.copy() for blk in blocks], res_norm.copy())))
         return blocks, res_norm
 
-    monkeypatch.setattr(openness, "lm_fit", recorded)
+    monkeypatch.setattr(numcore, "lm_fit", recorded)
     batch = gauss_newton_recover(w1, w2, targets, 1e-3, DEFAULT_TOL, seed=168)
     (product, jacobian, shapes, _, *rest), (blocks, res_norm) = fits[0]
     assert [len(args[3]) for args, _ in fits[:2]] == [8, 5]
     settled = 0
     for t in range(8):
-        blocks_alone, res_alone = numcore.lm_fit(product, jacobian, shapes,
-                                                 targets[t:t + 1], *rest)
+        blocks_alone, res_alone = lm_fit(product, jacobian, shapes,
+                                         targets[t:t + 1], *rest)
         assert res_alone.tobytes() == res_norm[t:t + 1].tobytes()
         assert all(one.tobytes() == blk[t:t + 1].tobytes()
                    for one, blk in zip(blocks_alone, blocks))
@@ -253,14 +254,13 @@ def test_probe_matches_the_one_target_sampler(monkeypatch):
         return np.stack([reference_target(z, rank_cap, delta, rng) for rng in rngs])
 
     monkeypatch.setattr(openness, "sample_feasible_target", one_at_a_time)
-    monkeypatch.setattr(openness, "lm_fit", reference_lm_fit)
+    monkeypatch.setattr(numcore, "lm_fit", reference_lm_fit)
     want = probe_openness(openness.FactorPair(w1, w2), 1e-5, 20, seed=3)
     assert got == want
 
 
 def _outputs_with(monkeypatch, fit, run):
-    monkeypatch.setattr(openness, "lm_fit", fit)
-    monkeypatch.setattr(symmetric, "lm_fit", fit)
+    monkeypatch.setattr(numcore, "lm_fit", fit)
     return {key: val.tobytes() for key, val in run().items()}
 
 
@@ -297,7 +297,7 @@ def _lm_runs():
 @pytest.mark.parametrize("name", sorted(_lm_runs()))
 def test_live_trials_lm_fit_matches_the_all_trials_loop(monkeypatch, name):
     run = _lm_runs()[name]
-    got = _outputs_with(monkeypatch, openness.lm_fit, run)
+    got = _outputs_with(monkeypatch, numcore.lm_fit, run)
     assert got == _outputs_with(monkeypatch, reference_lm_fit, run)
 
 
