@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .numcore import (  # noqa: F401
     DEFAULT_TOL,
     BoundedBasisResult,
-    SubspaceBasis,
     Tolerances,
     bounded_basis,
     column_space,

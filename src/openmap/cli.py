@@ -117,6 +117,8 @@ def _config_from(args, command, default_trials):
             if value <= 0:
                 raise InputError(f"{flag} must be positive")
             kwargs[name] = value
+    if args.seed < 0:
+        raise InputError("--seed must be non-negative")
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
     trials = args.trials if args.trials is not None else default_trials

@@ -281,13 +281,12 @@ def _verify_descent(point, base, dirs, order, case, tol):
 def _best_pair(basis_a, basis_b):
     """Unit vectors maximizing the absolute inner product between two
     subspaces, with the achieved value; None when they are orthogonal."""
-    if basis_a.dim == 0 or basis_b.dim == 0:
+    if basis_a.shape[1] == 0 or basis_b.shape[1] == 0:
         return None
-    gram = basis_a.columns.T @ basis_b.columns
-    u, s, vt = np.linalg.svd(gram)
-    if s.size == 0 or s[0] < _DIRECTION_TOL:
+    u, s, vt = np.linalg.svd(basis_a.T @ basis_b)
+    if s[0] < _DIRECTION_TOL:
         return None
-    return basis_a.columns @ u[:, 0], basis_b.columns @ vt[0], float(s[0])
+    return basis_a @ u[:, 0], basis_b @ vt[0], float(s[0])
 
 
 def _data_indices(g_x):
@@ -328,23 +327,23 @@ def _deep_chain(weights, i_idx, j_idx, tol):
     None."""
     h = len(weights)
     null_w = {k: null_space(weights[h - k], tol) for k in range(2, h + 1)}
-    if null_w[h].dim == 0:
+    if null_w[h].shape[1] == 0:
         return None
     # for each chain index, the left null space of the interior product
     # and the best-coupled (p_k, b_{k-1}) pair, None below tolerance
     p_null = {k: null_space(product_matrix(weights[h - k + 1 : h - 1]).T, tol)
               for k in range(3, h + 1)}
     pairs = {k: _best_pair(p_null[k], null_w[k]) for k in p_null}
-    k_set = [k for k in pairs if null_w[k].dim > 0 and pairs[k] is None]
+    k_set = [k for k in pairs if null_w[k].shape[1] > 0 and pairs[k] is None]
     if k_set:
         kstar = max(k_set)
         mid = product_matrix(weights[h - kstar + 1 : h - 1])
         # b: a null vector of W_{k*} inside the column space of the
         # interior product (all of it, when the product has full row rank)
-        if p_null[kstar].dim == 0:
-            b_vec = null_w[kstar].columns[:, 0]
+        if p_null[kstar].shape[1] == 0:
+            b_vec = null_w[kstar][:, 0]
         else:
-            cands = mid @ np.linalg.pinv(mid) @ null_w[kstar].columns
+            cands = mid @ np.linalg.pinv(mid) @ null_w[kstar]
             norms = np.linalg.norm(cands, axis=0)
             best = int(np.argmax(norms))
             if norms[best] < _DIRECTION_TOL:
@@ -354,9 +353,9 @@ def _deep_chain(weights, i_idx, j_idx, tol):
         case = "DeepCaseA"
     else:
         kstar = 2
-        if null_w[2].dim == 0:
+        if null_w[2].shape[1] == 0:
             return None
-        b_vec = b1 = null_w[2].columns[:, 0]
+        b_vec = b1 = null_w[2][:, 0]
         case = "DeepCaseB"
     if any(pairs[k] is None for k in range(kstar + 1, h + 1)):
         return None

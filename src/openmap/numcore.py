@@ -7,6 +7,9 @@ batched solver behind the recovery oracles.
 * A ``Spectrum`` holds one full SVD with the rank and ambiguity flag read
   off it, so a matrix whose ranks, flags and bases are all needed is
   decomposed once.
+* A subspace is an array of orthonormal columns read off a ``Spectrum``:
+  ``null_space`` and ``column_space`` return such slices, and
+  ``intersection_dim`` takes two of them.
 * ``truncated_svd`` takes a matrix or a ``(..., m, n)`` stack, as
   ``rank`` and ``singular_values`` do; ``_row_dots`` gives the squared
   row norms that ``np.linalg.norm`` computes, bit for bit.
@@ -82,21 +85,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-@dataclass
-class SubspaceBasis:
-    """Orthonormal basis of a subspace, stored column-wise."""
-
-    columns: np.ndarray
-
-    @property
-    def dim(self):
-        return self.columns.shape[1]
-
-    @property
-    def ambient(self):
-        return self.columns.shape[0]
 
 
 @dataclass(frozen=True)
@@ -201,42 +189,38 @@ def spectrum(mat, tol=DEFAULT_TOL):
 
 
 def null_space(mat, tol=DEFAULT_TOL):
-    """Orthonormal basis of ``{v : mat @ v = 0}``."""
+    """Orthonormal basis of ``{v : mat @ v = 0}``: the columns
+    ``v[:, rank:]`` of the ``Spectrum`` of ``mat``."""
     sp = spectrum(mat, tol)
-    return SubspaceBasis(sp.v[:, sp.rank:])
+    return sp.v[:, sp.rank:]
 
 
 def column_space(mat, tol=DEFAULT_TOL):
-    """Orthonormal basis of the range of ``mat``."""
+    """Orthonormal basis of the range of ``mat``: the columns
+    ``u[:, :rank]`` of the ``Spectrum`` of ``mat``."""
     sp = spectrum(mat, tol)
-    return SubspaceBasis(sp.u[:, : sp.rank])
-
-
-def _principal_cosines(b1, b2):
-    if b1.dim == 0 or b2.dim == 0:
-        return np.zeros(0)
-    gram = b1.columns.T @ b2.columns
-    return np.clip(np.linalg.svd(gram, compute_uv=False), 0.0, 1.0)
+    return sp.u[:, : sp.rank]
 
 
 def intersection_dim(basis1, basis2, tol=DEFAULT_TOL):
-    """Dimension of the intersection of two subspaces.
+    """Dimension of the intersection of two subspaces, each given by an
+    array of orthonormal columns (a column slice of a ``Spectrum``).
 
     Computed two independent ways -- the dimension identity
     ``dim(U) + dim(V) - rank([B1 B2])`` and the count of principal-angle
     cosines at 1 -- and cross-checked.  Disagreement means the instance
     sits too close to the rank threshold for a verdict.
     """
-    if basis1.ambient != basis2.ambient:
+    if basis1.shape[0] != basis2.shape[0]:
         raise InputError("subspace bases live in different ambient dimensions")
-    if basis1.dim == 0 or basis2.dim == 0:
+    d1, d2 = basis1.shape[1], basis2.shape[1]
+    if d1 == 0 or d2 == 0:
         return 0
-    stacked = np.hstack([basis1.columns, basis2.columns])
-    by_rank = basis1.dim + basis2.dim - rank(stacked, tol)
-    cos = _principal_cosines(basis1, basis2)
+    by_rank = d1 + d2 - rank(np.hstack([basis1, basis2]), tol)
+    cos = np.clip(np.linalg.svd(basis1.T @ basis2, compute_uv=False), 0.0, 1.0)
     # the cosines carry rounding from two SVD layers, so the threshold
     # keeps a floor of a few dozen ulps below exact alignment
-    thr = tol.rank_rel if tol.rank_rel is not None else EPS * max(basis1.ambient, 2)
+    thr = tol.rank_rel if tol.rank_rel is not None else EPS * max(basis1.shape[0], 2)
     thr = max(thr, 64.0 * EPS)
     by_angles = int(np.sum(cos >= 1.0 - thr))
     if by_rank != by_angles:

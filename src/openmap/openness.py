@@ -36,7 +36,6 @@ from .matrixio import as_matrix
 from .numcore import (
     DEFAULT_TOL,
     EPS,
-    SubspaceBasis,
     _row_dots,
     _sv_rank,
     intersection_dim,
@@ -131,9 +130,7 @@ def _openness_and_spectra(pair, tol):
         ("intersection", d_nc, sp1.v[:, r1:], sp2.u[:, :r2]),
         ("transposed intersection", d_cn, sp2.u[:, r2:], sp1.v[:, :r1]),
     ):
-        d_angles = intersection_dim(
-            SubspaceBasis(null_cols), SubspaceBasis(col_cols), tol
-        )
+        d_angles = intersection_dim(null_cols, col_cols, tol)
         if d_id != d_angles:
             raise IllConditioned(
                 f"{label} dim mismatch: rank identity {d_id}, angles {d_angles}"
@@ -173,41 +170,42 @@ def _openness_and_spectra(pair, tol):
     ), sp1, spp
 
 
-def null_completion(w1, w2, tol=DEFAULT_TOL, seed=0, scale=None):
-    """Build ``wt2`` with columns in ``N(w1)`` such that ``w2 + wt2`` is
-    full rank; the generic construction, verified and retried with seeded
-    rotations when a placement collides."""
+def null_completion(w1, w2, tol=DEFAULT_TOL, seed=0, scales=None):
+    """For each of ``scales``, ``wt2`` with columns in ``N(w1)`` such that
+    ``w2 + wt2`` is full rank, or ``None`` when no placement, the generic
+    one or seeded rotations of it, restores full rank.  ``w2``'s singular
+    values and ``N(w1)`` are computed once; the default is one scale, half
+    the smallest singular value of ``w2`` counted in its rank."""
     w1 = as_matrix(w1, "w1")
     w2 = as_matrix(w2, "w2")
     k, n = w2.shape
     target_rank = min(k, n)
     s2 = singular_values(w2)
     r2 = _sv_rank(s2, w2.shape, tol)
+    if scales is None:
+        scales = [0.5 * float(s2[r2 - 1]) if r2 else 1.0]
     if r2 == target_rank:
-        return np.zeros_like(w2)
+        return [np.zeros_like(w2) for _ in scales]
     basis = null_space(w1, tol)
-    if basis.dim == 0:
-        raise GenericScaleFailed("left factor has a trivial null space")
-    d = basis.dim
-    if scale is None:
-        # half the smallest singular value of w2 counted in its rank
-        scale = 0.5 * float(s2[r2 - 1]) if r2 else 1.0
+    d = basis.shape[1]
     order = np.argsort(np.linalg.norm(w2, axis=0))  # prefer empty columns
-    rng = np.random.default_rng(seed)
-    for attempt in range(8):
-        cols = basis.columns
-        positions = order[: min(d, n)]
-        if attempt > 0:
-            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-            cols = cols @ q
-            positions = rng.choice(n, size=min(d, n), replace=False)
-        wt2 = np.zeros_like(w2)
-        wt2[:, positions] = scale * cols[:, : len(positions)]
-        if rank(w2 + wt2, tol) == target_rank:
-            return wt2
-    raise GenericScaleFailed(
-        "could not restore full rank from the null-space completion"
-    )
+
+    def place(scale):
+        rng = np.random.default_rng(seed)
+        for attempt in range(8 if d else 0):
+            cols = basis
+            positions = order[: min(d, n)]
+            if attempt > 0:
+                q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+                cols = cols @ q
+                positions = rng.choice(n, size=min(d, n), replace=False)
+            wt2 = np.zeros_like(w2)
+            wt2[:, positions] = scale * cols[:, : len(positions)]
+            if rank(w2 + wt2, tol) == target_rank:
+                return wt2
+        return None
+
+    return [place(scale) for scale in scales]
 
 
 def construct_witnesses(pair, tol=DEFAULT_TOL, seed=0):
@@ -223,8 +221,13 @@ def construct_witnesses(pair, tol=DEFAULT_TOL, seed=0):
         wt1 = np.zeros_like(pair.w1)
         wt2 = np.zeros_like(pair.w2)
     else:
-        wt2 = null_completion(pair.w1, pair.w2, tol, seed=seed)
-        wt1 = null_completion(pair.w2.T, pair.w1.T, tol, seed=seed + 1).T
+        (wt2,) = null_completion(pair.w1, pair.w2, tol, seed=seed)
+        (wt1,) = null_completion(pair.w2.T, pair.w1.T, tol, seed=seed + 1)
+        if wt1 is None or wt2 is None:
+            raise GenericScaleFailed(
+                "could not restore full rank from the null-space completion"
+            )
+        wt1 = wt1.T
     _verify_witnesses(pair, wt1, wt2, tol)
     return wt1, wt2
 

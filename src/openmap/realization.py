@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     DeltaTooLarge,
-    GenericScaleFailed,
     IllConditioned,
     InputError,
     NotOpen,
@@ -107,22 +106,20 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, tol):
     nr = np.linalg.norm(r_delta)
     scales = sorted({np.sqrt(max(nr, 1e-300)) * 2.0**j for j in range(-2, 3)})
 
+    flags = rep.condition_flags
+    wt1s = wt2s = [None] * len(scales)
+    if flags.get("w1_completion_exists"):
+        wt1s = [wt if wt is None else wt.T
+                for wt in null_completion(w2.T, w1.T, tol, seed=17, scales=scales)]
+    if flags.get("w2_completion_exists"):
+        wt2s = null_completion(w1, w2, tol, seed=19, scales=scales)
+
     def candidates():
-        for s in scales:
-            if rep.condition_flags.get("w1_completion_exists"):
-                try:
-                    wt1 = null_completion(w2.T, w1.T, tol, seed=17, scale=s).T
-                except GenericScaleFailed:
-                    wt1 = None
-                if wt1 is not None and rank(w1 + wt1, tol) == pair.m:
-                    yield s, wt1, np.linalg.pinv(w1 + wt1) @ r_delta
-            if rep.condition_flags.get("w2_completion_exists"):
-                try:
-                    wt2 = null_completion(w1, w2, tol, seed=19, scale=s)
-                except GenericScaleFailed:
-                    wt2 = None
-                if wt2 is not None and rank(w2 + wt2, tol) == pair.n:
-                    yield s, r_delta @ np.linalg.pinv(w2 + wt2), wt2
+        for s, wt1, wt2 in zip(scales, wt1s, wt2s):
+            if wt1 is not None and rank(w1 + wt1, tol) == pair.m:
+                yield s, wt1, np.linalg.pinv(w1 + wt1) @ r_delta
+            if wt2 is not None and rank(w2 + wt2, tol) == pair.n:
+                yield s, r_delta @ np.linalg.pinv(w2 + wt2), wt2
 
     return _least_witness(candidates(), pair, z_tilde, input_delta, tol, None)[0]
 
@@ -255,6 +252,8 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
 def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=0):
     """Empirical proportionality constant between target distance and
     factor-perturbation size; one row per requested distance."""
+    if any(delta < 0 for delta in deltas):
+        raise InputError("delta must be non-negative")
     z = pair.product
     rank_cap = min(pair.m, pair.n, pair.k)
     table = []

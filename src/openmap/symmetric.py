@@ -183,36 +183,21 @@ def sym_realize(w, sigma_tilde, tol=DEFAULT_TOL):
             delta0=sigma_min / 2.0,
         )
 
-    if r > 0:
-        sigma1 = sigma[:r]
-        r1 = r_delta[:r, :r]
-        r2 = r_delta[:r, r:]
-        r3 = r_delta[r:, r:]
-        w1b = wb[:r]
-        p_res = solve_p(sigma1, 0.5 * (r1 + r1.T), tol)
-        a1 = (p_res.p / sigma1) @ w1b
-        top = w1b + a1
-        try:
-            gram_inv = np.linalg.inv(sigma1[:, None] * np.eye(r) + r1)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"completed top block is singular: {exc}") from exc
-        a2_t = top.T @ gram_inv @ r2
-    else:
-        r3 = r_delta
-        a1 = np.zeros((0, k))
-        top = np.zeros((0, k))
-        a2_t = np.zeros((k, n))
-        gram_inv = None
-        r2 = np.zeros((0, n))
+    # at r == 0 every top block is empty: the empty products vanish and
+    # N(top) is all of R^k, so one path serves both cases
+    sigma1, r1, r2, w1b = sigma[:r], r_delta[:r, :r], r_delta[:r, r:], wb[:r]
+    p = solve_p(sigma1, 0.5 * (r1 + r1.T), tol).p if r else np.zeros((0, 0))
+    a1 = (p / sigma1) @ w1b
+    top = w1b + a1
+    try:
+        gram_inv = np.linalg.inv(sigma1[:, None] * np.eye(r) + r1)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"completed top block is singular: {exc}") from exc
 
     # trailing block: factor the Schur complement inside the null space
     # of the completed top factor
-    if r > 0:
-        schur = r3 - r2.T @ gram_inv @ r2
-        q_basis = null_space(top, tol).columns
-    else:
-        schur = r3
-        q_basis = np.eye(k)
+    schur = r_delta[r:, r:] - r2.T @ gram_inv @ r2
+    q_basis = null_space(top, tol)
     free = q_basis.shape[1]
     schur = 0.5 * (schur + schur.T)
     s_vals, s_vecs = _eigh_descending(schur)
@@ -232,9 +217,8 @@ def sym_realize(w, sigma_tilde, tol=DEFAULT_TOL):
         )
     take = min(free, positive.size)
     n_fact = np.zeros((free, n - r))
-    if take:
-        n_fact[:take] = np.sqrt(positive[:take])[:, None] * s_vecs[:, :take].T
-    a2_t = a2_t + q_basis @ n_fact
+    n_fact[:take] = np.sqrt(positive[:take])[:, None] * s_vecs[:, :take].T
+    a2_t = top.T @ gram_inv @ r2 + q_basis @ n_fact
 
     a_eps = u @ np.vstack([a1, a2_t.T])
     residual = float(np.linalg.norm((w + a_eps) @ (w + a_eps).T - sigma_tilde))

@@ -276,3 +276,28 @@ def test_a_mis_shaped_target_exits_2(argv, tmp_path, capsys):
     err = _error(capsys)
     assert err["error"] == "InputError"
     assert err["exit_code"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["openness", "probe", "--w1", "{w1}", "--w2", "{w2}", "--delta", "1e-5"],
+    ["openness", "check", "--w1", "{w1}", "--w2", "{w2}", "--witnesses"],
+    ["realize", "ratio-sweep", "--w1", "{w1}", "--w2", "{w2}", "--deltas", "1e-3"],
+])
+def test_a_negative_seed_exits_2(argv, tmp_path, capsys):
+    paths = {"w1": _write(tmp_path, "w1", [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+             "w2": _write(tmp_path, "w2", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])}
+    argv = [tok.format(**paths) for tok in argv] + ["--trials", "2", "--jobs", "1"]
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert _error(capsys) == {"error": "InputError",
+                              "message": "--seed must be non-negative",
+                              "exit_code": 2}
+
+
+def test_a_negative_ratio_sweep_distance_exits_2(tmp_path, capsys):
+    argv = ["realize", "ratio-sweep", "--w1", _write(tmp_path, "w1", np.ones((2, 1))),
+            "--w2", _write(tmp_path, "w2", np.ones((1, 2))), "--deltas=-1e-3,1e-3",
+            "--trials", "1", "--jobs", "1"]
+    assert main(argv) == 2
+    assert _error(capsys) == {"error": "InputError",
+                              "message": "delta must be non-negative",
+                              "exit_code": 2}

@@ -33,6 +33,11 @@ W1_GENERIC = [[1.0, 0.5], [-0.3, 2.0], [0.7, -1.1]]
 W2_GENERIC = [[0.4, -1.2, 0.9], [1.5, 0.2, -0.6]]
 E1 = [[0.3, -0.1], [0.2, 0.5], [-0.4, 0.1]]
 E2 = [[0.1, 0.2, -0.3], [-0.2, 0.4, 0.1]]
+# full-rank regime with neither factor full rank on its side: realize
+# completes a factor inside the null space of the other
+W1_DIAG110 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+W2_E1 = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+E_FULL = np.arange(6.0).reshape(3, 2) - 2.5
 # singular value inside the ambiguity band above the rank cutoff
 W1_AMBIGUOUS = [[1.0, 0.0], [0.0, 1e-15]]
 W_SYM = [[1.0, 0.2], [-0.5, 0.8], [0.3, 0.0]]
@@ -67,6 +72,9 @@ def _inputs():
         "w2_generic": W2_GENERIC,
         "target_generic": (w1g + 1e-4 * np.array(E1)) @ (w2g + 1e-4 * np.array(E2)),
         "target_far": (w1g + np.array(E1)) @ (w2g + np.array(E2)),
+        "w1_diag110": W1_DIAG110,
+        "w2_e1": W2_E1,
+        "target_completion": np.array(W1_DIAG110) @ W2_E1 + 1e-4 * E_FULL,
         "w1_ambiguous": W1_AMBIGUOUS,
         "eye2": np.eye(2),
         "w_sym": W_SYM,
@@ -99,6 +107,9 @@ CASES = {
     "realize": (
         ["realize", "--w1", "{w1_generic}", "--w2", "{w2_generic}",
          "--target", "{target_generic}"], 0),
+    "realize_full_rank_completion": (
+        ["realize", "--w1", "{w1_diag110}", "--w2", "{w2_e1}",
+         "--target", "{target_completion}"], 0),
     "realize_ratio_sweep": (
         ["realize", "ratio-sweep", "--w1", "{w1_open}", "--w2", "{w2_open}",
          "--deltas", "1e-3,1e-6", "--trials", "2"], 0),

@@ -124,29 +124,36 @@ class TestRank:
 class TestSubspaces:
     def test_null_space_simple(self):
         basis = null_space(np.array([[1.0, 0.0]]))
-        assert basis.dim == 1
-        assert np.allclose(np.abs(basis.columns.ravel()), [0.0, 1.0])
+        assert basis.shape == (2, 1)
+        assert np.allclose(np.abs(basis.ravel()), [0.0, 1.0])
 
     def test_column_space_zero(self):
-        assert column_space(np.zeros((4, 2))).dim == 0
+        assert column_space(np.zeros((4, 2))).shape == (4, 0)
 
     def test_null_space_residual(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((3, 5))
         basis = null_space(m)
-        assert basis.dim == 2
-        assert np.linalg.norm(m @ basis.columns) <= 1e-12
-        gram = basis.columns.T @ basis.columns
+        assert basis.shape == (5, 2)
+        assert np.linalg.norm(m @ basis) <= 1e-12
+        gram = basis.T @ basis
         assert np.linalg.norm(gram - np.eye(2)) <= 1e-12
 
     def test_column_space_membership(self):
         rng = np.random.default_rng(4)
         m = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
         basis = column_space(m)
-        assert basis.dim == 2
+        assert basis.shape == (5, 2)
         # each basis column must lie in range(m): projection is identity
-        proj = basis.columns @ basis.columns.T
+        proj = basis @ basis.T
         assert np.linalg.norm(proj @ m - m) <= 1e-10
+
+
+    def test_bases_are_the_spectrum_slices(self):
+        m = np.random.default_rng(5).standard_normal((4, 2)) @ np.ones((2, 3))
+        sp = spectrum(m)
+        assert np.array_equal(null_space(m), sp.v[:, sp.rank:])
+        assert np.array_equal(column_space(m), sp.u[:, : sp.rank])
 
 
 class TestIntersectionDim:

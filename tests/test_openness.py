@@ -12,6 +12,7 @@ from openmap.openness import (
     check_openness,
     construct_witnesses,
     gauss_newton_recover,
+    null_completion,
     probe_openness,
     sample_feasible_target,
 )
@@ -174,6 +175,29 @@ class TestConstructWitnesses:
             assert rank(w1 + wt1) == k
             assert rank(w2 + wt2) == k
             built += 1
+
+
+class TestNullCompletion:
+    W1 = np.diag([1.0, 1.0, 0.0])
+    W2 = np.eye(3, 2) * [1.0, 0.0]
+
+    def test_one_completion_per_scale(self):
+        scales = [1e-3, 0.5, 2.0]
+        got = null_completion(self.W1, self.W2, scales=scales)
+        assert len(got) == 3
+        for scale, wt2 in zip(scales, got):
+            assert np.array_equal(
+                wt2, null_completion(self.W1, self.W2, scales=[scale])[0]
+            )
+            assert np.abs(self.W1 @ wt2).max() == 0.0
+            assert rank(self.W2 + wt2) == 2
+
+    def test_default_is_half_the_least_counted_singular_value(self):
+        (wt2,) = null_completion(self.W1, 2.0 * self.W2)
+        assert np.linalg.norm(wt2) == 1.0
+
+    def test_trivial_null_space_gives_none_per_scale(self):
+        assert null_completion(np.eye(3), self.W2, scales=[1.0, 2.0]) == [None, None]
 
 
 class TestSampleFeasibleTarget:

@@ -4,7 +4,13 @@ import pytest
 from openmap.errors import DeltaTooLarge, InputError, NotOpen, RankInfeasible
 from openmap.matrixio import to_jsonable
 from openmap.numcore import DEFAULT_TOL, Tolerances, rank, svd
-from openmap.openness import FactorPair, gauss_newton_recover, sample_feasible_target
+from openmap.openness import (
+    REGIME_FULL,
+    FactorPair,
+    check_openness,
+    gauss_newton_recover,
+    sample_feasible_target,
+)
 from openmap.realization import RealizationWitness, measure_delta_ratio, realize
 
 
@@ -167,6 +173,58 @@ class TestRealizeRankDeficientStructure:
                 assert wit.target_residual <= 1e-10
                 ratios.append(wit.delta_norm / wit.input_delta)
             assert max(ratios) / min(ratios) < 10.0
+
+
+def _open_completion_pairs(seed, count):
+    """``count`` seeded (pair, target) cases of the full-rank regime that
+    are open with neither factor full rank on its side, so ``realize``
+    must complete a factor inside the null space of the other; targets
+    sit at distances 1e-8 to 1e-3 from the product."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    while len(cases) < count:
+        m, n = (int(x) for x in rng.integers(2, 5, size=2))
+        k = int(rng.integers(min(m, n), 6))
+        r1 = int(rng.integers(0, min(m, k)))
+        r2 = int(rng.integers(0, min(k, n)))
+        p = pair(rng.standard_normal((m, r1)) @ rng.standard_normal((r1, k)),
+                 rng.standard_normal((k, r2)) @ rng.standard_normal((r2, n)))
+        rep = check_openness(p)
+        if rep.regime == REGIME_FULL and rep.open and rep.rank_w1 < m and rep.rank_w2 < n:
+            g = rng.standard_normal((m, n))
+            delta = 10.0 ** rng.uniform(-8, -3)
+            cases.append((p, p.product + delta * g / np.linalg.norm(g)))
+    return cases
+
+
+class TestRealizeFullRankCompletion:
+    # w1 = diag(1, 1, 0), w2 = e1 e1ᵀ: open through both one-sided
+    # completions, neither factor full rank on its side
+    W1 = np.diag([1.0, 1.0, 0.0])
+    W2 = np.eye(3, 2) * [1.0, 0.0]
+    TARGET = W1 @ W2 + 1e-4 * (np.arange(6.0).reshape(3, 2) - 2.5)
+
+    def test_seeded_open_pairs_all_realized(self):
+        for p, target in _open_completion_pairs(20, 120):
+            wit = realize(p, target)
+            assert wit.target_residual <= (
+                DEFAULT_TOL.residual_abs * max(1.0, np.linalg.norm(target))
+            )
+
+    def test_each_fixed_factor_decomposed_once(self, monkeypatch):
+        # null_completion takes the fixed factors' SVDs once for all five
+        # scales (53 SVDs when it took them once per scale)
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        wit = realize(pair(self.W1, self.W2), self.TARGET)
+        assert len(calls) <= 37
+        assert wit.delta_norm == 0.020453117446174833
 
 
 class TestMeasureDeltaRatio:
