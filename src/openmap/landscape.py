@@ -11,8 +11,8 @@ framework:
 * non-degenerate points (full product rank equal to the smallest layer
   width) inherit local openness of the product chain, so their objective
   is compared against the rank-constrained optimum;
-* degenerate critical points of every depth get a descent direction
-  from one chain construction on null vectors of the weight stack;
+* degenerate critical points get a verified escape along a rank-one
+  path curve ``W_i + s^{k_i} D_i`` whose leading term is negative;
 * what remains is ``Inconclusive``, with a seeded sphere probe attached.
 
 Entry points take a ``NetworkPoint``, the one input check, which carries
@@ -22,6 +22,8 @@ matching the wire format.
 """
 
 from collections import deque
+from functools import cache
+from itertools import combinations, combinations_with_replacement, zip_longest
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +40,9 @@ SPURIOUS_LOCAL_MIN = "SpuriousLocalMin"
 NOT_CRITICAL = "NotCritical"
 INCONCLUSIVE = "Inconclusive"
 
-# inner products below this (relative) size are treated as zero when
-# assembling descent chains: report failure rather than guess
+# a path link's coupling b^T C a at or below this counts as no link
 _DIRECTION_TOL = 1e-8
-# step halvings before _verify_descent gives a direction up
+# halvings of s before _escape gives a curve up
 _MAX_HALVINGS = 60
 # iterations without a 0.1% gradient contraction before the descent stops:
 # along the rescaling symmetry (W_2, W_1) -> (c W_2, W_1 / c) the
@@ -243,10 +244,16 @@ def local_min_probe(point, tol=DEFAULT_TOL, seed=0):
 
 @dataclass
 class DirectionTuple:
+    """A verified escape: ``W_i + step * d_i`` (``d_i`` the ``directions``,
+    ``W_h`` first) lies ``decrease`` below the objective.  It is the point
+    ``s = step`` of the curve ``W_i + s^{k_i} D_i`` with ``k_i`` the
+    ``exponents`` (0 on a fixed layer), so ``d_i = step^{k_i - 1} D_i``,
+    along which the objective's change leads at power ``order``."""
+
     directions: list
     order: int
     step: float
-    construction_case: str
+    exponents: list
     decrease: float
 
 
@@ -261,175 +268,144 @@ class ClassificationReport:
     certificates: list
 
 
-def _verify_descent(point, base, dirs, order, case, tol):
-    t = 1.0
-    for _ in range(_MAX_HALVINGS):
-        moved = [w + t * d for w, d in zip(point.weights, dirs)]
-        val = objective(moved, point.x, point.y)
-        if val < base - tol.residual_abs:
-            return DirectionTuple(
-                directions=dirs,
-                order=order,
-                step=t,
-                construction_case=case,
-                decrease=float(base - val),
-            )
-        t *= 0.5
+def _expansion(weights, curve, x, y):
+    """Coefficients ``c``, lowest power first, of
+    ``f(w(s)) - f(w) = sum_m c[m] s^m`` on the curve moving each layer
+    ``W_i`` (``W_h`` first) to ``W_i + s^k D_i`` for ``(k, D_i)`` in
+    ``curve``, a ``D_i`` of None leaving it fixed.  Only ``@``, ``*``,
+    ``+`` and ``.sum()`` touch the matrices, so ``Fraction`` object arrays
+    give exact coefficients; zero matrices and products are skipped."""
+    terms = {0: x}  # the layers applied so far, by power of s
+    for w, (k, d) in zip(reversed(weights), reversed(curve)):
+        grown = {}
+        for p, m in terms.items():
+            for q, a in ((p, w), (p + k, d)):
+                if a is not None and a.any() and (term := a @ m).any():
+                    grown[q] = grown[q] + term if q in grown else term
+        terms = grown
+    resid = terms.pop(0, 0) - y
+    coeffs = [0] * (2 * max(terms, default=0) + 1)
+    for p, m in terms.items():
+        coeffs[p] += (resid * m).sum()
+    for (p, m), (q, n) in combinations_with_replacement(sorted(terms.items()), 2):
+        coeffs[p + q] += (m * n).sum() / (2 if p == q else 1)
+    return coeffs
+
+
+def _leading(coeffs, curve, grad_abs):
+    """Power of the first coefficient that counts, or None: one above
+    1e-9 of the largest and above ``grad_abs * sum ||D_i||`` over the
+    layers moved at that power, all that a gradient bounded by
+    criticality can contribute there."""
+    big = max(map(abs, coeffs))
+    for m, c in enumerate(coeffs):
+        if abs(c) > 1e-9 * big and abs(c) > grad_abs * sum(
+                np.linalg.norm(d) for k, d in curve if k == m):
+            return m
     return None
 
 
-def _best_pair(basis_a, basis_b):
-    """Unit vectors maximizing the absolute inner product between two
-    subspaces, with the achieved value; None when they are orthogonal."""
-    if basis_a.shape[1] == 0 or basis_b.shape[1] == 0:
-        return None
-    u, s, vt = np.linalg.svd(basis_a.T @ basis_b)
-    if s[0] < _DIRECTION_TOL:
-        return None
-    return basis_a @ u[:, 0], basis_b @ vt[0], float(s[0])
-
-
-def _data_indices(g_x):
-    j, i = np.unravel_index(np.argmax(np.abs(g_x)), g_x.shape)
-    return int(i), int(j)
-
-
-def _choose_alphas(g_mat, dirs, q, primary_idx, secondary_idx, t1, t2):
-    """Fix the two free scalars so the leading surviving term of the
-    objective's expansion, against the residual ``g_mat`` at the point, is
-    strictly negative."""
-    scale = max(1.0, np.linalg.norm(t1) * np.linalg.norm(g_mat))
-    v1 = float(np.sum(t1 * g_mat))
-    if primary_idx is not None and abs(v1) > 1e-9 * scale:
-        sign = -np.sign(v1)
-        scaled = list(dirs)
-        scaled[primary_idx] = sign * scaled[primary_idx]
-        return scaled, q
-    # leading term vanishes; push the next order negative with the
-    # secondary scalar, inflating past the curvature constant when the
-    # two orders collide
-    v2 = float(np.sum(t2 * g_mat))
-    scale2 = max(1.0, np.linalg.norm(t2) * np.linalg.norm(g_mat))
-    if abs(v2) <= 1e-9 * scale2:
-        return None, None
-    c_alpha = 0.5 * float(np.linalg.norm(t1) ** 2) if q == 1 else 0.0
-    alpha = -np.sign(v2) * 2.0 * (c_alpha + 1.0) / abs(v2)
-    scaled = list(dirs)
-    scaled[secondary_idx] = alpha * scaled[secondary_idx]
-    return scaled, q + 1
-
-
-def _deep_chain(weights, i_idx, j_idx, tol):
-    """Descent chain hinging on a null vector of the top layer of
-    ``weights`` (``W_h`` first).  Returns the directions, ordered like
-    ``weights``, the case name and the order ``q`` of the leading
-    surviving term, whose top chain is the first ``q`` directions; or
-    None."""
+def _path_curves(weights, g_x, tol):
+    """Rank-one path curves ``[(k_i, D_i)]``, ``W_h`` first, ``(0, None)``
+    on a fixed layer.  Each moves a hop set holding layers 1 and ``h``
+    (fewest hops first) by ``D_i = a_i b_i^T``, from ``a_h = -u`` to
+    ``b_1 = v``, the top singular pair of ``g_x`` (residual times
+    ``x^T``).  Consecutive hops ``lo < hi``, with ``C`` the product of
+    the layers between them, take the ``(a_lo, b_hi)`` maximising
+    ``b^T C a`` subject to ``W_hi C a = 0`` and ``b^T C W_lo = 0``, which
+    keep the terms where only one of the two moves out of the expansion;
+    short of ``_DIRECTION_TOL`` the ``b`` condition is dropped, else the
+    ``a`` condition, else both, and a hop set left without a pair (as
+    where some ``C`` is zero) is skipped.  Interior hops take exponent 1,
+    then 2; end hops take 1."""
     h = len(weights)
-    null_w = {k: null_space(weights[h - k], tol) for k in range(2, h + 1)}
-    if null_w[h].shape[1] == 0:
-        return None
-    # for each chain index, the left null space of the interior product
-    # and the best-coupled (p_k, b_{k-1}) pair, None below tolerance
-    p_null = {k: null_space(product_matrix(weights[h - k + 1 : h - 1]).T, tol)
-              for k in range(3, h + 1)}
-    pairs = {k: _best_pair(p_null[k], null_w[k]) for k in p_null}
-    k_set = [k for k in pairs if null_w[k].shape[1] > 0 and pairs[k] is None]
-    if k_set:
-        kstar = max(k_set)
-        mid = product_matrix(weights[h - kstar + 1 : h - 1])
-        # b: a null vector of W_{k*} inside the column space of the
-        # interior product (all of it, when the product has full row rank)
-        if p_null[kstar].shape[1] == 0:
-            b_vec = null_w[kstar][:, 0]
-        else:
-            cands = mid @ np.linalg.pinv(mid) @ null_w[kstar]
-            norms = np.linalg.norm(cands, axis=0)
-            best = int(np.argmax(norms))
-            if norms[best] < _DIRECTION_TOL:
-                return None
-            b_vec = cands[:, best] / norms[best]
-        b1, *_ = np.linalg.lstsq(mid, b_vec, rcond=None)
-        case = "DeepCaseA"
-    else:
-        kstar = 2
-        if null_w[2].shape[1] == 0:
+    u, _, vt = np.linalg.svd(g_x)
+
+    def kernel(m):  # a zero matrix needs no SVD
+        return null_space(m, tol) if m.any() else np.eye(m.shape[1])
+
+    @cache
+    def pair(lo, hi):
+        inner = weights[h - hi + 1:h - lo]
+        c = product_matrix(inner) if inner else np.eye(weights[h - lo].shape[0])
+        if not c.any():
             return None
-        b_vec = b1 = null_w[2][:, 0]
-        case = "DeepCaseB"
-    if any(pairs[k] is None for k in range(kstar + 1, h + 1)):
+        a_all, b_all = np.eye(c.shape[1]), np.eye(c.shape[0])
+        a_null, b_null = kernel(weights[h - hi] @ c), kernel((c @ weights[h - lo]).T)
+        for a_sp, b_sp in ((a_null, b_null), (a_null, b_all), (a_all, b_null), (a_all, b_all)):
+            if a_sp.shape[1] and b_sp.shape[1]:
+                lb, s, ra = np.linalg.svd(b_sp.T @ c @ a_sp)
+                if s[0] > _DIRECTION_TOL:
+                    return a_sp @ ra[0], b_sp @ lb[:, 0]
         return None
-    dirs = [np.zeros_like(m) for m in weights]
-    if kstar == h:
-        dirs[0][j_idx, :] = b_vec
-    else:
-        dirs[0][j_idx, :] = pairs[h][0]
-        for k in range(kstar + 1, h):
-            dirs[h - k] = np.outer(pairs[k + 1][1], pairs[k][0])
-        dirs[h - kstar] = np.outer(pairs[kstar + 1][1], b_vec)
-    dirs[h - 1][:, i_idx] = b1
-    return dirs, case, h - kstar + 1
+
+    for size in range(h - 1):
+        for interior in combinations(range(2, h), size):
+            links = list(zip((1, *interior), (*interior, h)))
+            if any(pair(*link) is None for link in links):
+                continue
+            outs, ins = {h: -u[:, 0]}, {1: vt[0]}
+            for lo, hi in links:
+                outs[lo], ins[hi] = pair(lo, hi)
+            for inner_k in (1, 2) if interior else (1,):
+                yield [(1 if i in (1, h) else inner_k, np.outer(outs[i], ins[i]))
+                       if i in outs else (0, None) for i in range(h, 0, -1)]
 
 
-def _deep_direction(point, g_out, g_x, obj, tol):
-    """Descent direction at a degenerate critical point of depth >= 2,
-    given the residual ``g_out``, its pull-back ``g_x`` to the input and
-    the objective ``obj`` at the point.
+def _hop_scale(weights, curve, i, coeffs, x, y):
+    """Scale ``g`` of hop ``i`` that makes the lowest coefficient it can
+    make negative so, or None.  Each coefficient is a quadratic
+    ``C0 + B g + A g^2``, read off the scales 0, 1 and -1: with ``A > 0``
+    and a negative minimum ``g = -B / 2A``; linear in ``g``, ``g = -1``."""
+    k, d = curve[i]
+    base, minus = (_expansion(weights, curve[:i] + [(k, g * d)] + curve[i + 1:], x, y)
+                   for g in (0.0, -1.0))
+    small = 1e-9 * max(map(abs, [*coeffs, *base, *minus]))
+    for c1, c0, cm in zip_longest(coeffs, base, minus, fillvalue=0):
+        a, b = (c1 + cm) / 2 - c0, (c1 - cm) / 2
+        if a > small and c0 - b * b / (4 * a) < 0:
+            return -b / (2 * a)
+        if abs(a) <= small < abs(b):
+            return -1.0
+    return None
 
-    ``_deep_chain`` hinges on a null vector of the top layer.  Because
-    ``(W_h ... W_1)^T = W_1^T ... W_h^T``, the same construction run on
-    the mirrored chain, the transposed layers in reverse order with the
-    input and output data indices swapped, hinges on a left-null vector
-    of the bottom layer ``W_1``.  The top chain is tried first.  A
-    mirrored result has its directions transposed and reversed back, so
-    its chain is the last ``q`` layers, and its case name gets the suffix
-    ``_left``.  The surviving terms of the objective's expansion are
-    formed in the original orientation: ``t1`` with the chain's directions
-    in place of their weights, ``t2`` with the opposite end's direction as
-    well.
 
-    At depth 2 the chain has no interior layer: it is case B, ``q = 1``.
-    There ``t1`` pairs a direction with its layer's gradient, which
-    criticality has bounded, so it is never the leading term and the
-    direction escapes along negative curvature (a ``SecondOrderSaddle``);
-    and the two cases are named ``TwoLayerNullW2`` and ``TwoLayerNullW1T``.
-    """
-    h = point.depth
-    i_idx, j_idx = _data_indices(g_x)
-    mirrored = [w.T for w in reversed(point.weights)]
-    for weights, i, j, suffix in ((point.weights, i_idx, j_idx, ""),
-                                  (mirrored, j_idx, i_idx, "_left")):
-        got = _deep_chain(weights, i, j, tol)
-        if got is None:
+def _escape(point, g_x, obj, tol):
+    """Verified escape from a degenerate critical point whose objective is
+    ``obj``, or None: the first of ``_path_curves`` whose leading
+    coefficient is negative, its hops rescaled one at a time by
+    ``_hop_scale`` while it is not.  The float check halves ``s`` from 1
+    until the objective at ``w(s)`` lies ``residual_abs`` below ``obj``."""
+    weights, x, y = point.weights, point.x, point.y
+    for curve in _path_curves(weights, g_x, tol):
+        coeffs = _expansion(weights, curve, x, y)
+        lead = _leading(coeffs, curve, tol.grad_abs)
+        for i, (k, d) in enumerate(curve):
+            if lead is not None and coeffs[lead] < 0:
+                break
+            if d is not None and (scale := _hop_scale(weights, curve, i, coeffs, x, y)):
+                curve[i] = (k, scale * d)
+                coeffs = _expansion(weights, curve, x, y)
+                lead = _leading(coeffs, curve, tol.grad_abs)
+        if lead is None or coeffs[lead] >= 0:
             continue
-        dirs, case, q = got
-        primary, secondary, chain = 0, h - 1, slice(0, q)
-        if suffix:
-            dirs = [d.T for d in reversed(dirs)]
-            primary, secondary, chain = h - 1, 0, slice(h - q, h)
-        case += suffix
-        if h == 2:
-            primary, case = None, "TwoLayerNullW1T" if suffix else "TwoLayerNullW2"
-        mats = list(point.weights)
-        mats[chain] = dirs[chain]
-        t1 = product_matrix(mats + [point.x])
-        mats[secondary] = dirs[secondary]
-        t2 = product_matrix(mats + [point.x])
-        chosen, order = _choose_alphas(g_out, dirs, q, primary, secondary, t1, t2)
-        if chosen is None:
-            continue
-        found = _verify_descent(point, obj, chosen, order, case, tol)
-        if found is not None:
-            return found
+        for s in (0.5**j for j in range(_MAX_HALVINGS)):
+            val = objective([w if d is None else w + s**k * d for w, (k, d) in zip(weights, curve)],
+                            x, y)
+            if val < obj - tol.residual_abs:
+                dirs = [np.zeros_like(w) if d is None else s ** (k - 1) * d
+                        for w, (k, d) in zip(weights, curve)]
+                return DirectionTuple(dirs, lead, s, [k for k, _ in curve], float(obj - val))
     return None
 
 
 def classify(point, tol=DEFAULT_TOL, seed=0):
     """Classify a training point of the linear-network objective:
-    ``NotCritical``, ``GlobalMin``, ``SecondOrderSaddle`` or
-    ``SaddleHigherOrder`` (depth 2 or more, with a verified descent
-    direction), else ``Inconclusive`` with the evidence of a
-    ``local-min-probe`` certificate."""
+    ``NotCritical``, ``GlobalMin``, or, at a degenerate critical point
+    with a verified escape, ``SecondOrderSaddle`` when the escape leads
+    at order 2 (negative curvature, at any depth) and
+    ``SaddleHigherOrder`` otherwise; else ``Inconclusive`` with the
+    evidence of a ``local-min-probe`` certificate."""
     certificates = []
     weights, x, y = point.weights, point.x, point.y
     acts = _forward(weights, x)
@@ -486,9 +462,9 @@ def classify(point, tol=DEFAULT_TOL, seed=0):
              "value": prod_rank}
         )
     else:  # depth >= 2: at depth one criticality is stationarity
-        direction = _deep_direction(point, g_out, g_x, obj, tol)
+        direction = _escape(point, g_x, obj, tol)
         if direction is not None:
-            status = SECOND_ORDER_SADDLE if point.depth == 2 else SADDLE_HIGHER_ORDER
+            status = SECOND_ORDER_SADDLE if direction.order == 2 else SADDLE_HIGHER_ORDER
             return report(status, direction)
 
     probe = local_min_probe(point, tol, seed=seed)

@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import DomainRefusal, IllConditioned
 from .landscape import (
-    INCONCLUSIVE,
+    SADDLE_HIGHER_ORDER,
     SPURIOUS_LOCAL_MIN,
+    _expansion,
     admissible_width_pair,
     classify,
     counterexample_factory,
@@ -56,49 +57,46 @@ def _result(number, name, start, checks, budget_s, **details):
     )
 
 
-def _exact_change(point, curve):
-    """``f(w(1/2)) - f(w)`` under squared error in ``Fraction`` arithmetic,
-    on the curve ``w(s)`` that moves each layer ``W_i`` (``W_h`` first) to
-    ``W_i + s^k D_i`` for ``(k, D_i)`` in ``curve``."""
+def _saddle_checks(point, curve, want):
+    """Classify ``point`` and expand ``f(w(s)) - f(w)`` exactly on the
+    rational curve ``W_i + s^k D_i``, ``(k, D_i)`` per layer of ``curve``
+    (``W_h`` first), by ``landscape._expansion`` on ``Fraction`` arrays.
+    Returns the report, the checks that the verdict is ``SaddleHigherOrder``
+    with ``W + step * d`` below the objective and that the coefficients
+    are ``want``, and the details."""
     exact = np.vectorize(Fraction, otypes=[object])
-
-    def value(weights):
-        resid = (product_matrix(weights + [exact(point.x)]) - exact(point.y)).ravel()
-        return resid.dot(resid) / 2
-
-    base = [exact(w) for w in point.weights]
-    moved = [w + Fraction(1, 2)**k * exact(d) for w, (k, d) in zip(base, curve)]
-    return value(moved) - value(base)
-
-
-def _probed_inconclusive(report):
-    last = report.certificates[-1]["check"]
-    return report.status == INCONCLUSIVE and last == "local-min-probe"
+    escape = _expansion([exact(w) for w in point.weights], [(k, exact(d)) for k, d in curve],
+                        exact(point.x), exact(point.y))
+    report = classify(point)
+    d = report.descent_direction
+    saddle = report.status == SADDLE_HIGHER_ORDER and objective(
+        [w + d.step * m for w, m in zip(point.weights, d.directions)], point.x, point.y,
+    ) < report.objective
+    return report, {"classified_saddle": saddle, "exact_escape": escape == want}, dict(
+        status=report.status, escape_coefficients=[str(c) for c in escape])
 
 
 def _factory_check(dims):
     """Checks and details of a depth-3 ``counterexample_factory`` point: its
-    exact values, its ``Inconclusive`` verdict with the probe attached, and
-    the exact change on the escape that grows ``W_3[-1, 0]``, ``W_2[0, 0]``
-    and ``W_1[0, -1]`` as ``s``, ``s^2`` and ``s``."""
+    exact values, its ``SaddleHigherOrder`` verdict, and the exact
+    expansion ``-s^4 / 2 + s^6 + s^8 / 2`` on the escape that grows
+    ``W_3[-1, 0]``, ``W_2[0, 0]`` and ``W_1[0, -1]`` as ``s``, ``s^2`` and
+    ``s``."""
     _, _, point = counterexample_factory(dims)
     units = [np.zeros_like(w) for w in point.weights]
     for d, idx in zip(units, ((-1, 0), (0, 0), (0, -1))):
         d[idx] = 1.0
-    escape = _exact_change(point, list(zip((1, 2, 1), units)))
-    report = classify(point)
+    half = Fraction(1, 2)
+    report, saddle, details = _saddle_checks(
+        point, list(zip((1, 2, 1), units)), [0, 0, 0, 0, -half, 0, 1, 0, half])
     checks = {
         "objective_half": abs(report.objective - 0.5) <= 1e-12,
         "gradient_zero": report.gradient_norm <= 1e-12,
         "global_value_zero": abs(report.global_value) <= 1e-12,
-        "classified_inconclusive": _probed_inconclusive(report),
-        "exact_escape": escape == Fraction(-7, 512),
+        **saddle,
     }
-    return checks, dict(
-        objective=report.objective, gradient_norm=report.gradient_norm,
-        global_value=report.global_value, status=report.status,
-        probe_min_deltas=report.certificates[-1]["value"], escape_at_half=str(escape),
-    )
+    return checks, dict(objective=report.objective, gradient_norm=report.gradient_norm,
+                        global_value=report.global_value, **details)
 
 
 def criterion_1():
@@ -115,22 +113,18 @@ def criterion_2():
     w3, _, w1 = point.weights
     delta = product_matrix(point.weights) @ x - y
     obj = objective(point.weights, x, y)
-    report = classify(point)
-    escape = _exact_change(point, [(1, [[-1, 1], [0, 0], [1, -1]]),
-                                   (2, [[-0.25, 0.25], [0.25, -0.25]]),
-                                   (1, [[1, 0, -1], [-1, 0, 1]])])
+    _, saddle, details = _saddle_checks(point, [(1, [[-1, 1], [0, 0], [1, -1]]),
+                                                (2, [[-0.25, 0.25], [0.25, -0.25]]),
+                                                (1, [[1, 0, -1], [-1, 0, 1]])],
+                                        [0, 0, 0, 0, -2, 0, 4, 0, 2])
     checks = {
         "objective_two": abs(obj - 2.0) <= 1e-12,
         "left_identity": float(np.abs(w3.T @ delta).max()) <= 1e-12,
         "right_identity": float(np.abs(delta @ w1.T).max()) <= 1e-12,
-        "classified_inconclusive": _probed_inconclusive(report),
-        "exact_escape": escape == Fraction(-7, 128),
+        **saddle,
     }
-    return _result(
-        2, "rank-two-target fixture", start, checks, budget_s=1.0, objective=obj,
-        status=report.status, probe_min_deltas=report.certificates[-1]["value"],
-        escape_at_half=str(escape),
-    )
+    return _result(2, "rank-two-target fixture", start, checks, budget_s=1.0, objective=obj,
+                   **details)
 
 
 def _grid_matrices(rows, cols):
@@ -460,8 +454,8 @@ def criterion_8(seed=0, jobs=1):
             c["gradient_zero"] and c["objective_half"]
             for c in factory_checks.values()
         ),
-        "factories_inconclusive_with_exact_escape": all(
-            c["classified_inconclusive"] and c["exact_escape"]
+        "factories_saddle_with_exact_escape": all(
+            c["classified_saddle"] and c["exact_escape"]
             for c in factory_checks.values()
         ),
         "zero_spurious_on_lacking_tuples": spurious_total == 0,

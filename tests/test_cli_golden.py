@@ -48,7 +48,7 @@ R_SYM = [[1e-3, 2e-4], [2e-4, -5e-4]]
 NET_WEIGHTS = [[[0.0], [0.0]], [[0.0, 0.0]]]
 NET_X = [[1.0, 0.0], [0.0, 1.0]]
 NET_Y = [[1.0, 0.0], [0.0, 2.0]]
-# degenerate critical points, one per descent construction case
+# degenerate critical points whose escapes hop over different layers
 E11 = [[1.0, 0.0], [0.0, 0.0]]
 WEIGHT_LISTS = {
     "net_weights": NET_WEIGHTS,

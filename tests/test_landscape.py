@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,11 +9,11 @@ import pytest
 from openmap.errors import InputError, NotConstructible, NumericalFailure
 from openmap.landscape import (
     GLOBAL_MIN,
-    INCONCLUSIVE,
     NOT_CRITICAL,
     SADDLE_HIGHER_ORDER,
     SECOND_ORDER_SADDLE,
     NetworkPoint,
+    _expansion,
     admissible_width_pair,
     classify,
     counterexample_factory,
@@ -203,32 +204,47 @@ class TestClassify:
         )
         rep = classify(point, tol=Tolerances(grad_abs=1e-6))
         assert rep.status == SECOND_ORDER_SADDLE
-        assert rep.descent_direction.construction_case == "TwoLayerNullW2"
+        assert rep.descent_direction.exponents == [1, 1]
         assert rep.descent_direction.order == 2
 
-    def test_rank_two_fixture_inconclusive(self):
-        # its probe finds no decrease, yet an exact fourth-order escape
-        # exists (selftest criterion 2): the probe is evidence, no verdict
+    def test_rank_two_fixture_escapes_at_fourth_order(self):
+        # a sphere probe finds no decrease here; the path curve moving the
+        # outer layers as s and the middle one as s^2 leads at s^4
         _, _, point = rank_deficient_y_fixture()
         rep = classify(point)
-        assert rep.status == INCONCLUSIVE
+        assert rep.status == SADDLE_HIGHER_ORDER
         assert rep.objective == pytest.approx(2.0, abs=1e-12)
         assert rep.global_value == pytest.approx(0.0, abs=1e-12)
-        checks = [c["check"] for c in rep.certificates]
-        assert "local-min-probe" in checks
-        assert "objective-gap" not in checks
+        d = rep.descent_direction
+        assert (d.order, d.exponents) == (4, [1, 2, 1])
+        moved = [w + d.step * m for w, m in zip(point.weights, d.directions)]
+        assert objective(moved, point.x, point.y) < rep.objective - DEFAULT_TOL.residual_abs
+        assert "local-min-probe" not in [c["check"] for c in rep.certificates]
 
-    def test_intro_point_verdict_follows_probe(self):
-        # the thin fourth-order escape makes the probe's verdict at radius
-        # 1e-2 sampling-dependent; the report is Inconclusive either way
-        # and carries that probe
+    def test_intro_point_escapes_at_fourth_order(self):
+        # the escape is constructed, not sampled, so no seed changes it
         _, _, point = intro_point()
-        for seed in range(3):
-            rep = classify(point, seed=seed)
+        reports = [classify(point, seed=seed) for seed in range(3)]
+        for rep in reports:
             assert rep.degenerate
             assert rep.objective == pytest.approx(0.5, abs=1e-12)
-            assert rep.status == INCONCLUSIVE
-            assert [c["check"] for c in rep.certificates][-1] == "local-min-probe"
+            assert rep.status == SADDLE_HIGHER_ORDER
+            assert (rep.descent_direction.order, rep.descent_direction.exponents) == (4, [1, 2, 1])
+            assert rep.descent_direction.step == reports[0].descent_direction.step
+
+    def test_every_benchmark_factory_point_is_a_saddle(self):
+        # depth 3 and 4, widths 1 to 3: the factory points the benchmark's
+        # classify rounds draw from
+        dims_list = [dims for h in (3, 4) for dims in itertools.product((1, 2, 3), repeat=h + 1)
+                     if admissible_width_pair(dims) is not None]
+        assert len(dims_list) == 60
+        for dims in dims_list:
+            _, _, point = counterexample_factory(dims)
+            rep = classify(point)
+            assert rep.status == SADDLE_HIGHER_ORDER, dims
+            d = rep.descent_direction
+            moved = [w + d.step * m for w, m in zip(point.weights, d.directions)]
+            assert objective(moved, point.x, point.y) < rep.objective - DEFAULT_TOL.residual_abs
 
     def test_deep_case_b_right(self):
         point = NetworkPoint(
@@ -238,16 +254,18 @@ class TestClassify:
         )
         rep = classify(point)
         assert rep.status == SADDLE_HIGHER_ORDER
-        assert rep.descent_direction.construction_case == "DeepCaseB"
+        assert (rep.descent_direction.order, rep.descent_direction.exponents) == (3, [1, 1, 1])
 
     def test_deep_case_a_right(self):
         e11 = np.zeros((2, 2))
         e11[0, 0] = 1.0
         y = np.array([[1.0, 0.0], [0.0, 3.0]])
         point = NetworkPoint([e11.copy(), np.eye(2), e11.copy()], np.eye(2), y)
+        # the path hops over the identity in the middle: W_3 + s D_3 and
+        # W_1 + s D_1 meet at s^2, so the escape is negative curvature
         rep = classify(point)
-        assert rep.status == SADDLE_HIGHER_ORDER
-        assert rep.descent_direction.construction_case == "DeepCaseA"
+        assert rep.status == SECOND_ORDER_SADDLE
+        assert (rep.descent_direction.order, rep.descent_direction.exponents) == (2, [1, 0, 1])
 
     def test_deep_case_left(self):
         w3 = np.array([[1.0], [0.0]])
@@ -257,10 +275,7 @@ class TestClassify:
         point = NetworkPoint([w3, w2, w1], np.eye(2), y)
         rep = classify(point)
         assert rep.status == SADDLE_HIGHER_ORDER
-        assert rep.descent_direction.construction_case in (
-            "DeepCaseB_left",
-            "DeepCaseA_left",
-        )
+        assert (rep.descent_direction.order, rep.descent_direction.exponents) == (3, [1, 1, 1])
 
     def test_descent_direction_decreases(self):
         point = NetworkPoint(
@@ -275,14 +290,13 @@ class TestClassify:
 
     def test_deep_grid_pins_the_descent_constructions(self):
         # degenerate critical points: every layer but one is zero, so the
-        # gradient vanishes and the product has rank 0; digests were
-        # computed before the two deep constructions became one, and the
-        # right-hinged one again when the decrease came to be measured
-        # with ``objective`` at both ends (directions and steps unchanged).
-        # Right-hinged results are pinned bit for bit, left-hinged ones
-        # by case and order only (SVDs of transposes round differently)
+        # gradient vanishes and the product has rank 0.  Each is a global
+        # minimum or a certified saddle (1867 saddles, as before the path
+        # curves), and every status, exponent list, order, direction, step
+        # and decrease is pinned bit for bit; each decrease is checked
+        # again on a whole-chain product
         rng = np.random.default_rng(20180308)
-        found, right = [], hashlib.sha256()
+        digest, statuses = hashlib.sha256(), {}
         for _ in range(2000):
             h = int(rng.integers(3, 5))
             dims = rng.integers(1, 4, size=h + 1)
@@ -291,34 +305,35 @@ class TestClassify:
             weights[live] = rng.integers(-1, 2, size=weights[live].shape).astype(float)
             y = rng.integers(-1, 2, size=(dims[0], dims[-1])).astype(float)
             point = NetworkPoint(weights, np.eye(dims[-1]), y)
-            d = classify(point).descent_direction
+            rep = classify(point)
+            statuses[rep.status] = statuses.get(rep.status, 0) + 1
+            digest.update(rep.status.encode())
+            d = rep.descent_direction
             if d is None:
-                found.append(None)
                 continue
-            found.append((d.construction_case, d.order))
             moved = [w + d.step * m for w, m in zip(weights, d.directions)]
             after = np.linalg.multi_dot(moved + [point.x])
             drop = 0.5 * (np.sum(y**2) - np.sum((after - y) ** 2))
             assert drop > DEFAULT_TOL.residual_abs
             assert d.decrease == objective(weights, point.x, y) - objective(moved, point.x, y)
-            if not d.construction_case.endswith("_left"):
-                for m in d.directions:
-                    right.update(repr(m.shape).encode() + m.tobytes())
-                right.update(np.array([d.step, d.decrease]).tobytes())
-        assert hashlib.sha256(repr(found).encode()).hexdigest() == (
-            "dcb4b303ea40a3397e03aa5c1d0bc83d418679cd1539106b222640fca90c6eb5"
-        )
-        assert right.hexdigest() == (
-            "e7c6c1f166b35cb455152f6e1cf45c00793ddbd520905ce0edbf1be5c9a2d2df"
+            digest.update(f"{d.exponents}:{d.order}".encode())
+            for m in d.directions:
+                digest.update(repr(m.shape).encode() + m.tobytes())
+            digest.update(np.array([d.step, d.decrease]).tobytes())
+        assert statuses == {GLOBAL_MIN: 133, SECOND_ORDER_SADDLE: 568, SADDLE_HIGHER_ORDER: 1299}
+        assert digest.hexdigest() == (
+            "765b16a8c15814fe2b5fd0589c3b88488b4ccfa7b1355dd2246092b2634a6a9e"
         )
 
     def test_two_layer_grid_pins_the_descent_constructions(self):
         # depth-2 critical points with one or both factors zero, kept
-        # only when the gradient vanishes exactly; every status, case,
-        # order, direction, step and decrease is pinned bit for bit
-        # (x = I makes every product exact in any association)
+        # only when the gradient vanishes exactly; each is a global
+        # minimum or a certified saddle (1703 saddles, as before the path
+        # curves), and every status, exponent list, order, direction, step
+        # and decrease is pinned bit for bit (x = I makes every product
+        # exact in any association)
         rng = np.random.default_rng(20180309)
-        digest, kept, cases = hashlib.sha256(), 0, {}
+        digest, kept, statuses = hashlib.sha256(), 0, {}
         while kept < 2000:
             dims = rng.integers(1, 4, size=3)
             weights = [np.zeros((dims[0], dims[1])), np.zeros((dims[1], dims[2]))]
@@ -331,18 +346,20 @@ class TestClassify:
                 continue
             kept += 1
             rep = classify(point)
+            statuses[rep.status] = statuses.get(rep.status, 0) + 1
             digest.update(rep.status.encode())
             d = rep.descent_direction
             if d is None:
                 continue
-            cases[d.construction_case] = cases.get(d.construction_case, 0) + 1
-            digest.update(f"{d.construction_case}:{d.order}".encode())
+            moved = [w + d.step * m for w, m in zip(weights, d.directions)]
+            assert objective(moved, point.x, y) < rep.objective - DEFAULT_TOL.residual_abs
+            digest.update(f"{d.exponents}:{d.order}".encode())
             for m in d.directions:
                 digest.update(repr(m.shape).encode() + m.tobytes())
             digest.update(np.array([d.step, d.decrease]).tobytes())
-        assert set(cases) == {"TwoLayerNullW2", "TwoLayerNullW1T"}
+        assert statuses == {GLOBAL_MIN: 297, SECOND_ORDER_SADDLE: 1703}
         assert digest.hexdigest() == (
-            "7654bca5ee80cf6f05633ede4ff9fa84d11e9aaf9cc62b86b13e81cc0f178e7a"
+            "5c402139e8a53a7ae07aa1f69ee95f27053887c3a8396ff55328c1962e59056d"
         )
 
     def test_converged_descent_classifies_global(self):
@@ -360,6 +377,43 @@ class TestClassify:
         assert abs(result.objective - gv) <= 1e-9
         rep = classify(result.point)
         assert rep.status == GLOBAL_MIN
+
+
+class TestExpansion:
+    def test_float_and_fraction_coefficients_agree(self):
+        # seeded curves with fixed layers, zero layers and zero moves; the
+        # exact coefficients evaluated at s = 1/3 give the exact change of
+        # the objective there, and the float ones agree with them
+        exact = np.vectorize(Fraction, otypes=[object])
+
+        def value(weights, x, y):
+            resid = (product_matrix(weights + [x]) - y).ravel()
+            return resid.dot(resid) / 2
+
+        rng = np.random.default_rng(21)
+        third = Fraction(1, 3)
+        for _ in range(60):
+            h = int(rng.integers(1, 5))
+            dims = [int(d) for d in rng.integers(1, 4, size=h + 1)]
+            shapes = [(dims[i], dims[i + 1]) for i in range(h)]
+            weights = [rng.uniform(-1, 1, size=s) * int(rng.integers(0, 2)) for s in shapes]
+            curve = [(k, rng.uniform(-1, 1, size=s) * int(rng.integers(0, 4) > 0) if k else None)
+                     for k, s in zip(map(int, rng.integers(0, 3, size=h)), shapes)]
+            n = int(rng.integers(1, 4))
+            x = rng.uniform(-1, 1, size=(dims[-1], n))
+            y = rng.uniform(-1, 1, size=(dims[0], n))
+            got = _expansion(weights, curve, x, y)
+            ex_w = [exact(w) for w in weights]
+            ex_curve = [(k, None if d is None else exact(d)) for k, d in curve]
+            want = _expansion(ex_w, ex_curve, exact(x), exact(y))
+            assert all(isinstance(c, (int, Fraction)) for c in want)
+            moved = [w if d is None else w + third**k * d for w, (k, d) in zip(ex_w, ex_curve)]
+            change = value(moved, exact(x), exact(y)) - value(ex_w, exact(x), exact(y))
+            assert sum(c * third**m for m, c in enumerate(want)) == change
+            assert len(got) == len(want)
+            scale = max(1.0, *(abs(float(c)) for c in want))
+            for g, w in zip(got, want):
+                assert abs(float(g) - float(w)) <= 1e-12 * scale
 
 
 class TestFactory:

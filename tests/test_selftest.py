@@ -33,6 +33,12 @@ def test_fast_criterion_passes_inside_its_budget(number):
     if number == 7:
         # the checks cover converged trials only, so most must converge
         assert res.details["converged"] >= 190
+    if number in (1, 2):
+        # the fixtures are certified saddles, and the exact escape is the
+        # whole expansion along the hand-built rational curve
+        assert res.details["status"] == "SaddleHigherOrder"
+        assert checks["classified_saddle"] and checks["exact_escape"]
+        assert res.details["escape_coefficients"][4] == ("-1/2" if number == 1 else "-2")
 
 
 @pytest.mark.parametrize("only", ["x", "42", "4,0"])
