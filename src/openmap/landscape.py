@@ -82,10 +82,6 @@ class NetworkPoint:
             raise InputError("input and target sample counts differ")
 
     @property
-    def depth(self):
-        return len(self.weights)
-
-    @property
     def dims(self):
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
 

@@ -40,9 +40,7 @@ from .numcore import (
     _sv_rank,
     intersection_dim,
     lm_recover,
-    null_space,
     rank,
-    singular_values,
     spectrum,
     truncated_svd,
 )
@@ -110,9 +108,9 @@ def check_openness(pair, tol=DEFAULT_TOL):
 
 
 def _openness_and_spectra(pair, tol):
-    """``check_openness``'s report with the ``Spectrum`` of ``w1`` and the
-    ``Spectrum`` of the product it read the ranks from, for callers that
-    need those SVDs too."""
+    """``check_openness``'s report with the ``Spectrum`` of ``w1``, of
+    ``w2`` and of the product it read the ranks from: the one SVD of each
+    factor, off which the completion paths read their inputs too."""
     m, k, n = pair.m, pair.k, pair.n
     sp1, sp2, spp = (spectrum(mat, tol) for mat in (pair.w1, pair.w2, pair.product))
     for name, sp in (("w1", sp1), ("w2", sp2), ("product", spp)):
@@ -167,28 +165,25 @@ def _openness_and_spectra(pair, tol):
         rank_product=rp,
         intersection_dim=int(d_nc),
         condition_flags=flags,
-    ), sp1, spp
+    ), sp1, sp2, spp
 
 
-def null_completion(w1, w2, tol=DEFAULT_TOL, seed=0, scales=None):
-    """For each of ``scales``, ``wt2`` with columns in ``N(w1)`` such that
-    ``w2 + wt2`` is full rank, or ``None`` when no placement, the generic
-    one or seeded rotations of it, restores full rank.  ``w2``'s singular
-    values and ``N(w1)`` are computed once; the default is one scale, half
-    the smallest singular value of ``w2`` counted in its rank."""
-    w1 = as_matrix(w1, "w1")
-    w2 = as_matrix(w2, "w2")
-    k, n = w2.shape
+def null_completion(w, basis, s, tol=DEFAULT_TOL, seed=0, scales=None):
+    """For each of ``scales``, ``wt`` with columns in the span of the
+    orthonormal ``basis`` such that the rank-deficient ``w`` plus ``wt`` is
+    full rank, or ``None`` when no placement, the generic one or seeded
+    rotations of it, does so.  ``s`` is the singular values of ``w``; both
+    come from the openness check's spectra: ``N(w1) = sp1.v[:, r1:]`` and
+    ``sp2.s`` for ``w = w2``, ``N(w2.T) = sp2.u[:, r2:]`` and ``sp1.s`` for
+    ``w = w1.T``.  The default is one scale, half the least counted
+    singular value."""
+    k, n = w.shape
     target_rank = min(k, n)
-    s2 = singular_values(w2)
-    r2 = _sv_rank(s2, w2.shape, tol)
     if scales is None:
-        scales = [0.5 * float(s2[r2 - 1]) if r2 else 1.0]
-    if r2 == target_rank:
-        return [np.zeros_like(w2) for _ in scales]
-    basis = null_space(w1, tol)
+        r = _sv_rank(s, w.shape, tol)
+        scales = [0.5 * float(s[r - 1]) if r else 1.0]
     d = basis.shape[1]
-    order = np.argsort(np.linalg.norm(w2, axis=0))  # prefer empty columns
+    order = np.argsort(np.linalg.norm(w, axis=0))  # prefer empty columns
 
     def place(scale):
         rng = np.random.default_rng(seed)
@@ -199,10 +194,10 @@ def null_completion(w1, w2, tol=DEFAULT_TOL, seed=0, scales=None):
                 q, _ = np.linalg.qr(rng.standard_normal((d, d)))
                 cols = cols @ q
                 positions = rng.choice(n, size=min(d, n), replace=False)
-            wt2 = np.zeros_like(w2)
-            wt2[:, positions] = scale * cols[:, : len(positions)]
-            if rank(w2 + wt2, tol) == target_rank:
-                return wt2
+            wt = np.zeros_like(w)
+            wt[:, positions] = scale * cols[:, : len(positions)]
+            if rank(w + wt, tol) == target_rank:
+                return wt
         return None
 
     return [place(scale) for scale in scales]
@@ -211,8 +206,9 @@ def null_completion(w1, w2, tol=DEFAULT_TOL, seed=0, scales=None):
 def construct_witnesses(pair, tol=DEFAULT_TOL, seed=0):
     """Perturbations certifying openness in the rank-deficient regime:
     ``wt1 @ w2 = 0`` with ``w1 + wt1`` full column rank, and
-    ``w1 @ wt2 = 0`` with ``w2 + wt2`` full row rank."""
-    report = check_openness(pair, tol)
+    ``w1 @ wt2 = 0`` with ``w2 + wt2`` full row rank (``null_completion``
+    verifies the ranks)."""
+    report, sp1, sp2, _ = _openness_and_spectra(pair, tol)
     if report.regime != REGIME_DEFICIENT or not report.open:
         raise NotOpen(
             "witnesses exist only at open points of the rank-deficient regime"
@@ -221,27 +217,19 @@ def construct_witnesses(pair, tol=DEFAULT_TOL, seed=0):
         wt1 = np.zeros_like(pair.w1)
         wt2 = np.zeros_like(pair.w2)
     else:
-        (wt2,) = null_completion(pair.w1, pair.w2, tol, seed=seed)
-        (wt1,) = null_completion(pair.w2.T, pair.w1.T, tol, seed=seed + 1)
+        (wt2,) = null_completion(pair.w2, sp1.v[:, sp1.rank:], sp2.s, tol, seed=seed)
+        (wt1,) = null_completion(pair.w1.T, sp2.u[:, sp2.rank:], sp1.s, tol, seed=seed + 1)
         if wt1 is None or wt2 is None:
             raise GenericScaleFailed(
                 "could not restore full rank from the null-space completion"
             )
         wt1 = wt1.T
-    _verify_witnesses(pair, wt1, wt2, tol)
-    return wt1, wt2
-
-
-def _verify_witnesses(pair, wt1, wt2, tol):
     scale = max(1.0, float(np.abs(pair.w1).max()), float(np.abs(pair.w2).max()))
     if np.abs(wt1 @ pair.w2).max() > tol.residual_abs * scale:
         raise GenericScaleFailed("witness wt1 does not annihilate w2")
     if np.abs(pair.w1 @ wt2).max() > tol.residual_abs * scale:
         raise GenericScaleFailed("witness wt2 is not annihilated by w1")
-    if rank(pair.w1 + wt1, tol) != pair.k:
-        raise GenericScaleFailed("w1 + wt1 is not full column rank")
-    if rank(pair.w2 + wt2, tol) != pair.k:
-        raise GenericScaleFailed("w2 + wt2 is not full row rank")
+    return wt1, wt2
 
 
 def _norms(stack):

@@ -19,6 +19,10 @@ The rank-deficient-regime pipeline:
    read off the spectrum the openness check took;
 4. read off both perturbations from closed forms, un-permute, rotate
    back, and verify the product equation.
+
+In the full-rank regime ``null_completion`` completes a factor inside the
+other's null space.  Every spectrum of ``w1``, ``w2`` and the product is
+the one the openness check took; no path decomposes them again.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,9 @@ from .errors import (
     RankInfeasible,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, Spectrum, bounded_basis, rank, spectrum
+from .numcore import DEFAULT_TOL, Spectrum, bounded_basis, spectrum
+# read by perfbench's test_tracing_replaces_every_alias_and_restores_them
+from .numcore import rank  # noqa: F401
 from .openness import (
     REGIME_DEFICIENT,
     _openness_and_spectra,
@@ -90,8 +96,11 @@ def _least_witness(candidates, pair, z_tilde, input_delta, tol, delta0):
     return best, best_key
 
 
-def _realize_full_rank(pair, z_tilde, input_delta, rep, tol):
-    """Direct completion in the regime where the image is everything."""
+def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, tol):
+    """Direct completion in the regime where the image is everything;
+    ``sp1`` and ``sp2`` are the ``Spectrum`` of ``pair.w1`` and ``pair.w2``.
+    ``null_completion`` verifies each completed factor's full rank: the
+    openness flags force ``k >= m`` (or ``k >= n``)."""
     w1, w2 = pair.w1, pair.w2
     r_delta = z_tilde - pair.product
     if rep.rank_w1 == pair.m:
@@ -109,16 +118,17 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, tol):
     flags = rep.condition_flags
     wt1s = wt2s = [None] * len(scales)
     if flags.get("w1_completion_exists"):
-        wt1s = [wt if wt is None else wt.T
-                for wt in null_completion(w2.T, w1.T, tol, seed=17, scales=scales)]
+        wt1s = [wt if wt is None else wt.T for wt in null_completion(
+            w1.T, sp2.u[:, sp2.rank:], sp1.s, tol, seed=17, scales=scales)]
     if flags.get("w2_completion_exists"):
-        wt2s = null_completion(w1, w2, tol, seed=19, scales=scales)
+        wt2s = null_completion(
+            w2, sp1.v[:, sp1.rank:], sp2.s, tol, seed=19, scales=scales)
 
     def candidates():
         for s, wt1, wt2 in zip(scales, wt1s, wt2s):
-            if wt1 is not None and rank(w1 + wt1, tol) == pair.m:
+            if wt1 is not None:
                 yield s, wt1, np.linalg.pinv(w1 + wt1) @ r_delta
-            if wt2 is not None and rank(w2 + wt2, tol) == pair.n:
+            if wt2 is not None:
                 yield s, r_delta @ np.linalg.pinv(w2 + wt2), wt2
 
     return _least_witness(candidates(), pair, z_tilde, input_delta, tol, None)[0]
@@ -235,7 +245,7 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
     r_target = sp_z.rank
     if r_target > rank_cap:
         raise RankInfeasible(f"target rank {r_target} exceeds the image bound {rank_cap}")
-    report, w1_spectrum, product_spectrum = _openness_and_spectra(pair, tol)
+    report, sp1, sp2, product_spectrum = _openness_and_spectra(pair, tol)
     if not report.open:
         raise NotOpen("the product map is not locally open at this pair")
     input_delta = float(np.linalg.norm(z_tilde - pair.product))
@@ -244,9 +254,9 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
                         z_tilde, 0.0, tol, None)
     if report.regime == REGIME_DEFICIENT:
         return _realize_rank_deficient(
-            pair, z_tilde, input_delta, product_spectrum, sp_z, w1_spectrum, tol
+            pair, z_tilde, input_delta, product_spectrum, sp_z, sp1, tol
         )
-    return _realize_full_rank(pair, z_tilde, input_delta, report, tol)
+    return _realize_full_rank(pair, z_tilde, input_delta, report, sp1, sp2, tol)
 
 
 def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=0):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from openmap.errors import InputError, NotOpen
-from openmap.numcore import DEFAULT_TOL, rank, truncated_svd
+from openmap.numcore import DEFAULT_TOL, rank, spectrum, truncated_svd
 from openmap.openness import (
     REGIME_DEFICIENT,
     REGIME_FULL,
@@ -152,6 +152,23 @@ class TestConstructWitnesses:
         with pytest.raises(NotOpen):
             construct_witnesses(pair([[1.0], [1.0]], [[0.0, 0.0]]))
 
+    def test_factors_decomposed_once(self, monkeypatch):
+        # both completions read the openness check's spectra, and no caller
+        # re-checks a rank null_completion verified
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        w1 = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        w2 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        wt1, wt2 = construct_witnesses(pair(w1, w2))
+        assert len(calls) <= 9
+        assert rank(w1 + wt1) == rank(w2 + wt2) == 2
+
     def test_random_open_deficient_points(self):
         rng = np.random.default_rng(8)
         built = 0
@@ -181,23 +198,42 @@ class TestNullCompletion:
     W1 = np.diag([1.0, 1.0, 0.0])
     W2 = np.eye(3, 2) * [1.0, 0.0]
 
+    @staticmethod
+    def complete_w2(w1, w2, scales=None):
+        # N(w1) and the singular values of w2, as the openness check reads them
+        sp1, sp2 = spectrum(w1), spectrum(w2)
+        return null_completion(w2, sp1.v[:, sp1.rank:], sp2.s, scales=scales)
+
     def test_one_completion_per_scale(self):
         scales = [1e-3, 0.5, 2.0]
-        got = null_completion(self.W1, self.W2, scales=scales)
+        got = self.complete_w2(self.W1, self.W2, scales=scales)
         assert len(got) == 3
         for scale, wt2 in zip(scales, got):
             assert np.array_equal(
-                wt2, null_completion(self.W1, self.W2, scales=[scale])[0]
+                wt2, self.complete_w2(self.W1, self.W2, scales=[scale])[0]
             )
             assert np.abs(self.W1 @ wt2).max() == 0.0
             assert rank(self.W2 + wt2) == 2
 
     def test_default_is_half_the_least_counted_singular_value(self):
-        (wt2,) = null_completion(self.W1, 2.0 * self.W2)
+        (wt2,) = self.complete_w2(self.W1, 2.0 * self.W2)
         assert np.linalg.norm(wt2) == 1.0
 
     def test_trivial_null_space_gives_none_per_scale(self):
-        assert null_completion(np.eye(3), self.W2, scales=[1.0, 2.0]) == [None, None]
+        got = self.complete_w2(np.eye(3), self.W2, scales=[1.0, 2.0])
+        assert got == [None, None]
+
+    def test_rotation_fallback_completes_when_the_generic_placement_fails(self):
+        w1 = np.eye(4, 3) * [1.0, 1.0, 0.0]
+        w2 = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1e-3], [0.0] * 4])
+        # the generic placement puts N(w1) = span(e3) on w2's lightest
+        # column, the last, and leaves rank 2
+        generic = np.zeros_like(w2)
+        generic[2, 3] = 1.0
+        assert rank(w2 + generic) == 2
+        (wt2,) = self.complete_w2(w1, w2)
+        assert rank(w2 + wt2) == 3
+        assert np.abs(w1 @ wt2).max() == 0.0
 
 
 class TestSampleFeasibleTarget:
