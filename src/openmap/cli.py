@@ -19,6 +19,13 @@ refusal (target out of certified range, no constructible instance, point
 not open), 4 a numerical failure.  Every error also renders as a JSON
 object on stderr.
 
+Only what a command runs is imported: ``gd-sweep`` imports its process
+pool (``concurrent.futures.process`` and ``multiprocessing``) only for
+``--jobs > 1`` with more than one trial, and ``numcore.bounded_basis``
+loads ``scipy.linalg`` only when a rank-deficient ``realize`` calls it,
+since each command is a fresh process whose import dominates its wall
+time.
+
 Reports echo their configuration and derive every per-trial seed from
 the master seed by counter, so identical configurations reproduce every
 per-trial record bit-identically regardless of scheduling (wall-clock
@@ -30,7 +37,6 @@ import os
 import sys
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import takewhile
@@ -114,8 +120,8 @@ def _config_from(args, command, default_trials):
                        ("--tol-residual", "residual_abs")):
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            if value <= 0:
-                raise InputError(f"{flag} must be positive")
+            if not 0 < value < np.inf:
+                raise InputError(f"{flag} must be positive and finite, got {value}")
             kwargs[name] = value
     if args.seed < 0:
         raise InputError("--seed must be non-negative")
@@ -234,6 +240,10 @@ def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, x=None, y=None,
         for t in range(trials)
     ]
     if jobs > 1 and trials > 1:
+        # imported here: the pool loads multiprocessing, which a one-job
+        # sweep and every other command never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_gd_trial, payloads, chunksize=8))
     else:

@@ -17,7 +17,10 @@ batched solver behind the recovery oracles.
   ``Spectrum``: the rows of ``u[:, :r]`` combine as the rows of the
   matrix do, so each exchange step and the final coefficients are
   ``r x r`` solves.  Its pivot order comes from LAPACK ``geqp3``, which
-  never forms Q.
+  never forms Q.  ``scipy.linalg`` is imported on the first call, not
+  with this module: it is the package's only use of scipy, it costs about
+  0.1 s of CPU to load, and only the rank-deficient ``realize`` path runs
+  it, so every other command's process starts without it.
 * ``lm_fit`` is the one batched Levenberg-Marquardt loop; each iteration
   works only on the trials still live and solves the smaller of its two
   normal systems, ``JᵀJ`` over the unknowns or ``JJᵀ`` over the residual
@@ -32,10 +35,10 @@ All operations are pure functions of their arguments and safe to call
 concurrently.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg.lapack
 
 from .errors import IllConditioned, InputError, NotRankDeficient, NumericalFailure
 from .matrixio import as_matrix
@@ -56,7 +59,7 @@ class Tolerances:
 
     ``rank_rel`` is the relative singular-value cutoff; ``None`` selects
     the standard rule ``eps * max(rows, cols)`` per matrix.  Radii of the
-    probe schedule must be strictly decreasing.
+    probe schedule must be strictly decreasing, and every value finite.
     """
 
     rank_rel: float | None = None
@@ -66,6 +69,10 @@ class Tolerances:
     probe_samples: int = 2000
 
     def __post_init__(self):
+        for name in ("rank_rel", "grad_abs", "residual_abs"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if self.rank_rel is not None and self.rank_rel <= 0:
             raise InputError("rank_rel must be positive")
         if self.grad_abs <= 0 or self.residual_abs <= 0:
@@ -73,6 +80,8 @@ class Tolerances:
         if self.probe_samples <= 0:
             raise InputError("probe_samples must be a positive count")
         radii = tuple(float(r) for r in self.probe_radius_schedule)
+        if not all(map(math.isfinite, radii)):
+            raise InputError(f"probe radii must be finite, got {radii}")
         if any(r <= 0 for r in radii):
             raise InputError("probe radii must be strictly positive")
         if any(a <= b for a, b in zip(radii, radii[1:])):
@@ -240,8 +249,13 @@ def bounded_basis(mat, tol=DEFAULT_TOL, sp=None):
     for the current step, the argmax basis row is swapped out.  Each
     adjoined row causes at most one swap, so the loop terminates in at
     most ``m - r`` passes.  ``sp`` is the ``Spectrum`` of ``mat`` when the
-    caller already holds one; otherwise it is computed here.
+    caller already holds one; otherwise it is computed here.  The first
+    call loads ``scipy.linalg`` for ``geqp3``; importing it here rather
+    than with the module keeps it out of every process that never
+    selects a row basis.
     """
+    import scipy.linalg.lapack
+
     mat = as_matrix(mat)
     m = mat.shape[0]
     if sp is None:
@@ -362,7 +376,11 @@ def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
             break
         live_blocks = [blk[live] for blk in blocks]
         jac = jacobian(*live_blocks)
-        step = _lm_step(jac, res[live].reshape(live.size, -1, 1), lam[live])
+        try:
+            step = _lm_step(jac, res[live].reshape(live.size, -1, 1), lam[live])
+        except np.linalg.LinAlgError as exc:  # iterates that overflowed
+            raise NumericalFailure(
+                f"Levenberg-Marquardt system is singular: {exc}") from exc
         tried = [
             blk + step[:, lo:hi].reshape(blk.shape)
             for blk, lo, hi in zip(live_blocks, offsets, offsets[1:])

@@ -40,8 +40,8 @@ from .numcore import (
     _sv_rank,
     intersection_dim,
     lm_recover,
-    rank,
     spectrum,
+    svd,
     truncated_svd,
 )
 
@@ -168,15 +168,19 @@ def _openness_and_spectra(pair, tol):
     ), sp1, sp2, spp
 
 
-def null_completion(w, basis, s, tol=DEFAULT_TOL, seed=0, scales=None):
-    """For each of ``scales``, ``wt`` with columns in the span of the
-    orthonormal ``basis`` such that the rank-deficient ``w`` plus ``wt`` is
-    full rank, or ``None`` when no placement, the generic one or seeded
-    rotations of it, does so.  ``s`` is the singular values of ``w``; both
-    come from the openness check's spectra: ``N(w1) = sp1.v[:, r1:]`` and
-    ``sp2.s`` for ``w = w2``, ``N(w2.T) = sp2.u[:, r2:]`` and ``sp1.s`` for
-    ``w = w1.T``.  The default is one scale, half the least counted
-    singular value."""
+def null_completion(w, basis, s, tol=DEFAULT_TOL, seed=0, scales=None,
+                    transposed=False):
+    """For each of ``scales``, ``(wt, u, sv, v)`` with the columns of
+    ``wt`` in the span of the orthonormal ``basis`` such that the
+    rank-deficient ``w`` plus ``wt`` is full rank, and ``u, sv, v`` the
+    reduced SVD of ``w + wt`` (of ``(w + wt).T`` when ``transposed``, for
+    a caller that completes ``w1.T`` and inverts ``w1 + wt1``) that
+    decided that rank; or ``None`` when no placement, the generic one or
+    seeded rotations of it, does so.  ``s`` is the singular values of
+    ``w``; both come from the openness check's spectra:
+    ``N(w1) = sp1.v[:, r1:]`` and ``sp2.s`` for ``w = w2``,
+    ``N(w2.T) = sp2.u[:, r2:]`` and ``sp1.s`` for ``w = w1.T``.  The
+    default is one scale, half the least counted singular value."""
     k, n = w.shape
     target_rank = min(k, n)
     if scales is None:
@@ -196,8 +200,10 @@ def null_completion(w, basis, s, tol=DEFAULT_TOL, seed=0, scales=None):
                 positions = rng.choice(n, size=min(d, n), replace=False)
             wt = np.zeros_like(w)
             wt[:, positions] = scale * cols[:, : len(positions)]
-            if rank(w + wt, tol) == target_rank:
-                return wt
+            completed = w + wt
+            u, sv, v = svd(completed.T if transposed else completed, full_matrices=False)
+            if _sv_rank(sv, w.shape, tol) == target_rank:
+                return wt, u, sv, v
         return None
 
     return [place(scale) for scale in scales]
@@ -217,13 +223,13 @@ def construct_witnesses(pair, tol=DEFAULT_TOL, seed=0):
         wt1 = np.zeros_like(pair.w1)
         wt2 = np.zeros_like(pair.w2)
     else:
-        (wt2,) = null_completion(pair.w2, sp1.v[:, sp1.rank:], sp2.s, tol, seed=seed)
-        (wt1,) = null_completion(pair.w1.T, sp2.u[:, sp2.rank:], sp1.s, tol, seed=seed + 1)
-        if wt1 is None or wt2 is None:
+        (c2,) = null_completion(pair.w2, sp1.v[:, sp1.rank:], sp2.s, tol, seed=seed)
+        (c1,) = null_completion(pair.w1.T, sp2.u[:, sp2.rank:], sp1.s, tol, seed=seed + 1)
+        if c1 is None or c2 is None:
             raise GenericScaleFailed(
                 "could not restore full rank from the null-space completion"
             )
-        wt1 = wt1.T
+        wt1, wt2 = c1[0].T, c2[0]
     scale = max(1.0, float(np.abs(pair.w1).max()), float(np.abs(pair.w2).max()))
     if np.abs(wt1 @ pair.w2).max() > tol.residual_abs * scale:
         raise GenericScaleFailed("witness wt1 does not annihilate w2")
@@ -236,6 +242,14 @@ def _norms(stack):
     """Frobenius norm of each matrix of a stack, bit for bit the
     ``np.linalg.norm`` of that matrix."""
     return np.sqrt(_row_dots(stack.reshape(len(stack), -1)))
+
+
+def check_delta(delta):
+    """Reject a negative or non-finite target distance as bad input."""
+    if delta < 0:
+        raise InputError("delta must be non-negative")
+    if not np.isfinite(delta):
+        raise InputError(f"delta must be finite, got {delta}")
 
 
 def sample_feasible_target(z, rank_cap, delta, rngs, iters=80):
@@ -338,8 +352,7 @@ def probe_openness(pair, delta, trials, tol=DEFAULT_TOL, seed=0):
     ``delta`` and report the fraction recoverable with small factors.
     Trial ``t`` draws from the generator seeded ``[seed, t]``; one stacked
     sampler call makes every target."""
-    if delta < 0:
-        raise InputError("delta must be non-negative")
+    check_delta(delta)
     if trials <= 0:
         raise InputError("trials must be a positive count")
     z = pair.product

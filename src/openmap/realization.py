@@ -21,8 +21,10 @@ The rank-deficient-regime pipeline:
    back, and verify the product equation.
 
 In the full-rank regime ``null_completion`` completes a factor inside the
-other's null space.  Every spectrum of ``w1``, ``w2`` and the product is
-the one the openness check took; no path decomposes them again.
+other's null space and hands back the SVD that verified the completed
+factor's rank, off which its pseudo-inverse is formed.  Every spectrum of
+``w1``, ``w2`` and the product is the one the openness check took; no
+path decomposes them again.
 """
 
 from dataclasses import dataclass
@@ -44,6 +46,7 @@ from .numcore import rank  # noqa: F401
 from .openness import (
     REGIME_DEFICIENT,
     _openness_and_spectra,
+    check_delta,
     null_completion,
     sample_feasible_target,
 )
@@ -99,8 +102,9 @@ def _least_witness(candidates, pair, z_tilde, input_delta, tol, delta0):
 def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, tol):
     """Direct completion in the regime where the image is everything;
     ``sp1`` and ``sp2`` are the ``Spectrum`` of ``pair.w1`` and ``pair.w2``.
-    ``null_completion`` verifies each completed factor's full rank: the
-    openness flags force ``k >= m`` (or ``k >= n``)."""
+    ``null_completion`` verifies each completed factor's full rank (the
+    openness flags force ``k >= m``, or ``k >= n``) with one SVD, which
+    also gives its pseudo-inverse."""
     w1, w2 = pair.w1, pair.w2
     r_delta = z_tilde - pair.product
     if rep.rank_w1 == pair.m:
@@ -115,21 +119,27 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, tol):
     nr = np.linalg.norm(r_delta)
     scales = sorted({np.sqrt(max(nr, 1e-300)) * 2.0**j for j in range(-2, 3)})
 
+    # each completion comes with the reduced SVD ``u diag(sv) v.T`` of its
+    # completed factor, off which the pseudo-inverse is formed as
+    # np.linalg.pinv forms it, bit for bit
     flags = rep.condition_flags
-    wt1s = wt2s = [None] * len(scales)
+    c1s = c2s = [None] * len(scales)
     if flags.get("w1_completion_exists"):
-        wt1s = [wt if wt is None else wt.T for wt in null_completion(
-            w1.T, sp2.u[:, sp2.rank:], sp1.s, tol, seed=17, scales=scales)]
+        c1s = null_completion(w1.T, sp2.u[:, sp2.rank:], sp1.s, tol, seed=17,
+                              scales=scales, transposed=True)
     if flags.get("w2_completion_exists"):
-        wt2s = null_completion(
+        c2s = null_completion(
             w2, sp1.v[:, sp1.rank:], sp2.s, tol, seed=19, scales=scales)
 
+    def pinv(u, sv, v):
+        return v @ ((1 / sv)[:, None] * u.T)
+
     def candidates():
-        for s, wt1, wt2 in zip(scales, wt1s, wt2s):
-            if wt1 is not None:
-                yield s, wt1, np.linalg.pinv(w1 + wt1) @ r_delta
-            if wt2 is not None:
-                yield s, r_delta @ np.linalg.pinv(w2 + wt2), wt2
+        for s, c1, c2 in zip(scales, c1s, c2s):
+            if c1 is not None:
+                yield s, c1[0].T, pinv(*c1[1:]) @ r_delta
+            if c2 is not None:
+                yield s, r_delta @ pinv(*c2[1:]), c2[0]
 
     return _least_witness(candidates(), pair, z_tilde, input_delta, tol, None)[0]
 
@@ -262,8 +272,8 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
 def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=0):
     """Empirical proportionality constant between target distance and
     factor-perturbation size; one row per requested distance."""
-    if any(delta < 0 for delta in deltas):
-        raise InputError("delta must be non-negative")
+    for delta in deltas:
+        check_delta(delta)
     z = pair.product
     rank_cap = min(pair.m, pair.n, pair.k)
     table = []

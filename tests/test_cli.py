@@ -301,3 +301,48 @@ def test_a_negative_ratio_sweep_distance_exits_2(tmp_path, capsys):
     assert _error(capsys) == {"error": "InputError",
                               "message": "delta must be non-negative",
                               "exit_code": 2}
+
+
+def _open_pair_paths(tmp_path):
+    return {"w1": _write(tmp_path, "w1", [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+            "w2": _write(tmp_path, "w2", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])}
+
+
+def test_a_singular_damped_system_exits_4(tmp_path, capsys):
+    # at delta 1e308 the LM iterates overflow and a damped normal system
+    # comes out exactly singular
+    paths = _open_pair_paths(tmp_path)
+    argv = ["openness", "probe", "--w1", paths["w1"], "--w2", paths["w2"],
+            "--delta", "1e308", "--jobs", "1"]
+    assert main(argv) == 4
+    err = _error(capsys)
+    assert err["error"] == "NumericalFailure"
+    assert "singular" in err["message"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--tol-rank", "--tol-grad", "--tol-residual"])
+def test_a_non_finite_tolerance_exits_2_naming_its_flag(flag, value, tmp_path, capsys):
+    paths = _open_pair_paths(tmp_path)
+    argv = ["openness", "check", "--w1", paths["w1"], "--w2", paths["w2"],
+            flag, value, "--jobs", "1"]
+    assert main(argv) == 2
+    assert _error(capsys) == {"error": "InputError",
+                              "message": f"{flag} must be positive and finite, got {value}",
+                              "exit_code": 2}
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["openness", "probe", "--w1", "{w1}", "--w2", "{w2}", "--delta", "nan"], "nan"),
+    (["openness", "probe", "--w1", "{w1}", "--w2", "{w2}", "--delta", "inf"], "inf"),
+    (["realize", "ratio-sweep", "--w1", "{w1}", "--w2", "{w2}", "--deltas", "1e-3,nan"],
+     "nan"),
+    (["realize", "ratio-sweep", "--w1", "{w1}", "--w2", "{w2}", "--deltas", "inf"], "inf"),
+])
+def test_a_non_finite_distance_exits_2_naming_delta(argv, value, tmp_path, capsys):
+    paths = _open_pair_paths(tmp_path)
+    argv = [tok.format(**paths) for tok in argv] + ["--trials", "2", "--jobs", "1"]
+    assert main(argv) == 2
+    assert _error(capsys) == {"error": "InputError",
+                              "message": f"delta must be finite, got {value}",
+                              "exit_code": 2}

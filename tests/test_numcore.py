@@ -41,6 +41,17 @@ class TestTolerances:
         with pytest.raises(InputError):
             Tolerances(residual_abs=0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["rank_rel", "grad_abs", "residual_abs"])
+    def test_non_finite_thresholds_rejected_by_name(self, name, value):
+        with pytest.raises(InputError, match=f"{name} must be finite"):
+            Tolerances(**{name: value})
+
+    @pytest.mark.parametrize("radii", [(np.nan,), (1e-2, np.inf), (np.inf, 1e-2)])
+    def test_non_finite_probe_radii_rejected(self, radii):
+        with pytest.raises(InputError, match="probe radii must be finite"):
+            Tolerances(probe_radius_schedule=radii)
+
 
 class TestSvd:
     def test_identity(self):

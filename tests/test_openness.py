@@ -200,9 +200,16 @@ class TestNullCompletion:
 
     @staticmethod
     def complete_w2(w1, w2, scales=None):
-        # N(w1) and the singular values of w2, as the openness check reads them
+        # N(w1) and the singular values of w2, as the openness check reads
+        # them; each completion's SVD is checked here, and its wt returned
         sp1, sp2 = spectrum(w1), spectrum(w2)
-        return null_completion(w2, sp1.v[:, sp1.rank:], sp2.s, scales=scales)
+        got = null_completion(w2, sp1.v[:, sp1.rank:], sp2.s, scales=scales)
+        for c in got:
+            if c is not None:
+                wt, u, sv, v = c
+                assert np.allclose(u @ np.diag(sv) @ v.T, w2 + wt, rtol=0, atol=1e-14)
+                assert len(sv) == min(w2.shape)
+        return [c if c is None else c[0] for c in got]
 
     def test_one_completion_per_scale(self):
         scales = [1e-3, 0.5, 2.0]
@@ -267,6 +274,12 @@ class TestProbeOpenness:
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
         rep = probe_openness(p, 0.0, 5)
         assert rep["success_fraction"] == 1.0
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        p = pair([[1.0], [2.0]], [[1.0, 1.0]])
+        with pytest.raises(InputError, match="delta must be finite"):
+            probe_openness(p, delta, 5)
 
     def test_zero_point_recoverable_with_sqrt_witnesses(self):
         p = pair(np.zeros((2, 1)), np.zeros((1, 2)))

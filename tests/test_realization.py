@@ -7,8 +7,10 @@ from openmap.numcore import DEFAULT_TOL, Tolerances, rank, svd
 from openmap.openness import (
     REGIME_FULL,
     FactorPair,
+    _openness_and_spectra,
     check_openness,
     gauss_newton_recover,
+    null_completion,
     sample_feasible_target,
 )
 from openmap.realization import RealizationWitness, measure_delta_ratio, realize
@@ -213,19 +215,46 @@ class TestRealizeFullRankCompletion:
 
     def test_each_fixed_factor_decomposed_once(self, monkeypatch):
         # null_completion reads both fixed factors' null bases and singular
-        # values off the openness check's spectra, and the caller does not
-        # re-check the ranks it verified
-        calls = []
-        real_svd = np.linalg.svd
+        # values off the openness check's spectra, the caller does not
+        # re-check the ranks it verified, and each completed factor's
+        # pseudo-inverse comes from the SVD that verified its rank
+        calls, pinv_calls = [], []
+        real_svd, real_pinv = np.linalg.svd, np.linalg.pinv
 
         def counting_svd(a, *args, **kwargs):
             calls.append(np.shape(a))
             return real_svd(a, *args, **kwargs)
 
+        def counting_pinv(a, *args, **kwargs):
+            pinv_calls.append(np.shape(a))
+            return real_pinv(a, *args, **kwargs)
+
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
         wit = realize(pair(self.W1, self.W2), self.TARGET)
         assert len(calls) <= 23
+        assert pinv_calls == []
         assert wit.delta_norm == 0.020453117446174833
+
+    def test_completion_svds_give_numpy_pinv_bit_for_bit(self):
+        # realize forms each completed factor's pseudo-inverse from the SVD
+        # null_completion returns, as np.linalg.pinv forms it; on the w1
+        # side the SVD is of w1 + wt1, not of the completed w1.T
+        checked = {False: 0, True: 0}
+        for p, _ in _open_completion_pairs(22, 40):
+            _, sp1, sp2, _ = _openness_and_spectra(p, DEFAULT_TOL)
+            for transposed, w, basis, s in (
+                (True, p.w1.T, sp2.u[:, sp2.rank:], sp1.s),
+                (False, p.w2, sp1.v[:, sp1.rank:], sp2.s),
+            ):
+                (c,) = null_completion(w, basis, s, transposed=transposed)
+                if c is None:
+                    continue
+                wt, u, sv, v = c
+                done = (w + wt).T if transposed else w + wt
+                assert np.array_equal(v @ ((1 / sv)[:, None] * u.T), np.linalg.pinv(done))
+                checked[transposed] += 1
+        assert min(checked.values()) > 0
 
 
 class TestMeasureDeltaRatio:
@@ -245,6 +274,12 @@ class TestMeasureDeltaRatio:
         inv_norm = np.linalg.norm(np.linalg.inv(w1), 2)
         assert table[0]["max_ratio"] <= inv_norm * (1.0 + 1e-8)
         assert table[0]["max_ratio"] >= 0.05 * inv_norm
+
+    @pytest.mark.parametrize("deltas", [[np.nan], [1e-3, np.inf]])
+    def test_non_finite_delta_rejected(self, deltas):
+        p = pair([[1.0], [2.0]], [[1.0, 1.0]])
+        with pytest.raises(InputError, match="delta must be finite"):
+            measure_delta_ratio(p, deltas, trials=2)
 
     def test_empty_delta_list(self):
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from openmap.errors import NumericalFailure
 from openmap.matrixio import to_jsonable
 from openmap.numcore import DEFAULT_TOL
 from openmap.openness import gauss_newton_recover, sample_feasible_target
@@ -92,3 +93,29 @@ def test_factor_oracle_matches_golden(name, golden):
 @pytest.mark.parametrize("name", sorted(SYM_CASES))
 def test_sym_oracle_matches_golden(name, golden):
     assert_matches(sym_outputs(name), golden[name], f"${name}")
+
+
+def _overflowing_factor_inputs():
+    # at delta 1e308 the sampled targets are near overflow, the iterates
+    # overflow, and one damped normal system comes out exactly singular
+    w1, w2 = np.array(W1_OPEN), np.array(W2_OPEN)
+    rngs = [np.random.default_rng([0, t]) for t in range(5)]
+    return (w1, w2, sample_feasible_target(w1 @ w2, 1, 1e308, rngs), 1e308, DEFAULT_TOL)
+
+
+def _overflowing_sym_inputs():
+    # a seeded 2x3 {-1,0,1} factor and symmetric targets of norm ~1e150
+    # on which the iterates overflow the same way
+    rng = np.random.default_rng(115)
+    w = rng.integers(-1, 2, (2, 3)).astype(float)
+    g = rng.standard_normal((5, 2, 2))
+    return (w, 1.3241633958219121e150 * (g + g.transpose(0, 2, 1)), 1e308)
+
+
+@pytest.mark.parametrize("oracle, inputs", [
+    (gauss_newton_recover, _overflowing_factor_inputs),
+    (gauss_newton_sym_recover, _overflowing_sym_inputs),
+], ids=["factor", "sym"])
+def test_a_singular_damped_system_is_a_numerical_failure(oracle, inputs):
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure, match="singular"):
+        oracle(*inputs())
