@@ -26,10 +26,11 @@ loads ``scipy.linalg`` only when a rank-deficient ``realize`` calls it,
 since each command is a fresh process whose import dominates its wall
 time.
 
-Reports echo their configuration and derive every per-trial seed from
-the master seed by counter, so identical configurations reproduce every
-per-trial record bit-identically regardless of scheduling (wall-clock
-timing is reported but excluded from that guarantee).
+Reports echo their configuration and derive every per-trial draw from
+the master seed, by counter or as row ``t`` of one seeded block, so
+identical configurations reproduce every per-trial record bit-identically
+regardless of scheduling (wall-clock timing is reported but excluded from
+that guarantee).
 """
 
 import argparse

@@ -28,8 +28,9 @@ batched solver behind the recovery oracles.
   ``(JᵀJ + λI)⁻¹Jᵀ = Jᵀ(JJᵀ + λI)⁻¹``; the smaller Gram matrix has the
   fewer null directions for ``1/λ`` to amplify rounding noise along.
 * ``lm_recover`` is the one retry engine of the two recovery oracles: a
-  first ``lm_fit`` of every trial from zero, then seeded jittered refits
-  of the trials still failing, keeping each accepted refit.
+  first ``lm_fit`` of every trial from zero, then one stacked ``lm_fit``
+  of every seeded jittered retry round of the trials still failing,
+  keeping each trial's first accepted round.
 
 All operations are pure functions of their arguments and safe to call
 concurrently.
@@ -337,18 +338,16 @@ def _lm_step(jac, res, lam):
     return np.linalg.solve(normal[..., 1:] + damping, -normal[..., :1])[..., 0]
 
 
-def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
+def lm_fit(product, jacobian, blocks, targets, tol, max_iter):
     """Batched Levenberg-Marquardt on ``product(*blocks) = target``, one
-    slice of each matrix block of ``shapes`` per target.
+    slice of each ``(targets, ...)`` start block of ``blocks`` per target.
 
-    Blocks start at zero, or at seeded normal jitter of scale
-    ``init_scale`` drawn block by block.  ``jacobian(*blocks)`` returns the
-    ``(targets, entries, unknowns)`` Jacobian with unknowns in block order.
-    Each iteration runs only on the live trials, those above the residual
-    goal whose damping is below its cap; ``product`` and ``jacobian`` see
-    the live slices alone, and a trial's iterates from a given start equal,
-    bit for bit, those of fitting it with any other batch.  A jittered
-    start is drawn for the whole batch, so it depends on the batch.
+    ``jacobian(*blocks)`` returns the ``(targets, entries, unknowns)``
+    Jacobian with unknowns in block order.  Each iteration runs only on the
+    live trials, those above the residual goal whose damping is below its
+    cap; ``product`` and ``jacobian`` see the live slices alone, and a
+    trial's iterates from its start equal, bit for bit, those of fitting it
+    with any other batch.  The start blocks are not modified.
 
     Each step solves the smaller of the two normal systems, ``JᵀJ + λI``
     over the ``P`` unknowns or ``JJᵀ + λI`` over the ``E`` residual
@@ -360,12 +359,8 @@ def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
     the smaller one has none.  Returns (blocks, residual_norms).
     """
     t_count = targets.shape[0]
-    rng = np.random.default_rng(seed)
-    if init_scale > 0.0:
-        blocks = [rng.normal(scale=init_scale, size=(t_count, *s)) for s in shapes]
-    else:
-        blocks = [np.zeros((t_count, *s)) for s in shapes]
-    offsets = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+    blocks = [np.array(blk, dtype=float) for blk in blocks]
+    offsets = np.cumsum([0] + [int(np.prod(blk.shape[1:])) for blk in blocks])
     lam = np.full(t_count, 1e-4)
     res = product(*blocks) - targets
     res_norm = np.linalg.norm(res.reshape(t_count, -1), axis=1)
@@ -398,39 +393,59 @@ def lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
     return blocks, res_norm
 
 
-def lm_recover(product, jacobian, shapes, targets, tol, rounds, seed, goals, cap):
-    """``lm_fit`` of every target from zero, then retry rounds on the
-    trials still failing; ``rounds`` lists ``(max_iter, init_scale)``, the
-    first round with scale zero.
+def _factor_norms(blocks):
+    """``sqrt(Σ‖block‖²)`` of each trial; for one block, the block's norm
+    bit for bit, since ``sqrt(fl(x²)) = x`` barring under- and overflow."""
+    return np.sqrt(sum(
+        np.linalg.norm(blk.reshape(len(blk), -1), axis=1) ** 2 for blk in blocks
+    ))
 
-    Round ``i`` fits with seed ``seed + i``.  A fit is accepted when its
-    residual norm is at most ``goals[t]`` and its factor norm,
-    ``sqrt(Σ‖block‖²)``, at most ``cap`` (for one block, the block's norm
-    bit for bit, since ``sqrt(fl(x²)) = x`` barring under- and overflow);
-    an accepted refit replaces the trial's first-pass outputs, and a trial
-    no round accepts keeps them.  The first round and the trials it
-    accepts do not depend on the batch, but a retry draws its jitter as
-    one block per factor over the trials still failing, so a retried
-    trial's start, and with it its result, depends on which trials failed
-    with it.  Returns (blocks, residual_norms, factor_norms, success).
+
+def lm_recover(product, jacobian, shapes, targets, tol, rounds, seed, goals, cap):
+    """``lm_fit`` of every target from zero, then every retry round of the
+    trials still failing in one stacked ``lm_fit`` of ``rounds × failing``
+    slices.  ``rounds`` is ``(max_iter, retry_iter, retry_scales)``: the
+    two fits' iteration caps and one jitter scale per retry round.
+
+    Round ``i`` (from 1) starts trial ``t`` at its scale times row ``t`` of
+    one ``(targets, unknowns)`` standard-normal draw from
+    ``default_rng(seed + i)``, split into the blocks of ``shapes``.  A fit
+    is accepted when its residual norm is at most ``goals[t]`` and its
+    factor norm, ``sqrt(Σ‖block‖²)``, at most ``cap``; a failing trial
+    takes its first accepted round, in order, and keeps its first-fit
+    outputs when none is.  So each trial's outputs depend on its target,
+    ``seed`` and ``t`` alone and equal, bit for bit, those of a batch of
+    one.  Returns (blocks, residual_norms, factor_norms, success).
     """
-    todo = np.arange(targets.shape[0])
-    for i, (max_iter, init_scale) in enumerate(rounds):
-        got, rn = lm_fit(product, jacobian, shapes, targets[todo], tol,
-                         max_iter, init_scale, seed + i)
-        norm = np.sqrt(sum(
-            np.linalg.norm(blk.reshape(len(blk), -1), axis=1) ** 2 for blk in got
-        ))
-        ok = (rn <= goals[todo]) & (norm <= cap)
-        if i == 0:
-            blocks, res_norm, factor_norm, success = got, rn, norm, ok
-        else:
-            idx = todo[ok]
-            success[idx] = True
-            for blk, new in zip(blocks, got):
-                blk[idx] = new[ok]
-            res_norm[idx], factor_norm[idx] = rn[ok], norm[ok]
-        todo = np.flatnonzero(~success)
-        if not todo.size:
-            break
+    max_iter, retry_iter, retry_scales = rounds
+    t_count = targets.shape[0]
+    zero = [np.zeros((t_count, *shape)) for shape in shapes]
+    blocks, res_norm = lm_fit(product, jacobian, zero, targets, tol, max_iter)
+    factor_norm = _factor_norms(blocks)
+    success = (res_norm <= goals) & (factor_norm <= cap)
+    todo = np.flatnonzero(~success)
+    if not todo.size or not len(retry_scales):
+        return blocks, res_norm, factor_norm, success
+
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    jitter = np.concatenate([
+        scale * np.random.default_rng(seed + i).standard_normal((t_count, sum(sizes)))[todo]
+        for i, scale in enumerate(retry_scales, start=1)
+    ])
+    starts = [
+        part.reshape(len(jitter), *shape)
+        for part, shape in zip(np.split(jitter, np.cumsum(sizes)[:-1], axis=1), shapes)
+    ]
+    rows = np.tile(todo, len(retry_scales))
+    got, rn = lm_fit(product, jacobian, starts, targets[rows], tol, retry_iter)
+    norm = _factor_norms(got)
+    ok = ((rn <= goals[rows]) & (norm <= cap)).reshape(len(retry_scales), todo.size)
+    accepted = ok.any(axis=0)
+    # the first accepted round of each accepted trial, as a row of the stack
+    pick = ok.argmax(axis=0)[accepted] * todo.size + np.flatnonzero(accepted)
+    idx = todo[accepted]
+    success[idx] = True
+    for blk, new in zip(blocks, got):
+        blk[idx] = new[pick]
+    res_norm[idx], factor_norm[idx] = rn[pick], norm[pick]
     return blocks, res_norm, factor_norm, success

@@ -14,17 +14,19 @@ Two regimes, split by comparing the inner dimension ``k`` with
 targets near the product and attempts factor recovery with a damped
 Gauss-Newton solver, declaring the point empirically open when every
 sampled target is reachable with small factor perturbations.  Both stages
-run on the stack of all trials at once: ``sample_feasible_target`` takes
-one generator per trial, and ``lm_fit`` iterates the live trials only,
-each step solving the smaller of its two normal systems (``m n`` residual
-entries against ``k (m + n)`` unknowns), and ``lm_recover`` retries the
-trials that stall.  Each sampled target, each ``lm_fit`` call given its
-start, and each trial that the first fit settles from the zero start is,
-bit for bit, what a batch of one would give.  A retried trial is not:
-``lm_recover`` draws a retry round's jitter as one block per factor over
-the trials still failing, so its start depends on which trials failed
-with it.  The sampler stops a trial once its distance matches ``delta``
-to within the rounding floor of ``(z + r) - z``.
+run on the stack of all trials at once.  ``draw_directions`` draws every
+trial's direction as one block from one seeded stream, row ``t`` for
+trial ``t``; ``sample_feasible_target`` takes that block and stops a
+trial once its distance matches ``delta`` to within the rounding floor of
+``(z + r) - z``.  ``lm_recover`` fits every target from zero, then every
+jittered retry round of the trials still failing in one more stacked
+``lm_fit``, which iterates the live trials only, each step solving the
+smaller of its two normal systems (``m n`` residual entries against
+``k (m + n)`` unknowns).  A trial's direction depends on the seed and
+``t`` alone, and its retry jitter on the seed, the round and ``t``, so
+each sampled target and each trial's recovery is, bit for bit, what a
+batch of one would give, and a run of fewer trials reproduces the
+leading trials of a longer one.
 """
 
 from dataclasses import dataclass
@@ -252,39 +254,54 @@ def check_delta(delta):
         raise InputError(f"delta must be finite, got {delta}")
 
 
-def sample_feasible_target(z, rank_cap, delta, rngs, iters=80):
-    """One target per generator of ``rngs``, as a ``(len(rngs), m, n)``
+def draw_directions(seed, trials, shape):
+    """Standard-normal directions for ``sample_feasible_target``, row ``t``
+    for trial ``t``: one ``(trials, *shape)`` draw from the first child of
+    ``SeedSequence(seed)``, so a row depends on ``seed`` and ``t`` alone
+    and fewer trials draw the leading rows.  ``seed`` is an int or a
+    sequence of ints, ``shape`` a matrix shape.  The child's entropy is
+    the seed padded to at least four 32-bit words and then the key 0,
+    which no integer seed's entropy equals, so this stream differs from
+    every ``default_rng(seed + i)`` that ``lm_recover`` draws retry jitter
+    from.  A row of zeros is redrawn, up to 8 times, from trial ``t``'s
+    own grandchild (spawn key ``(0, t)``), which keeps it independent of
+    the other trials."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    g = rng.standard_normal((trials, *shape))
+    for t in np.flatnonzero(~g.any(axis=(1, 2))):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, int(t))))
+        for _ in range(8):
+            g[t] = rng.standard_normal(shape)
+            if g[t].any():
+                break
+    return g
+
+
+def sample_feasible_target(z, rank_cap, delta, g, iters=80):
+    """One target per direction of the ``(trials, m, n)`` block ``g`` (of
+    nonzero rows, as ``draw_directions`` gives), as a ``(trials, m, n)``
     stack: a matrix of rank at most ``rank_cap`` at Frobenius distance
     approximately ``delta`` from ``z`` (exactly feasible, distance within
     rounding of ``delta``).
 
-    Trial ``t`` draws a standard-normal ``g`` from ``rngs[t]`` (up to 8
-    draws while its norm is zero), truncates ``z + r`` with ``r`` along
-    ``g`` at norm ``delta``, and then rescales ``r = zt - z`` to norm
-    ``delta`` and truncates again until ``|r|`` is ``delta`` to within
+    Trial ``t`` truncates ``z + r`` with ``r`` along ``g[t]`` at norm
+    ``delta``, and then rescales ``r = zt - z`` to norm ``delta`` and
+    truncates again until ``|r|`` is ``delta`` to within
     ``1e-12 delta + 8 EPS |z|``, for at most ``iters`` rounds.  The second
     term is the rounding floor of ``(z + r) - z``, below which distances
     cannot be told apart; the bound depends on ``z`` and ``delta`` alone.
     When truncation swallows the move (``|r| <= 1e-9 delta``), ``r``
-    becomes ``g`` truncated to rank ``max(1, rank_cap)``.  Each round runs
-    on the stack of trials still moving, so a slice equals, bit for bit,
-    the target of a batch of one.  ``delta == 0`` returns copies of ``z``
-    and draws nothing.
+    becomes ``g[t]`` truncated to rank ``max(1, rank_cap)``.  Each round
+    runs on the stack of trials still moving, so a slice equals, bit for
+    bit, the target of a batch of one: ``g[t:t + 1]``.  ``delta == 0``
+    returns copies of ``z``.
     """
     z = as_matrix(z, "z")
-    if delta == 0.0 or not len(rngs):
-        return np.repeat(z[None], len(rngs), axis=0)
-    g = np.stack([rng.standard_normal(z.shape) for rng in rngs])
-    g_norm = _norms(g)
-    for t in np.flatnonzero(g_norm == 0.0):
-        for _ in range(7):
-            g[t] = rngs[t].standard_normal(z.shape)
-            g_norm[t] = np.linalg.norm(g[t])
-            if g_norm[t] > 0:
-                break
-    zt = truncated_svd(z + g * (delta / g_norm)[:, None, None], rank_cap)
+    if delta == 0.0 or not len(g):
+        return np.repeat(z[None], len(g), axis=0)
+    zt = truncated_svd(z + g * (delta / _norms(g))[:, None, None], rank_cap)
     floor = 1e-12 * delta + 8.0 * EPS * np.linalg.norm(z)
-    live = np.arange(len(rngs))
+    live = np.arange(len(g))
     for _ in range(iters):
         r = zt[live] - z
         nr = _norms(r)
@@ -307,13 +324,13 @@ def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
     Solves ``(w1 + A)(w2 + B) = target`` by batched Levenberg-Marquardt
     from ``A = B = 0``.  Success means residual within ``residual_abs``
     and combined factor perturbation within ``PROBE_NORM_SLACK * delta``.
-    When ``delta > 0``, trials that stall from the degenerate start are
-    retried with seeded jitter at a few square-root-of-delta scales.
-
-    ``lm_recover`` runs the first fit and the retry rounds: the first fit
-    and the trials it settles do not depend on the batch, and each such
-    trial's outputs equal, bit for bit, those of a batch of one, while a
-    retried trial's result depends on which trials failed with it.
+    When ``delta > 0``, trials that fail from the degenerate start are
+    retried from seeded jitter at four square-root-of-delta scales, all
+    four rounds in one stacked fit (``lm_recover``); round ``i`` draws
+    trial ``t``'s jitter ``(A, B)`` as row ``t`` of one draw from
+    ``default_rng(seed + i)``.  Each trial's outputs depend on its target,
+    ``seed`` and ``t`` alone and equal, bit for bit, those of a batch of
+    one.
     """
     targets = np.asarray(targets, dtype=float)
     m, k = w1.shape
@@ -331,9 +348,7 @@ def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
             ja.reshape(t_count, m * n, m * k), jb.reshape(t_count, m * n, k * n)
         ], axis=2)
 
-    rounds = [(80, 0.0)] + [
-        (120, f * np.sqrt(delta)) for f in (0.5, 1.5, 0.25, 0.75) if delta > 0.0
-    ]
+    rounds = (80, 120, [f * np.sqrt(delta) for f in (0.5, 1.5, 0.25, 0.75) if delta > 0.0])
     (a, b), rn, pair_norm, success = lm_recover(
         product, jacobian, (w1.shape, w2.shape), targets, tol, rounds, seed,
         np.full(len(targets), tol.residual_abs), PROBE_NORM_SLACK * delta,
@@ -350,15 +365,15 @@ def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
 def probe_openness(pair, delta, trials, tol=DEFAULT_TOL, seed=0):
     """Empirical openness check: sample feasible targets at distance
     ``delta`` and report the fraction recoverable with small factors.
-    Trial ``t`` draws from the generator seeded ``[seed, t]``; one stacked
-    sampler call makes every target."""
+    One stacked sampler call makes every target from one block of
+    directions (``draw_directions(seed, ...)``), row ``t`` for trial ``t``."""
     check_delta(delta)
     if trials <= 0:
         raise InputError("trials must be a positive count")
     z = pair.product
     rank_cap = min(pair.m, pair.n, pair.k)
-    rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
-    targets = sample_feasible_target(z, rank_cap, delta, rngs)
+    g = draw_directions(seed, trials, z.shape)
+    targets = sample_feasible_target(z, rank_cap, delta, g)
     input_deltas = _norms(targets - z)
     fit = gauss_newton_recover(pair.w1, pair.w2, targets, delta, tol, seed=seed)
     success = fit["success"]

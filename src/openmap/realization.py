@@ -20,11 +20,12 @@ The rank-deficient-regime pipeline:
 4. read off both perturbations from closed forms, un-permute, rotate
    back, and verify the product equation.
 
-In the full-rank regime ``null_completion`` completes a factor inside the
-other's null space and hands back the SVD that verified the completed
-factor's rank, off which its pseudo-inverse is formed.  Every spectrum of
-``w1``, ``w2`` and the product is the one the openness check took; no
-path decomposes them again.
+In the full-rank regime a factor of full rank on its side is inverted
+off its own spectrum; otherwise ``null_completion`` completes a factor
+inside the other's null space and hands back the SVD that verified the
+completed factor's rank, off which its pseudo-inverse is formed.  Every
+spectrum of ``w1``, ``w2`` and the product is the one the openness check
+took; no path decomposes them again.
 """
 
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ from .openness import (
     REGIME_DEFICIENT,
     _openness_and_spectra,
     check_delta,
+    draw_directions,
     null_completion,
     sample_feasible_target,
 )
@@ -99,19 +101,27 @@ def _least_witness(candidates, pair, z_tilde, input_delta, tol, delta0):
     return best, best_key
 
 
+def _pinv(u, sv, v):
+    """The pseudo-inverse ``v diag(1/sv) uᵀ`` of ``u diag(sv) vᵀ`` with every
+    ``sv`` counted nonzero, formed as ``np.linalg.pinv`` forms it."""
+    return v @ ((1 / sv)[:, None] * u.T)
+
+
 def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, tol):
     """Direct completion in the regime where the image is everything;
     ``sp1`` and ``sp2`` are the ``Spectrum`` of ``pair.w1`` and ``pair.w2``.
+    A factor of full rank on its side is inverted off its spectrum.
     ``null_completion`` verifies each completed factor's full rank (the
     openness flags force ``k >= m``, or ``k >= n``) with one SVD, which
     also gives its pseudo-inverse."""
+    m, n = pair.m, pair.n
     w1, w2 = pair.w1, pair.w2
     r_delta = z_tilde - pair.product
-    if rep.rank_w1 == pair.m:
-        dw2 = np.linalg.pinv(w1) @ r_delta
+    if rep.rank_w1 == m:
+        dw2 = _pinv(sp1.u, sp1.s, sp1.v[:, :m]) @ r_delta
         return _witness(pair, np.zeros_like(w1), dw2, z_tilde, input_delta, tol, None)
-    if rep.rank_w2 == pair.n:
-        dw1 = r_delta @ np.linalg.pinv(w2)
+    if rep.rank_w2 == n:
+        dw1 = r_delta @ _pinv(sp2.u[:, :n], sp2.s, sp2.v)
         return _witness(pair, dw1, np.zeros_like(w2), z_tilde, input_delta, tol, None)
 
     # a one-sided completion exists by openness; scale it against the
@@ -120,8 +130,7 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, tol):
     scales = sorted({np.sqrt(max(nr, 1e-300)) * 2.0**j for j in range(-2, 3)})
 
     # each completion comes with the reduced SVD ``u diag(sv) v.T`` of its
-    # completed factor, off which the pseudo-inverse is formed as
-    # np.linalg.pinv forms it, bit for bit
+    # completed factor, off which the pseudo-inverse is formed
     flags = rep.condition_flags
     c1s = c2s = [None] * len(scales)
     if flags.get("w1_completion_exists"):
@@ -131,15 +140,12 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, tol):
         c2s = null_completion(
             w2, sp1.v[:, sp1.rank:], sp2.s, tol, seed=19, scales=scales)
 
-    def pinv(u, sv, v):
-        return v @ ((1 / sv)[:, None] * u.T)
-
     def candidates():
         for s, c1, c2 in zip(scales, c1s, c2s):
             if c1 is not None:
-                yield s, c1[0].T, pinv(*c1[1:]) @ r_delta
+                yield s, c1[0].T, _pinv(*c1[1:]) @ r_delta
             if c2 is not None:
-                yield s, r_delta @ pinv(*c2[1:]), c2[0]
+                yield s, r_delta @ _pinv(*c2[1:]), c2[0]
 
     return _least_witness(candidates(), pair, z_tilde, input_delta, tol, None)[0]
 
@@ -271,7 +277,8 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
 
 def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=0):
     """Empirical proportionality constant between target distance and
-    factor-perturbation size; one row per requested distance."""
+    factor-perturbation size; one row per requested distance, whose
+    targets come from ``draw_directions([seed, row], trials, ...)``."""
     for delta in deltas:
         check_delta(delta)
     z = pair.product
@@ -286,8 +293,8 @@ def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=0):
             "max_residual": 0.0,
             "errors": [],
         }
-        rngs = [np.random.default_rng([seed, d_idx, t]) for t in range(trials)]
-        for target in sample_feasible_target(z, rank_cap, delta, rngs):
+        g = draw_directions([seed, d_idx], trials, z.shape)
+        for target in sample_feasible_target(z, rank_cap, delta, g):
             try:
                 wit = realize(pair, target, tol)
             except Exception as exc:  # noqa: BLE001 - per-trial record

@@ -263,9 +263,8 @@ def criterion_4():
             continue
         ratios = []
         for d_idx, delta in enumerate(deltas):
-            (target,) = sample_feasible_target(
-                pair.product, k, delta, [np.random.default_rng([0, pairs_done, d_idx])]
-            )
+            g = np.random.default_rng([0, pairs_done, d_idx]).standard_normal((1, m, n))
+            (target,) = sample_feasible_target(pair.product, k, delta, g)
             try:
                 wit = realize(pair, target)
             except DomainRefusal as exc:

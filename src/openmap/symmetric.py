@@ -276,7 +276,9 @@ def certify_bm_transfer(w, tol=DEFAULT_TOL):
 def gauss_newton_sym_recover(w, targets, delta, tol=DEFAULT_TOL, seed=0):
     """Independent oracle for symmetric-target feasibility: batched
     Levenberg-Marquardt on ``(w + A)(w + A).T = target`` from ``A = 0``,
-    with one jittered retry of the trials that fail (``lm_recover``)."""
+    with one jittered retry of the trials that fail (``lm_recover``),
+    trial ``t`` starting from row ``t`` of one draw from
+    ``default_rng(seed + 1)``."""
     targets = np.asarray(targets, dtype=float)
     t_count = targets.shape[0]
     n, k = w.shape
@@ -296,7 +298,7 @@ def gauss_newton_sym_recover(w, targets, delta, tol=DEFAULT_TOL, seed=0):
             a.shape[0], n * n, n * k
         )
 
-    rounds = [(100, 0.0)] + ([(100, 0.5 * np.sqrt(delta))] if delta > 0.0 else [])
+    rounds = (100, 100, [0.5 * np.sqrt(delta)] if delta > 0.0 else [])
     (a,), rn, norms, success = lm_recover(
         product, jacobian, (w.shape,), targets, tol, rounds, seed,
         tol.residual_abs * scale, 1e3 * delta,

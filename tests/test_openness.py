@@ -248,13 +248,13 @@ class TestSampleFeasibleTarget:
         rng = np.random.default_rng(2)
         z = np.outer([1.0, 2.0], [1.0, 1.0])
         for delta in (1e-3, 1e-6):
-            (zt,) = sample_feasible_target(z, 1, delta, [rng])
+            (zt,) = sample_feasible_target(z, 1, delta, rng.standard_normal((1, 2, 2)))
             assert rank(zt) <= 1
             assert abs(np.linalg.norm(zt - z) - delta) <= 1e-8 * delta
 
     def test_zero_delta(self):
         z = np.eye(3)
-        (zt,) = sample_feasible_target(z, 2, 0.0, [np.random.default_rng(0)])
+        (zt,) = sample_feasible_target(z, 2, 0.0, np.ones((1, 3, 3)))
         assert np.array_equal(zt, z)
 
 

@@ -40,7 +40,7 @@ class TestRealizeBasics:
     def test_rank_one_pair_small_target(self):
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
         rng = np.random.default_rng(1)
-        (target,) = sample_feasible_target(p.product, 1, 1e-6, [rng])
+        (target,) = sample_feasible_target(p.product, 1, 1e-6, rng.standard_normal((1, 2, 2)))
         wit = realize(p, target)
         assert wit.target_residual <= 1e-10
         assert wit.delta_norm <= 100 * 1e-6
@@ -56,7 +56,8 @@ class TestRealizeBasics:
         # reuses the target's: one SVD each of w1, w2, the product and the
         # target
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
-        (target,) = sample_feasible_target(p.product, 1, 1e-6, [np.random.default_rng(1)])
+        (target,) = sample_feasible_target(
+            p.product, 1, 1e-6, np.random.default_rng(1).standard_normal((1, 2, 2)))
         svds = []
         real_svd = np.linalg.svd
 
@@ -76,7 +77,8 @@ class TestRealizeBasics:
         # only the winner's m_block is decomposed for guarantee_eps
         # (16 SVDs when each candidate took its own)
         p = pair([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        (target,) = sample_feasible_target(p.product, 2, 1e-3, [np.random.default_rng([0, 0, 0])])
+        (target,) = sample_feasible_target(
+            p.product, 2, 1e-3, np.random.default_rng([0, 0, 0]).standard_normal((1, 3, 3)))
         calls = []
         real_svd = np.linalg.svd
 
@@ -110,7 +112,7 @@ class TestRealizeBasics:
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
         sigma_min = np.linalg.svd(p.product, compute_uv=False)[0]
         (big,) = sample_feasible_target(
-            p.product, 1, 2.0 * sigma_min, [np.random.default_rng(3)]
+            p.product, 1, 2.0 * sigma_min, np.random.default_rng(3).standard_normal((1, 2, 2))
         )
         with pytest.raises(DeltaTooLarge) as err:
             realize(p, big)
@@ -119,7 +121,7 @@ class TestRealizeBasics:
     def test_zero_point_realizes_any_small_target(self):
         p = pair(np.zeros((3, 2)), np.zeros((2, 3)))
         (target,) = sample_feasible_target(
-            np.zeros((3, 3)), 2, 1e-6, [np.random.default_rng(4)]
+            np.zeros((3, 3)), 2, 1e-6, np.random.default_rng(4).standard_normal((1, 3, 3))
         )
         wit = realize(p, target)
         assert wit.target_residual <= 1e-10
@@ -137,7 +139,7 @@ class TestRealizeRankDeficientStructure:
         w1 = np.array([[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]])
         p = pair(w1, w2)
         (target,) = sample_feasible_target(
-            p.product, 2, 1e-5, [np.random.default_rng(5)]
+            p.product, 2, 1e-5, np.random.default_rng(5).standard_normal((1, 3, 3))
         )
         wit = realize(p, target)
         assert wit.target_residual <= 1e-10
@@ -153,7 +155,8 @@ class TestRealizeRankDeficientStructure:
         w2 = rng.standard_normal((2, 5))
         p = pair(w1, w2)
         u, _, v = svd(p.product)
-        (target,) = sample_feasible_target(p.product, 2, 1e-4, [rng])
+        (target,) = sample_feasible_target(
+            p.product, 2, 1e-4, rng.standard_normal((1, *p.product.shape)))
         wit = realize(p, target)
         rotated = pair(u.T @ w1, w2 @ v)
         wit_rot = realize(rotated, u.T @ target @ v)
@@ -169,7 +172,8 @@ class TestRealizeRankDeficientStructure:
             ratios = []
             for d_i, delta in enumerate(deltas):
                 (target,) = sample_feasible_target(
-                    p.product, k, delta, [np.random.default_rng([7, d_i])]
+                    p.product, k, delta,
+                    np.random.default_rng([7, d_i]).standard_normal((1, m, n))
                 )
                 wit = realize(p, target)
                 assert wit.target_residual <= 1e-10
@@ -255,6 +259,41 @@ class TestRealizeFullRankCompletion:
                 assert np.array_equal(v @ ((1 / sv)[:, None] * u.T), np.linalg.pinv(done))
                 checked[transposed] += 1
         assert min(checked.values()) > 0
+
+
+@pytest.mark.parametrize("side", ["w1", "w2"])
+def test_a_factor_full_rank_on_its_side_is_inverted_off_its_spectrum(monkeypatch, side):
+    # a Gaussian 3x3 w1 with a 3x4 w2, or a 4x3 w1 with a 3x3 w2: the
+    # square factor is inverted off the openness check's spectrum, with no
+    # pinv and no SVD beyond one each of w1, w2, the product and the target
+    rng = np.random.default_rng(23)
+    w1, w2 = rng.standard_normal((3, 3)), rng.standard_normal((3, 4))
+    if side == "w2":
+        w1, w2 = w2.T, w1
+    p = pair(w1, w2)
+    g = rng.standard_normal(p.product.shape)
+    target = p.product + 1e-4 * g / np.linalg.norm(g)
+    svd_calls, pinv_calls = [], []
+    real_svd, real_pinv = np.linalg.svd, np.linalg.pinv
+
+    def counting_svd(a, *args, **kwargs):
+        svd_calls.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
+    def counting_pinv(a, *args, **kwargs):
+        pinv_calls.append(np.shape(a))
+        return real_pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "pinv", counting_pinv)
+    wit = realize(p, target)
+    assert pinv_calls == [] and len(svd_calls) <= 4
+    moved = wit.delta_w2 if side == "w1" else wit.delta_w1
+    assert not (wit.delta_w1 if side == "w1" else wit.delta_w2).any()
+    want = (real_pinv(w1) @ (target - p.product) if side == "w1"
+            else (target - p.product) @ real_pinv(w2))
+    assert np.allclose(moved, want, rtol=1e-12, atol=0.0)
+    assert wit.target_residual <= 1e-14
 
 
 class TestMeasureDeltaRatio:

@@ -21,7 +21,7 @@ import pytest
 from openmap.errors import NumericalFailure
 from openmap.matrixio import to_jsonable
 from openmap.numcore import DEFAULT_TOL
-from openmap.openness import gauss_newton_recover, sample_feasible_target
+from openmap.openness import draw_directions, gauss_newton_recover, sample_feasible_target
 from openmap.symmetric import gauss_newton_sym_recover
 from test_cli_golden import (
     W1_GENERIC,
@@ -63,8 +63,9 @@ def factor_outputs(name):
     w1, w2 = np.array(w1, dtype=float), np.array(w2, dtype=float)
     z = w1 @ w2
     cap = min(w1.shape[0], w1.shape[1], w2.shape[1])
-    rngs = [np.random.default_rng([seed, t]) for t in range(trials)]
-    targets = sample_feasible_target(z, cap, delta, rngs)
+    g = np.stack([np.random.default_rng([seed, t]).standard_normal(z.shape)
+                  for t in range(trials)])
+    targets = sample_feasible_target(z, cap, delta, g)
     return _jsonable(gauss_newton_recover(w1, w2, targets, delta, DEFAULT_TOL, seed=seed))
 
 
@@ -98,9 +99,10 @@ def test_sym_oracle_matches_golden(name, golden):
 def _overflowing_factor_inputs():
     # at delta 1e308 the sampled targets are near overflow, the iterates
     # overflow, and one damped normal system comes out exactly singular
+    # (on the probe's seed-7 directions and retry streams)
     w1, w2 = np.array(W1_OPEN), np.array(W2_OPEN)
-    rngs = [np.random.default_rng([0, t]) for t in range(5)]
-    return (w1, w2, sample_feasible_target(w1 @ w2, 1, 1e308, rngs), 1e308, DEFAULT_TOL)
+    g = draw_directions(7, 5, (3, 3))
+    return (w1, w2, sample_feasible_target(w1 @ w2, 1, 1e308, g), 1e308, DEFAULT_TOL, 7)
 
 
 def _overflowing_sym_inputs():

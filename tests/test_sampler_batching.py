@@ -1,17 +1,24 @@
 """``sample_feasible_target`` runs its fixed-point rounds on a stack of
-trials, and ``lm_fit`` iterates only the trials still live; these tests
-pin both, bit for bit, to the one-target-at-a-time sampler and the
-all-trials Levenberg-Marquardt loop they replaced, which are kept here as
-the references."""
+trials, ``lm_fit`` iterates only the trials still live, and
+``lm_recover`` runs every retry round in one stacked fit; these tests pin
+all three, bit for bit, to the one-target-at-a-time sampler, the
+all-trials Levenberg-Marquardt loop and the one-round-at-a-time retry
+loop they replaced, which are kept here as the references, and pin each
+trial's draws and outputs to its own index whatever the batch."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from openmap import numcore, openness
+from openmap import numcore, openness, symmetric
 from openmap.numcore import DEFAULT_TOL, EPS, _lm_step, rank, truncated_svd
-from openmap.openness import gauss_newton_recover, probe_openness, sample_feasible_target
+from openmap.openness import (
+    draw_directions,
+    gauss_newton_recover,
+    probe_openness,
+    sample_feasible_target,
+)
 from openmap.symmetric import gauss_newton_sym_recover
 from test_recovery_oracles import FACTOR_CASES, SYM_CASES
 
@@ -30,17 +37,13 @@ def reference_truncated_svd(mat, max_rank):
     return (u[:, :k] * s[:k]) @ v[:, :k].T
 
 
-def reference_target(z, rank_cap, delta, rng, iters=80):
-    """The sampler as it was before batching, one target per call, with
-    the stop test at the rounding floor of ``(z + r) - z``."""
+def reference_target(z, rank_cap, delta, g, iters=80):
+    """The sampler as it was before batching, one target per call along the
+    direction ``g``, with the stop test at the rounding floor of
+    ``(z + r) - z``."""
     if delta == 0.0:
         return z.copy()
     floor = 1e-12 * delta + 8.0 * EPS * np.linalg.norm(z)
-    for _ in range(8):
-        g = rng.standard_normal(z.shape)
-        norm = np.linalg.norm(g)
-        if norm > 0:
-            break
     r = g * (delta / np.linalg.norm(g))
     zt = reference_truncated_svd(z + r, rank_cap)
     for _ in range(iters):
@@ -56,17 +59,13 @@ def reference_target(z, rank_cap, delta, rng, iters=80):
     return zt
 
 
-def reference_lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_scale, seed):
+def reference_lm_fit(product, jacobian, blocks, targets, tol, max_iter):
     """``lm_fit`` as it was before live-trial slicing, solving the smaller
     of its two normal systems: every iteration computes the step of every
     trial and keeps the active ones."""
     t_count = targets.shape[0]
-    rng = np.random.default_rng(seed)
-    if init_scale > 0.0:
-        blocks = [rng.normal(scale=init_scale, size=(t_count, *s)) for s in shapes]
-    else:
-        blocks = [np.zeros((t_count, *s)) for s in shapes]
-    offsets = np.cumsum([0] + [int(np.prod(s)) for s in shapes])
+    blocks = [blk.copy() for blk in blocks]
+    offsets = np.cumsum([0] + [int(np.prod(blk.shape[1:])) for blk in blocks])
     entries = int(np.prod(targets.shape[1:]))
     eye = np.eye(min(entries, offsets[-1]))
     lam = np.full(t_count, 1e-4)
@@ -102,12 +101,44 @@ def reference_lm_fit(product, jacobian, shapes, targets, tol, max_iter, init_sca
     return blocks, res_norm
 
 
-def _rngs(seed, trials):
-    return [np.random.default_rng([seed, t]) for t in range(trials)]
+def reference_lm_recover(product, jacobian, shapes, targets, tol, rounds, seed, goals, cap):
+    """``lm_recover`` as a loop over the retry rounds: each round fits the
+    trials still failing from their rows of its jitter draw, and a trial
+    leaves the loop at the first round that accepts it."""
+    max_iter, retry_iter, retry_scales = rounds
+    t_count = targets.shape[0]
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    todo = np.arange(t_count)
+    starts = [np.zeros((t_count, *shape)) for shape in shapes]
+    for i, scale in enumerate([0.0, *retry_scales]):
+        if i:
+            jitter = scale * np.random.default_rng(seed + i).standard_normal(
+                (t_count, sum(sizes)))[todo]
+            starts = [part.reshape(todo.size, *shape) for part, shape in zip(
+                np.split(jitter, np.cumsum(sizes)[:-1], axis=1), shapes)]
+        got, rn = numcore.lm_fit(product, jacobian, starts, targets[todo], tol,
+                                 retry_iter if i else max_iter)
+        norm = np.sqrt(sum(
+            np.linalg.norm(blk.reshape(len(blk), -1), axis=1) ** 2 for blk in got
+        ))
+        ok = (rn <= goals[todo]) & (norm <= cap)
+        if i == 0:
+            blocks, res_norm, factor_norm, success = got, rn, norm, ok
+        else:
+            idx = todo[ok]
+            success[idx] = True
+            for blk, new in zip(blocks, got):
+                blk[idx] = new[ok]
+            res_norm[idx], factor_norm[idx] = rn[ok], norm[ok]
+        todo = np.flatnonzero(~success)
+        if not todo.size:
+            break
+    return blocks, res_norm, factor_norm, success
 
 
 def _reference_stack(z, rank_cap, delta, seed, trials):
-    return np.stack([reference_target(z, rank_cap, delta, rng) for rng in _rngs(seed, trials)])
+    return np.stack([reference_target(z, rank_cap, delta, g)
+                     for g in draw_directions(seed, trials, z.shape)])
 
 
 def _grid_pair(shape, seed):
@@ -123,7 +154,7 @@ def test_criterion_3_shapes_match_the_one_target_sampler(shape, delta):
     for case in range(3):
         w1, w2 = _grid_pair(shape, [*shape, case])
         z, cap = w1 @ w2, min(shape)
-        got = sample_feasible_target(z, cap, delta, _rngs(case, 12))
+        got = sample_feasible_target(z, cap, delta, draw_directions(case, 12, z.shape))
         assert got.tobytes() == _reference_stack(z, cap, delta, case, 12).tobytes()
 
 
@@ -141,7 +172,7 @@ def test_trials_stop_at_the_rounding_floor(monkeypatch, shape, delta):
     monkeypatch.setattr(openness, "truncated_svd", counted)
     w1, w2 = _grid_pair(shape, [*shape, 0])
     z, cap = w1 @ w2, min(shape)
-    got = sample_feasible_target(z, cap, delta, _rngs(0, 50))
+    got = sample_feasible_target(z, cap, delta, draw_directions(0, 50, z.shape))
     assert len(calls) <= 3
     floor = 1e-12 * delta + 8.0 * EPS * np.linalg.norm(z)
     assert np.all(np.abs(openness._norms(got - z) - delta) <= floor)
@@ -157,75 +188,121 @@ def test_every_rank_cap_matches_on_every_path(rank_cap):
         for z_rank in range(min(m, n) + 1):
             z = rng.standard_normal((m, z_rank)) @ rng.standard_normal((z_rank, n))
             for delta in (1e-9, 1e-4, 0.5):
-                got = sample_feasible_target(z, rank_cap, delta, _rngs(z_rank, 5))
+                g = draw_directions(z_rank, 5, (m, n))
+                got = sample_feasible_target(z, rank_cap, delta, g)
                 want = _reference_stack(z, rank_cap, delta, z_rank, 5)
                 assert got.tobytes() == want.tobytes(), (m, n, z_rank, delta)
 
 
 def test_the_swallowed_move_matches_at_the_zero_point():
     z = np.zeros((3, 3))
-    got = sample_feasible_target(z, 0, 1e-5, _rngs(4, 6))
+    got = sample_feasible_target(z, 0, 1e-5, draw_directions(4, 6, z.shape))
     assert got.tobytes() == _reference_stack(z, 0, 1e-5, 4, 6).tobytes()
     assert not got.any()
 
 
-def test_zero_delta_copies_z_and_draws_nothing():
+def test_zero_delta_copies_z():
     z = np.arange(6.0).reshape(2, 3)
-    rngs = _rngs(0, 3)
-    got = sample_feasible_target(z, 1, 0.0, rngs)
+    got = sample_feasible_target(z, 1, 0.0, draw_directions(0, 3, z.shape))
     assert got.shape == (3, 2, 3)
     assert all(np.array_equal(t, z) for t in got)
-    assert rngs[0].standard_normal() == np.random.default_rng([0, 0]).standard_normal()
 
 
-def test_no_generators_give_an_empty_stack():
-    assert sample_feasible_target(np.eye(2), 1, 1e-3, []).shape == (0, 2, 2)
+def test_no_directions_give_an_empty_stack():
+    assert sample_feasible_target(np.eye(2), 1, 1e-3, np.zeros((0, 2, 2))).shape == (0, 2, 2)
 
 
 def test_each_slice_equals_its_batch_of_one():
     rng = np.random.default_rng(11)
     for (m, n), cap, delta in (((3, 3), 1, 1e-5), ((3, 2), 2, 1e-3), ((2, 3), 0, 1e-4)):
         z = truncated_svd(rng.standard_normal((m, n)), 1)
-        stack = sample_feasible_target(z, cap, delta, _rngs(2, 9))
-        for t, rng_t in enumerate(_rngs(2, 9)):
-            (alone,) = sample_feasible_target(z, cap, delta, [rng_t])
+        g = draw_directions(2, 9, (m, n))
+        stack = sample_feasible_target(z, cap, delta, g)
+        for t in range(9):
+            (alone,) = sample_feasible_target(z, cap, delta, g[t:t + 1])
             assert stack[t].tobytes() == alone.tobytes()
 
 
-def test_trials_settled_by_the_first_fit_equal_their_batch_of_one(monkeypatch):
-    # the first fit, from the zero start, settles three of these eight
-    # trials; the retry rounds then run on the other five.  A retried
-    # trial's jitter depends on which trials failed with it, so only the
-    # first fit and the trials it settles are batch-independent.
-    w1, w2 = _grid_pair((3, 2, 3), 168)
-    targets = sample_feasible_target(w1 @ w2, 2, 1e-3, _rngs(168, 8))
+def test_fewer_trials_draw_the_leading_directions():
+    g = draw_directions(5, 7, (3, 2))
+    assert all(draw_directions(5, t, (3, 2)).tobytes() == g[:t].tobytes() for t in range(7))
+
+
+@pytest.mark.parametrize("seed", [0, 6, 2**32 - 1, 2**128, 2**160 + 5])
+def test_the_directions_are_no_retry_stream(seed):
+    # retry round i of seed - i draws from default_rng(seed), which must
+    # not be the stream of this seed's directions
+    g = draw_directions(seed, 4, (3, 3)).ravel()
+    assert not np.isin(g, np.random.default_rng(seed).standard_normal(400)).any()
+
+
+def test_a_zero_direction_is_redrawn_from_its_own_stream(monkeypatch):
+    """A direction of zeros is redrawn from a stream of its trial's
+    own, so the redraw, and every other trial, is the same whatever the
+    number of trials."""
+    real_rng = np.random.default_rng
+
+    class ZeroRowGenerator:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def standard_normal(self, size):
+            out = self.rng.standard_normal(size)
+            if len(size) == 3:  # the block of every trial's direction
+                out[2] = 0.0
+            return out
+
+    want = draw_directions(3, 6, (2, 3))
+    redrawn = real_rng(np.random.SeedSequence(3, spawn_key=(0, 2))).standard_normal((2, 3))
+    monkeypatch.setattr(np.random, "default_rng", ZeroRowGenerator)
+    for trials in (3, 6):
+        got = draw_directions(3, trials, (2, 3))
+        assert got[2].tobytes() == redrawn.tobytes()
+        assert np.delete(got, 2, axis=0).tobytes() == np.delete(want[:trials], 2, axis=0).tobytes()
+
+
+# a pair whose retried trials, when each retry round's jitter was one
+# draw over the trials still failing, all moved with the batch
+PAIR_14 = ([[-1.0, 1.0], [0.0, 0.0], [-1.0, 1.0]], [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
+
+
+def _retried(w1, w2, targets, seed):
+    """Indices of the trials the first fit does not settle."""
     fits = []
     lm_fit = numcore.lm_fit
 
     def recorded(*args):
-        blocks, res_norm = lm_fit(*args)
-        # copies: lm_recover writes retry results into the arrays returned
-        fits.append((args, ([blk.copy() for blk in blocks], res_norm.copy())))
-        return blocks, res_norm
+        fits.append(args[3])
+        return lm_fit(*args)
 
-    monkeypatch.setattr(numcore, "lm_fit", recorded)
-    batch = gauss_newton_recover(w1, w2, targets, 1e-3, DEFAULT_TOL, seed=168)
-    (product, jacobian, shapes, _, *rest), (blocks, res_norm) = fits[0]
-    assert [len(args[3]) for args, _ in fits[:2]] == [8, 5]
-    settled = 0
-    for t in range(8):
-        blocks_alone, res_alone = lm_fit(product, jacobian, shapes,
-                                         targets[t:t + 1], *rest)
-        assert res_alone.tobytes() == res_norm[t:t + 1].tobytes()
-        assert all(one.tobytes() == blk[t:t + 1].tobytes()
-                   for one, blk in zip(blocks_alone, blocks))
-        fits.clear()
-        alone = gauss_newton_recover(w1, w2, targets[t:t + 1], 1e-3, DEFAULT_TOL, seed=168)
-        if len(fits) == 1:
-            settled += 1
-            assert all(val[0].tobytes() == batch[key][t].tobytes()
-                       for key, val in alone.items())
-    assert settled == 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numcore, "lm_fit", recorded)
+        gauss_newton_recover(w1, w2, targets, 1e-5, DEFAULT_TOL, seed=seed)
+    if len(fits) == 1:
+        return []
+    return [t for t in range(len(targets))
+            if any(np.array_equal(targets[t], tg) for tg in fits[1])]
+
+
+def test_a_retried_trial_does_not_depend_on_which_trials_failed_with_it():
+    w1, w2 = (np.array(w, dtype=float) for w in PAIR_14)
+    z = w1 @ w2
+    targets = sample_feasible_target(z, 2, 1e-5, draw_directions(7, 6, z.shape))
+    batch = gauss_newton_recover(w1, w2, targets, 1e-5, DEFAULT_TOL, seed=7)
+    retried = _retried(w1, w2, targets, 7)
+    assert len(retried) >= 3 and batch["success"][retried].all()
+    # the first fit settles the product itself at once
+    swapped = targets.copy()
+    swapped[retried[0]] = z
+    assert _retried(w1, w2, swapped, 7) == retried[1:]
+    got = gauss_newton_recover(w1, w2, swapped, 1e-5, DEFAULT_TOL, seed=7)
+    for key, val in got.items():
+        assert val[retried[1:]].tobytes() == batch[key][retried[1:]].tobytes(), key
+    # the probe draws these targets; some of its first 3 trials are retried
+    assert set(retried) & {0, 1, 2}
+    pair = openness.FactorPair(w1, w2)
+    six = probe_openness(pair, 1e-5, 6, seed=7)["per_trial"]
+    assert probe_openness(pair, 1e-5, 3, seed=7)["per_trial"] == six[:3]
 
 
 def test_truncated_svd_slices_equal_the_per_matrix_calls():
@@ -250,8 +327,8 @@ def test_probe_matches_the_one_target_sampler(monkeypatch):
     w1, w2 = _grid_pair((3, 2, 3), 17)
     got = probe_openness(openness.FactorPair(w1, w2), 1e-5, 20, seed=3)
 
-    def one_at_a_time(z, rank_cap, delta, rngs):
-        return np.stack([reference_target(z, rank_cap, delta, rng) for rng in rngs])
+    def one_at_a_time(z, rank_cap, delta, g):
+        return np.stack([reference_target(z, rank_cap, delta, row) for row in g])
 
     monkeypatch.setattr(openness, "sample_feasible_target", one_at_a_time)
     monkeypatch.setattr(numcore, "lm_fit", reference_lm_fit)
@@ -266,9 +343,9 @@ def _outputs_with(monkeypatch, fit, run):
 
 def _factor_run(w1, w2, delta, trials, seed):
     w1, w2 = np.array(w1, dtype=float), np.array(w2, dtype=float)
-    cap = min(*w1.shape, w2.shape[1])
+    z, cap = w1 @ w2, min(*w1.shape, w2.shape[1])
     return lambda: gauss_newton_recover(
-        w1, w2, sample_feasible_target(w1 @ w2, cap, delta, _rngs(seed, trials)),
+        w1, w2, sample_feasible_target(z, cap, delta, draw_directions(seed, trials, z.shape)),
         delta, DEFAULT_TOL, seed=seed,
     )
 
@@ -291,6 +368,9 @@ def _lm_runs():
     for shape, seed in (((3, 2, 3), 8), ((3, 2, 2), 19), ((2, 2, 3), 35)):
         w1, w2 = _grid_pair(shape, [seed, 99])
         runs[f"grid_{shape}"] = _factor_run(w1, w2, 1e-5, 16, seed)
+    # a rare pair where the first fit fails a trial that the second and
+    # third retry rounds accept, and a trial that three rounds accept
+    runs["grid_later_round"] = _factor_run(*_grid_pair((3, 1, 2), [38, 5]), 1e-3, 8, 38)
     return runs
 
 
@@ -299,6 +379,15 @@ def test_live_trials_lm_fit_matches_the_all_trials_loop(monkeypatch, name):
     run = _lm_runs()[name]
     got = _outputs_with(monkeypatch, numcore.lm_fit, run)
     assert got == _outputs_with(monkeypatch, reference_lm_fit, run)
+
+
+@pytest.mark.parametrize("name", sorted(_lm_runs()))
+def test_stacked_retry_rounds_match_the_one_round_at_a_time_loop(monkeypatch, name):
+    run = _lm_runs()[name]
+    got = {key: val.tobytes() for key, val in run().items()}
+    for module in (openness, symmetric):
+        monkeypatch.setattr(module, "lm_recover", reference_lm_recover)
+    assert got == {key: val.tobytes() for key, val in run().items()}
 
 
 def _solve_sizes(monkeypatch, run):
