@@ -21,10 +21,9 @@ object on stderr.
 
 Only what a command runs is imported: ``gd-sweep`` imports its process
 pool (``concurrent.futures.process`` and ``multiprocessing``) only for
-``--jobs > 1`` with more than one trial, and ``numcore.bounded_basis``
-loads ``scipy.linalg`` only when a rank-deficient ``realize`` calls it,
-since each command is a fresh process whose import dominates its wall
-time.
+``--jobs > 1`` with more than one trial, since each command is a fresh
+process whose import dominates its wall time.  Beyond the standard
+library, every command imports numpy alone.
 
 Reports echo their configuration and derive every per-trial draw from
 the master seed, by counter or as row ``t`` of one seeded block, so

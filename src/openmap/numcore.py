@@ -13,14 +13,12 @@ batched solver behind the recovery oracles.
 * ``truncated_svd`` takes a matrix or a ``(..., m, n)`` stack, as
   ``rank`` and ``singular_values`` do; ``_row_dots`` gives the squared
   row norms that ``np.linalg.norm`` computes, bit for bit.
-* ``bounded_basis`` reads its coefficients off the rank's own
-  ``Spectrum``: the rows of ``u[:, :r]`` combine as the rows of the
-  matrix do, so each exchange step and the final coefficients are
-  ``r x r`` solves.  Its pivot order comes from LAPACK ``geqp3``, which
-  never forms Q.  ``scipy.linalg`` is imported on the first call, not
-  with this module: it is the package's only use of scipy, it costs about
-  0.1 s of CPU to load, and only the rank-deficient ``realize`` path runs
-  it, so every other command's process starts without it.
+* ``bounded_basis`` reads its pivots and its coefficients off the rank's
+  own ``Spectrum``.  The rows of ``u[:, :r] diag(s[:r])`` have the Gram
+  matrix of the rows of the matrix, so greedy pivoted Gram-Schmidt on
+  them picks the rows pivoted QR would.  The rows of ``u[:, :r]``
+  combine as the rows of the matrix do, so each exchange step and the
+  final coefficients are ``r x r`` solves.
 * ``lm_fit`` is the one batched Levenberg-Marquardt loop; each iteration
   works only on the trials still live and solves the smaller of its two
   normal systems, ``JᵀJ`` over the unknowns or ``JJᵀ`` over the residual
@@ -241,22 +239,51 @@ def intersection_dim(basis1, basis2, tol=DEFAULT_TOL):
     return by_rank
 
 
+def _pivot_rows(u, s):
+    """The first ``len(s)`` pivots of greedy pivoted Gram-Schmidt on the
+    rows of ``u diag(s)``: each step takes the row of largest residual
+    norm (the first such row on a tie) and projects its direction out of
+    every row.  The squared norms are taken afresh from the residual rows
+    at each step, since downdating them loses every digit of a residual
+    below ``sqrt(eps)`` of its row; a picked row is masked by adding
+    ``-inf`` to its norm rather than dropped, so no step copies a subset
+    of the rows."""
+    g = u * s
+    mask = np.zeros(g.shape[0])
+    picked = []
+    for _ in range(len(s)):
+        norms = np.einsum("ij,ij->i", g, g)
+        norms += mask
+        p = int(norms.argmax())
+        q = g[p] / math.sqrt(norms[p])
+        g -= (g @ q)[:, None] * q
+        mask[p] = -np.inf
+        picked.append(p)
+    return picked
+
+
 def bounded_basis(mat, tol=DEFAULT_TOL, sp=None):
     """Select ``r`` rows spanning the row space so that every other row is
     a combination of them with coefficients bounded by ``2**(m - r - 1)``.
 
-    Starts from the pivoted-QR row order and runs an exchange loop: while
-    the row being adjoined has a coefficient above the inductive bound
-    for the current step, the argmax basis row is swapped out.  Each
-    adjoined row causes at most one swap, so the loop terminates in at
-    most ``m - r`` passes.  ``sp`` is the ``Spectrum`` of ``mat`` when the
-    caller already holds one; otherwise it is computed here.  The first
-    call loads ``scipy.linalg`` for ``geqp3``; importing it here rather
-    than with the module keeps it out of every process that never
-    selects a row basis.
-    """
-    import scipy.linalg.lapack
+    Starts from a pivot order read off the ``Spectrum`` and runs an
+    exchange loop: while the row being adjoined has a coefficient above
+    the inductive bound for the current step, the argmax basis row is
+    swapped out.  Each adjoined row causes at most one swap, so the loop
+    terminates in at most ``m - r`` passes.  ``sp`` is the ``Spectrum`` of
+    ``mat`` when the caller already holds one; otherwise it is computed
+    here.
 
+    The first ``r`` pivots are ``r`` steps of greedy pivoted Gram-Schmidt
+    on the rows of ``u[:, :r] diag(s[:r])``: ``mat = u diag(s) vᵀ`` with
+    ``v`` orthogonal, so these rows have the inner products of the rows
+    of ``mat`` up to the discarded singular values, and the steps pick
+    the rows that pivoted QR of ``mat.T`` would (Businger & Golub).  The
+    remaining rows are adjoined in ascending index order: once ``r`` rows
+    are picked, every residual is at the level of the discarded singular
+    values, so ordering them by residual would order them by rounding
+    noise.
+    """
     mat = as_matrix(mat)
     m = mat.shape[0]
     if sp is None:
@@ -272,11 +299,8 @@ def bounded_basis(mat, tol=DEFAULT_TOL, sp=None):
     # rows of mat are the rows of f times diag(s) v.T, so a @ mat[rows] =
     # mat[j] exactly when a @ f[rows] = f[j]: an r x r system
     f = sp.u[:, :r]
-    # pivoted QR on columns of mat.T ranks the rows by importance
-    # (LAPACK geqp3, 1-based pivots, without forming Q)
-    piv = scipy.linalg.lapack.dgeqp3(mat.T)[1] - 1
-    basis = list(piv[:r])
-    pending = list(piv[r:])
+    basis = _pivot_rows(f, sp.s[:r])
+    pending = sorted(set(range(m)) - set(basis))
 
     try:
         for step, j in enumerate(pending, start=1):

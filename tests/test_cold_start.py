@@ -1,11 +1,11 @@
 """Each command imports only what it runs.
 
 Every ``openmap`` command is a fresh process, so what ``import
-openmap.cli`` loads is paid on every call.  ``scipy.linalg`` (for the
-``geqp3`` pivots of ``numcore.bounded_basis``) and the process pool of
-``gd-sweep --jobs > 1`` are imported where they are used.  A fresh
-interpreter runs commands that need neither and checks that neither was
-loaded, then runs a rank-deficient ``realize``, which loads scipy.
+openmap.cli`` loads is paid on every call.  The package uses no scipy,
+and the process pool of ``gd-sweep --jobs > 1`` is imported where it is
+used.  A fresh interpreter runs commands that need neither, a
+rank-deficient ``realize`` (the row-basis selection) among them, and
+checks that neither was loaded.
 """
 
 import json
@@ -44,13 +44,13 @@ light = [
     ["openness", "check", "--w1", w1, "--w2", w2],
 ]
 codes = [openmap.cli.main(argv + ["--out", f"{{tmp}}/out.json"]) for argv in light]
-loaded = sorted(name for name in heavy if name in sys.modules)
 code = openmap.cli.main(["realize", "--w1", w1, "--w2", w2, "--target", target,
                          "--out", f"{{tmp}}/realize.json"])
+loaded = sorted(name for name in heavy if name in sys.modules)
 with open(f"{{tmp}}/realize.json") as fh:
     residual = json.load(fh)["result"]["target_residual"]
 print(json.dumps({{"codes": codes, "loaded": loaded, "realize": code,
-                  "residual": residual, "scipy_linalg": "scipy.linalg" in sys.modules}}))
+                  "residual": residual}}))
 """.format(heavy=HEAVY)
 
 
@@ -61,8 +61,6 @@ def test_light_commands_load_no_scipy_and_no_process_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout.splitlines()[-1])
     assert got["codes"] == [0, 0, 0]
-    assert got["loaded"] == []
-    # the rank-deficient realize selects a bounded row basis, which loads scipy
     assert got["realize"] == 0
     assert got["residual"] <= 1e-12
-    assert got["scipy_linalg"] is True
+    assert got["loaded"] == []
