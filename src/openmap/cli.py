@@ -29,7 +29,8 @@ Reports echo their configuration and derive every per-trial draw from
 the master seed, by counter or as row ``t`` of one seeded block, so
 identical configurations reproduce every per-trial record bit-identically
 regardless of scheduling (wall-clock timing is reported but excluded from
-that guarantee).
+that guarantee).  ``openness check --witnesses`` and ``realize`` read no
+seed: their witnesses are closed-form (``realize ratio-sweep`` draws).
 """
 
 import argparse
@@ -283,7 +284,7 @@ def _openness_check(args, config):
     pair = _pair(args)
     payload = to_jsonable(check_openness(pair, config.tolerances))
     if args.witnesses:
-        wt1, wt2 = construct_witnesses(pair, config.tolerances, seed=config.seed)
+        wt1, wt2 = construct_witnesses(pair, config.tolerances)
         payload.update(witness_w1_tilde=wt1, witness_w2_tilde=wt2)
     return payload
 

@@ -31,10 +31,6 @@ class IllConditioned(NumericalFailure):
     """
 
 
-class GenericScaleFailed(NumericalFailure):
-    """A generically-valid construction failed after seeded retries."""
-
-
 class DomainRefusal(OpenMapError):
     """The operation refused its input for a stated mathematical reason."""
 

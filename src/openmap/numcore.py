@@ -108,6 +108,11 @@ class Spectrum:
     rank: int
     ambiguous: bool
 
+    @property
+    def T(self):
+        """The ``Spectrum`` of ``mat.T``: ``u`` and ``v`` swapped."""
+        return Spectrum(self.v, self.s, self.u, self.rank, self.ambiguous)
+
 
 @dataclass
 class BoundedBasisResult:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenericScaleFailed, IllConditioned, InputError, NotOpen
+from .errors import IllConditioned, InputError, NotOpen, NumericalFailure
 from .matrixio import as_matrix
 from .numcore import (
     DEFAULT_TOL,
@@ -170,73 +170,73 @@ def _openness_and_spectra(pair, tol):
     ), sp1, sp2, spp
 
 
-def null_completion(w, basis, s, tol=DEFAULT_TOL, seed=0, scales=None,
-                    transposed=False):
-    """For each of ``scales``, ``(wt, u, sv, v)`` with the columns of
-    ``wt`` in the span of the orthonormal ``basis`` such that the
-    rank-deficient ``w`` plus ``wt`` is full rank, and ``u, sv, v`` the
-    reduced SVD of ``w + wt`` (of ``(w + wt).T`` when ``transposed``, for
-    a caller that completes ``w1.T`` and inverts ``w1 + wt1``) that
-    decided that rank; or ``None`` when no placement, the generic one or
-    seeded rotations of it, does so.  ``s`` is the singular values of
-    ``w``; both come from the openness check's spectra:
-    ``N(w1) = sp1.v[:, r1:]`` and ``sp2.s`` for ``w = w2``,
-    ``N(w2.T) = sp2.u[:, r2:]`` and ``sp1.s`` for ``w = w1.T``.  The
-    default is one scale, half the least counted singular value."""
-    k, n = w.shape
-    target_rank = min(k, n)
+def null_completion(w, basis, sp, tol=DEFAULT_TOL, scales=None, transposed=False):
+    """Per scale, ``(wt, u, sv, v)``: ``wt`` with columns in the span of the
+    orthonormal ``basis`` making ``w + wt`` full rank, and the reduced SVD
+    of ``w + wt`` (of ``(w + wt).T`` when ``transposed``) that verified it;
+    ``None`` where the rank is missed.  ``sp`` is the ``Spectrum`` of ``w``:
+    pass ``N(w1) = sp1.v[:, r1:]`` and ``sp2`` for ``w = w2``, and
+    ``N(w2.T) = sp2.u[:, r2:]`` and ``sp1.T`` for ``w = w1.T``.  The default
+    scale is half the least counted singular value of ``w``.
+
+    Closed form, with ``r = sp.rank`` and ``t = min(w.shape) - r``: a basis
+    of fewer than ``t`` columns fails; one of more is cut to its ``t``
+    directions farthest outside ``C(w)``, the top right singular vectors of
+    ``P = sp.u[:, r:].T @ basis``; then ``wt = scale * basis @ G.T`` with
+    ``G = sp.v[:, r:r + t]``.  As ``w + wt = [u_r diag(s_r) | scale basis]
+    [v_r | G].T`` and ``[v_r | G]`` is orthonormal, ``rank(w + wt) = r +
+    rank(P)``.  For ``w = w2``, ``P`` has rank ``(k - r1) - d_nc`` before
+    the cut, which reaches ``t = n - r2`` exactly when
+    ``w2_completion_exists`` holds; for ``w = w1.T`` likewise with
+    ``w1_completion_exists``."""
+    r = sp.rank
+    t = min(w.shape) - r
     if scales is None:
-        r = _sv_rank(s, w.shape, tol)
-        scales = [0.5 * float(s[r - 1]) if r else 1.0]
-    d = basis.shape[1]
-    order = np.argsort(np.linalg.norm(w, axis=0))  # prefer empty columns
+        scales = [0.5 * float(sp.s[r - 1]) if r else 1.0]
+    if basis.shape[1] < t:
+        return [None] * len(scales)
+    if basis.shape[1] > t:
+        basis = basis @ svd(sp.u[:, r:].T @ basis, full_matrices=False)[2][:, :t]
+    g = sp.v[:, r:r + t]
 
-    def place(scale):
-        rng = np.random.default_rng(seed)
-        for attempt in range(8 if d else 0):
-            cols = basis
-            positions = order[: min(d, n)]
-            if attempt > 0:
-                q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-                cols = cols @ q
-                positions = rng.choice(n, size=min(d, n), replace=False)
-            wt = np.zeros_like(w)
-            wt[:, positions] = scale * cols[:, : len(positions)]
-            completed = w + wt
-            u, sv, v = svd(completed.T if transposed else completed, full_matrices=False)
-            if _sv_rank(sv, w.shape, tol) == target_rank:
-                return wt, u, sv, v
-        return None
+    def complete(scale):
+        wt = scale * basis @ g.T
+        completed = w + wt
+        u, sv, v = svd(completed.T if transposed else completed, full_matrices=False)
+        return (wt, u, sv, v) if _sv_rank(sv, w.shape, tol) == r + t else None
 
-    return [place(scale) for scale in scales]
+    return [complete(scale) for scale in scales]
 
 
-def construct_witnesses(pair, tol=DEFAULT_TOL, seed=0):
+def construct_witnesses(pair, tol=DEFAULT_TOL):
     """Perturbations certifying openness in the rank-deficient regime:
     ``wt1 @ w2 = 0`` with ``w1 + wt1`` full column rank, and
-    ``w1 @ wt2 = 0`` with ``w2 + wt2`` full row rank (``null_completion``
-    verifies the ranks)."""
+    ``w1 @ wt2 = 0`` with ``w2 + wt2`` full row rank, each the
+    ``null_completion`` of one factor inside the other's null space.  At
+    an open point ``N(w1) ⊕ C(w2) = R^k`` (``r1 = r2``, ``d_nc = 0``), so
+    ``N(w1)`` has exactly the ``k - r2`` columns ``w2`` lacks, all outside
+    ``C(w2)``, and likewise ``N(w2.T)`` for ``w1.T`` (none when the factors
+    have rank ``k``, and the witnesses are zero); a completion that misses
+    the full rank contradicts the rank arithmetic and raises
+    ``IllConditioned``."""
     report, sp1, sp2, _ = _openness_and_spectra(pair, tol)
     if report.regime != REGIME_DEFICIENT or not report.open:
         raise NotOpen(
             "witnesses exist only at open points of the rank-deficient regime"
         )
-    if report.rank_w1 == pair.k:
-        wt1 = np.zeros_like(pair.w1)
-        wt2 = np.zeros_like(pair.w2)
-    else:
-        (c2,) = null_completion(pair.w2, sp1.v[:, sp1.rank:], sp2.s, tol, seed=seed)
-        (c1,) = null_completion(pair.w1.T, sp2.u[:, sp2.rank:], sp1.s, tol, seed=seed + 1)
-        if c1 is None or c2 is None:
-            raise GenericScaleFailed(
-                "could not restore full rank from the null-space completion"
-            )
-        wt1, wt2 = c1[0].T, c2[0]
+    (c2,) = null_completion(pair.w2, sp1.v[:, sp1.rank:], sp2, tol)
+    (c1,) = null_completion(pair.w1.T, sp2.u[:, sp2.rank:], sp1.T, tol)
+    if c1 is None or c2 is None:
+        raise IllConditioned(
+            "the null-space completion missed the full rank the openness check "
+            "certified"
+        )
+    wt1, wt2 = c1[0].T, c2[0]
     scale = max(1.0, float(np.abs(pair.w1).max()), float(np.abs(pair.w2).max()))
     if np.abs(wt1 @ pair.w2).max() > tol.residual_abs * scale:
-        raise GenericScaleFailed("witness wt1 does not annihilate w2")
+        raise NumericalFailure("witness wt1 does not annihilate w2")
     if np.abs(pair.w1 @ wt2).max() > tol.residual_abs * scale:
-        raise GenericScaleFailed("witness wt2 is not annihilated by w1")
+        raise NumericalFailure("witness wt2 is not annihilated by w1")
     return wt1, wt2
 
 

@@ -22,10 +22,11 @@ The rank-deficient-regime pipeline:
 
 In the full-rank regime a factor of full rank on its side is inverted
 off its own spectrum; otherwise ``null_completion`` completes a factor
-inside the other's null space and hands back the SVD that verified the
-completed factor's rank, off which its pseudo-inverse is formed.  Every
-spectrum of ``w1``, ``w2`` and the product is the one the openness check
-took; no path decomposes them again.
+inside the other's null space in closed form, along the right singular
+vectors it lacks, so it succeeds exactly where the openness flag says a
+completion exists, with no seed and no retry; the SVD that verified the
+completed factor's rank gives its pseudo-inverse.  Every spectrum of
+``w1``, ``w2`` and the product is the one the openness check took.
 """
 
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .errors import (
     InputError,
     NotOpen,
     NumericalFailure,
+    OpenMapError,
     RankInfeasible,
 )
 from .matrixio import as_matrix
@@ -110,10 +112,9 @@ def _pinv(u, sv, v):
 def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, tol):
     """Direct completion in the regime where the image is everything;
     ``sp1`` and ``sp2`` are the ``Spectrum`` of ``pair.w1`` and ``pair.w2``.
-    A factor of full rank on its side is inverted off its spectrum.
-    ``null_completion`` verifies each completed factor's full rank (the
-    openness flags force ``k >= m``, or ``k >= n``) with one SVD, which
-    also gives its pseudo-inverse."""
+    A factor of full rank on its side is inverted off its spectrum; else
+    each flagged side is completed (the flags force ``k >= m``, or
+    ``k >= n``) at five scales, and the least witness wins."""
     m, n = pair.m, pair.n
     w1, w2 = pair.w1, pair.w2
     r_delta = z_tilde - pair.product
@@ -128,17 +129,13 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, tol):
     # target distance (rank-raising targets force sqrt-sized witnesses)
     nr = np.linalg.norm(r_delta)
     scales = sorted({np.sqrt(max(nr, 1e-300)) * 2.0**j for j in range(-2, 3)})
-
-    # each completion comes with the reduced SVD ``u diag(sv) v.T`` of its
-    # completed factor, off which the pseudo-inverse is formed
     flags = rep.condition_flags
     c1s = c2s = [None] * len(scales)
-    if flags.get("w1_completion_exists"):
-        c1s = null_completion(w1.T, sp2.u[:, sp2.rank:], sp1.s, tol, seed=17,
-                              scales=scales, transposed=True)
-    if flags.get("w2_completion_exists"):
-        c2s = null_completion(
-            w2, sp1.v[:, sp1.rank:], sp2.s, tol, seed=19, scales=scales)
+    if flags["w1_completion_exists"]:
+        c1s = null_completion(w1.T, sp2.u[:, sp2.rank:], sp1.T, tol, scales=scales,
+                              transposed=True)
+    if flags["w2_completion_exists"]:
+        c2s = null_completion(w2, sp1.v[:, sp1.rank:], sp2, tol, scales=scales)
 
     def candidates():
         for s, c1, c2 in zip(scales, c1s, c2s):
@@ -297,7 +294,7 @@ def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=0):
         for target in sample_feasible_target(z, rank_cap, delta, g):
             try:
                 wit = realize(pair, target, tol)
-            except Exception as exc:  # noqa: BLE001 - per-trial record
+            except OpenMapError as exc:
                 row["errors"].append(type(exc).__name__)
                 continue
             row["successes"] += 1

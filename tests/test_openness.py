@@ -9,6 +9,7 @@ from openmap.openness import (
     REGIME_DEFICIENT,
     REGIME_FULL,
     FactorPair,
+    _openness_and_spectra,
     check_openness,
     construct_witnesses,
     gauss_newton_recover,
@@ -185,7 +186,7 @@ class TestConstructWitnesses:
             rep = check_openness(p)
             if not (rep.regime == REGIME_DEFICIENT and rep.open):
                 continue
-            wt1, wt2 = construct_witnesses(p, seed=built)
+            wt1, wt2 = construct_witnesses(p)
             scale = max(np.abs(w1).max(), np.abs(w2).max(), 1.0)
             assert np.abs(w1 @ wt2).max() <= 1e-10 * scale
             assert np.abs(wt1 @ w2).max() <= 1e-10 * scale
@@ -200,10 +201,10 @@ class TestNullCompletion:
 
     @staticmethod
     def complete_w2(w1, w2, scales=None):
-        # N(w1) and the singular values of w2, as the openness check reads
-        # them; each completion's SVD is checked here, and its wt returned
+        # N(w1) and the spectrum of w2, as the openness check reads them;
+        # each completion's SVD is checked here, and its wt returned
         sp1, sp2 = spectrum(w1), spectrum(w2)
-        got = null_completion(w2, sp1.v[:, sp1.rank:], sp2.s, scales=scales)
+        got = null_completion(w2, sp1.v[:, sp1.rank:], sp2, scales=scales)
         for c in got:
             if c is not None:
                 wt, u, sv, v = c
@@ -230,17 +231,70 @@ class TestNullCompletion:
         got = self.complete_w2(np.eye(3), self.W2, scales=[1.0, 2.0])
         assert got == [None, None]
 
-    def test_rotation_fallback_completes_when_the_generic_placement_fails(self):
+    def test_closed_form_completes_where_the_lightest_column_fails(self, monkeypatch):
         w1 = np.eye(4, 3) * [1.0, 1.0, 0.0]
         w2 = np.array([[1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1e-3], [0.0] * 4])
-        # the generic placement puts N(w1) = span(e3) on w2's lightest
-        # column, the last, and leaves rank 2
-        generic = np.zeros_like(w2)
-        generic[2, 3] = 1.0
-        assert rank(w2 + generic) == 2
-        (wt2,) = self.complete_w2(w1, w2)
+        # placing N(w1) = span(e3) on w2's lightest column, the last,
+        # leaves rank 2
+        lightest = np.zeros_like(w2)
+        lightest[2, 3] = 1.0
+        assert rank(w2 + lightest) == 2
+        sp1, sp2 = spectrum(w1), spectrum(w2)
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        ((wt2, *_),) = null_completion(w2, sp1.v[:, sp1.rank:], sp2)
+        assert calls == [w2.shape]
+        monkeypatch.undo()
         assert rank(w2 + wt2) == 3
         assert np.abs(w1 @ wt2).max() == 0.0
+
+    def test_every_flagged_side_of_a_sign_grid_sample_completes(self, monkeypatch):
+        # 40 pairs with entries in {-1, 0, 1} per shape, m, k, n <= 3: the
+        # completion of a side the openness check flags (both sides at an
+        # open point of the rank-deficient regime) meets the full rank at
+        # every scale; in the full-rank regime an unflagged side with k at
+        # least its dimension never does.  No placement is searched: one SVD
+        # per scale, plus one that cuts a basis wider than the missing rank,
+        # and none when the basis is narrower.
+        rng = np.random.default_rng(27)
+        scales = [1e-4, 0.5, 2.0]
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return real_svd(a, *args, **kwargs)
+
+        flagged = 0
+        for m, k, n in itertools.product(range(1, 4), repeat=3):
+            for _ in range(40):
+                p = pair(rng.integers(-1, 2, (m, k)), rng.integers(-1, 2, (k, n)))
+                rep, sp1, sp2, _ = _openness_and_spectra(p, DEFAULT_TOL)
+                full = rep.regime == REGIME_FULL
+                for flag, w, basis, sp, other in (
+                    ("w1_completion_exists", p.w1.T, sp2.u[:, sp2.rank:], sp1.T, p.w2.T),
+                    ("w2_completion_exists", p.w2, sp1.v[:, sp1.rank:], sp2, p.w1),
+                ):
+                    calls.clear()
+                    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+                    got = null_completion(w, basis, sp, scales=scales)
+                    monkeypatch.undo()
+                    missing, d = min(w.shape) - sp.rank, basis.shape[1]
+                    assert len(calls) == (d >= missing) * (len(scales) + (d > missing))
+                    if rep.condition_flags[flag] if full else rep.open:
+                        flagged += 1
+                        for scale, (wt, *_) in zip(scales, got):
+                            assert rank(w + wt) == min(w.shape)
+                            assert np.abs(other @ wt).max() <= 1e-13 * scale
+                    elif full and w.shape[0] >= w.shape[1]:
+                        assert got == [None] * len(scales)
+        assert flagged > 1000
 
 
 class TestSampleFeasibleTarget:

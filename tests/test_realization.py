@@ -13,6 +13,7 @@ from openmap.openness import (
     null_completion,
     sample_feasible_target,
 )
+from openmap import realization
 from openmap.realization import RealizationWitness, measure_delta_ratio, realize
 
 
@@ -247,11 +248,11 @@ class TestRealizeFullRankCompletion:
         checked = {False: 0, True: 0}
         for p, _ in _open_completion_pairs(22, 40):
             _, sp1, sp2, _ = _openness_and_spectra(p, DEFAULT_TOL)
-            for transposed, w, basis, s in (
-                (True, p.w1.T, sp2.u[:, sp2.rank:], sp1.s),
-                (False, p.w2, sp1.v[:, sp1.rank:], sp2.s),
+            for transposed, w, basis, sp in (
+                (True, p.w1.T, sp2.u[:, sp2.rank:], sp1.T),
+                (False, p.w2, sp1.v[:, sp1.rank:], sp2),
             ):
-                (c,) = null_completion(w, basis, s, transposed=transposed)
+                (c,) = null_completion(w, basis, sp, transposed=transposed)
                 if c is None:
                     continue
                 wt, u, sv, v = c
@@ -334,6 +335,17 @@ class TestMeasureDeltaRatio:
         table = measure_delta_ratio(p, [1e-5], trials=2)
         assert table[0]["successes"] == 0
         assert table[0]["errors"] == ["NotOpen", "NotOpen"]
+
+    def test_an_error_outside_the_library_propagates(self, monkeypatch):
+        # only OpenMapError is a per-trial refusal; a programming error in
+        # realize must stop the sweep, not be tallied as a refused trial
+        def broken_realize(*args):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(realization, "realize", broken_realize)
+        p = pair([[1.0], [2.0]], [[1.0, 1.0]])
+        with pytest.raises(TypeError, match="broken"):
+            measure_delta_ratio(p, [1e-5], trials=3)
 
 
 class TestWitnessPayload:
