@@ -1,15 +1,21 @@
 """Command-line front end and experiment harness.
 
 One table, ``COMMANDS``, declares every command.  It maps a command path
-such as ``("net", "gd-sweep")`` or ``("realize",)`` to the command's own
-flags, its handler ``(args, config) -> payload`` and its default
-``--trials``; every command also takes the common flags of ``_COMMON``.
-``run`` picks the longest path in the table that is a prefix of argv and
-parses the rest with that command's leaf parser, which is built on first
-use and kept for the life of the process, so no parser is built twice.
-It then builds the run config, calls the handler and prints
-``{"config": ..., "result": ...}``.  ``selftest`` writes its own output:
-one line per criterion, and the ``--out`` file.
+such as ``("net", "gd-sweep")`` or ``("realize",)`` to the flags the
+command reads and its handler ``(args, config) -> payload``: the
+``--tol-*`` flags on every command but ``selftest``, ``--seed`` only where
+the command draws at random, and ``--trials``, with its default, only on
+``openness probe``, ``realize ratio-sweep`` and ``net gd-sweep``.  Every
+command also takes ``_COMMON``'s ``--jobs`` and ``--out``; ``--jobs``
+stays on one-process commands because the benchmark passes ``--jobs 1``
+to each one.  ``run`` picks the longest path in the table that is a
+prefix of argv and parses the rest with that command's leaf parser,
+which is built on first use and kept for the life of the process, so no
+parser is built twice.  It then builds the run config, calls the handler
+and prints ``{"config": ..., "result": ...}``; ``config`` echoes the
+command, ``seed`` and ``trials`` where the command takes them, ``jobs``,
+the tolerances and the command's own settings.  ``selftest`` writes its
+own output: one line per criterion, and the ``--out`` file.
 
 Verdicts live in the JSON payload, never in exit codes: 0 means the
 command ran to completion.  ``_EXIT_CODES`` maps each error family to
@@ -20,17 +26,15 @@ not open), 4 a numerical failure.  Every error also renders as a JSON
 object on stderr.
 
 Only what a command runs is imported: ``gd-sweep`` imports its process
-pool (``concurrent.futures.process`` and ``multiprocessing``) only for
-``--jobs > 1`` with more than one trial, since each command is a fresh
-process whose import dominates its wall time.  Beyond the standard
-library, every command imports numpy alone.
+pool (``concurrent.futures.process`` and ``multiprocessing``) only when
+it runs more than one worker, ``min(--jobs, chunks of 8 trials)``, since
+each command is a fresh process whose import dominates its wall time.
+Beyond the standard library, every command imports numpy alone.
 
-Reports echo their configuration and derive every per-trial draw from
-the master seed, by counter or as row ``t`` of one seeded block, so
-identical configurations reproduce every per-trial record bit-identically
-regardless of scheduling (wall-clock timing is reported but excluded from
-that guarantee).  ``openness check --witnesses`` and ``realize`` read no
-seed: their witnesses are closed-form (``realize ratio-sweep`` draws).
+Every per-trial draw derives from the master seed, by counter or as row
+``t`` of one seeded block, so identical configurations reproduce every
+per-trial record bit-identically regardless of scheduling (wall-clock
+timing is reported but excluded from that guarantee).
 """
 
 import argparse
@@ -82,27 +86,19 @@ _FIXTURES = {
 class RunConfig:
     command: str
     tolerances: Tolerances
-    seed: int
-    trials: int
     jobs: int
     out: str | None
-    report_format: str
+    seed: int | None = None  # None where the command takes no --seed
+    trials: int | None = None  # None where the command takes no --trials
     extra: dict = field(default_factory=dict)
 
     def to_payload(self):
+        echoed = {"seed": self.seed, "trials": self.trials}
         return {
             "command": self.command,
-            "seed": self.seed,
-            "trials": self.trials,
+            **{key: value for key, value in echoed.items() if value is not None},
             "jobs": self.jobs,
-            "format": self.report_format,
-            "tolerances": {
-                "rank_rel": self.tolerances.rank_rel,
-                "grad_abs": self.tolerances.grad_abs,
-                "residual_abs": self.tolerances.residual_abs,
-                "probe_radii": list(self.tolerances.probe_radius_schedule),
-                "probe_samples": self.tolerances.probe_samples,
-            },
+            "tolerances": self.tolerances,
             **self.extra,
         }
 
@@ -115,31 +111,23 @@ class ExperimentReport:
     version: str = __version__
 
 
-def _config_from(args, command, default_trials):
+def _config_from(args, command):
     kwargs = {}
     for flag, name in (("--tol-rank", "rank_rel"), ("--tol-grad", "grad_abs"),
                        ("--tol-residual", "residual_abs")):
-        value = getattr(args, flag[2:].replace("-", "_"))
+        value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
             if not 0 < value < np.inf:
                 raise InputError(f"{flag} must be positive and finite, got {value}")
             kwargs[name] = value
-    if args.seed < 0:
-        raise InputError("--seed must be non-negative")
+    seed, trials = getattr(args, "seed", None), getattr(args, "trials", None)
+    for flag, value in (("--seed", seed), ("--trials", trials)):
+        if value is not None and value < 0:
+            raise InputError(f"{flag} must be non-negative")
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
-    trials = args.trials if args.trials is not None else default_trials
-    if trials < 0:
-        raise InputError("--trials must be non-negative")
-    return RunConfig(
-        command=command,
-        tolerances=Tolerances(**kwargs),
-        seed=args.seed,
-        trials=trials,
-        jobs=args.jobs,
-        out=args.out,
-        report_format=args.format,
-    )
+    return RunConfig(command=command, tolerances=Tolerances(**kwargs), jobs=args.jobs,
+                     out=args.out, seed=seed, trials=trials)
 
 
 def _emit(config, payload):
@@ -148,30 +136,12 @@ def _emit(config, payload):
                           "result": to_jsonable(payload)})
     except ValueError as exc:  # NaN or Inf somewhere in the result
         raise NumericalFailure(f"the result is not finite: {exc}") from exc
-    if config.report_format == "text-summary":
-        text = _summarize(payload)
     if config.out:
         with open(config.out, "w") as fh:
             fh.write(text)
             fh.write("\n")
     else:
         print(text)
-
-
-def _summarize(payload):
-    lines = []
-
-    def walk(obj, path):
-        if isinstance(obj, dict):
-            for key, val in obj.items():
-                walk(val, f"{path}.{key}" if path else str(key))
-        elif isinstance(obj, list) and len(obj) > 6:
-            lines.append(f"{path}: [{len(obj)} entries]")
-        else:
-            lines.append(f"{path}: {obj}")
-
-    walk(to_jsonable(payload), "")
-    return "\n".join(lines)
 
 
 # -- gradient-descent sweep ----------------------------------------------------
@@ -240,12 +210,15 @@ def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, x=None, y=None,
         (t, seed, tuple(dims) if dims else None, depth, dim_cap, x, y, tol, max_iter)
         for t in range(trials)
     ]
-    if jobs > 1 and trials > 1:
-        # imported here: the pool loads multiprocessing, which a one-job
+    # a pool starts all its workers at once, so no more than the sweep's
+    # chunks of 8 trials
+    workers = min(jobs, -(-trials // 8))
+    if workers > 1:
+        # imported here: the pool loads multiprocessing, which a one-worker
         # sweep and every other command never use
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_gd_trial, payloads, chunksize=8))
     else:
         records = [_gd_trial(p) for p in payloads]
@@ -449,35 +422,41 @@ def _parse_dims(text):
 # -- the command table ---------------------------------------------------------
 
 
-# a command's own flags as (flag, add_argument keywords) pairs, its
-# handler, which returns None once it has written its own output, and
-# its default --trials
-Command = namedtuple("Command", "flags handler trials", defaults=(20,))
+# a command's flags as (flag, add_argument keywords) pairs and its
+# handler, which returns None once it has written its own output
+Command = namedtuple("Command", "flags handler")
 
 
 def _required(*flags):
     return tuple((flag, {"required": True}) for flag in flags)
 
 
+def _trials(default):
+    return (("--trials", {"type": int, "default": default}),)
+
+
+_TOL = tuple((flag, {"type": float})
+             for flag in ("--tol-rank", "--tol-grad", "--tol-residual"))
+_SEED = (("--seed", {"type": int, "default": 0}),)
 _PAIR = _required("--w1", "--w2")
 _POINT = _required("--weights", "--x", "--y")
 
 COMMANDS = {
     ("openness", "check"): Command(
-        _PAIR + (("--witnesses", {"action": "store_true"}),), _openness_check),
+        _PAIR + (("--witnesses", {"action": "store_true"}),) + _TOL, _openness_check),
     ("openness", "probe"): Command(
-        _PAIR + (("--delta", {"type": float, "default": 1e-5}),), _openness_probe,
-        trials=50),
-    ("realize",): Command(_PAIR + _required("--target"), _realize),
+        _PAIR + (("--delta", {"type": float, "default": 1e-5}),) + _TOL + _SEED
+        + _trials(50), _openness_probe),
+    ("realize",): Command(_PAIR + _required("--target") + _TOL, _realize),
     ("realize", "ratio-sweep"): Command(
-        _PAIR + _required("--deltas"), _ratio_sweep, trials=5),
-    ("sym", "solve"): Command(_required("--sigma", "--r"), _sym_solve),
-    ("sym", "realize"): Command(_required("--w", "--target"), _sym_realize),
-    ("sym", "certify"): Command(_required("--w"), _sym_certify),
-    ("net", "classify"): Command(_POINT, _net_classify),
-    ("net", "counterexample"): Command(_required("--dims"), _net_counterexample),
-    ("net", "fixture"): Command(_required("--name"), _net_fixture),
-    ("net", "probe"): Command(_POINT, _net_probe),
+        _PAIR + _required("--deltas") + _TOL + _SEED + _trials(5), _ratio_sweep),
+    ("sym", "solve"): Command(_required("--sigma", "--r") + _TOL, _sym_solve),
+    ("sym", "realize"): Command(_required("--w", "--target") + _TOL, _sym_realize),
+    ("sym", "certify"): Command(_required("--w") + _TOL, _sym_certify),
+    ("net", "classify"): Command(_POINT + _TOL + _SEED, _net_classify),
+    ("net", "counterexample"): Command(_required("--dims") + _TOL, _net_counterexample),
+    ("net", "fixture"): Command(_required("--name") + _TOL + _SEED, _net_fixture),
+    ("net", "probe"): Command(_POINT + _TOL + _SEED, _net_probe),
     ("net", "gd-sweep"): Command((
         ("--dims", {}),
         ("--depth", {"type": int, "default": 2}),
@@ -485,20 +464,14 @@ COMMANDS = {
         ("--x", {}),
         ("--y", {}),
         ("--max-iter", {"type": int, "default": 100000}),
-    ), _net_gd_sweep),
+    ) + _TOL + _SEED + _trials(20), _net_gd_sweep),
     ("selftest",): Command((("--only", {}),), _selftest),
 }
 
 # flags every command takes after its own
 _COMMON = (
-    ("--tol-rank", {"type": float}),
-    ("--tol-grad", {"type": float}),
-    ("--tol-residual", {"type": float}),
-    ("--seed", {"type": int, "default": 0}),
-    ("--trials", {"type": int}),
     ("--jobs", {"type": int, "default": os.cpu_count() or 1}),
     ("--out", {}),
-    ("--format", {"choices": ("json", "text-summary"), "default": "json"}),
 )
 
 
@@ -532,10 +505,9 @@ def run(argv):
             return 0
         words = " ".join(takewhile(lambda tok: not tok.startswith("-"), argv))
         raise InputError(f"unknown command {words!r}; choose from {_NAMES}")
-    command = COMMANDS[path]
     args = _leaf_parser(path).parse_args(argv[len(path):])
-    config = _config_from(args, " ".join(path), command.trials)
-    payload = command.handler(args, config)
+    config = _config_from(args, " ".join(path))
+    payload = COMMANDS[path].handler(args, config)
     if payload is not None:
         _emit(config, payload)
     return 0

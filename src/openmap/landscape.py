@@ -167,6 +167,11 @@ class ProbeReport:
 # of one chunk holds more than this many doubles (2 MiB)
 _CHUNK_ELEMENTS = 1 << 18
 
+# local_min_probe's sphere radii, strictly decreasing, and its sample
+# count per radius
+PROBE_RADII = (1e-2, 1e-3, 1e-4)
+PROBE_SAMPLES = 2000
+
 
 def _least_half_squares(norms):
     """The values ``0.5 * float(s ** 2)`` that ``_loss`` gives the rows
@@ -186,10 +191,10 @@ def local_min_probe(point, tol=DEFAULT_TOL, seed=0):
     on the parameter sphere at each scheduled radius; the verdict is
     minimal at resolution when no sampled value undercuts the base
     objective by more than ``residual_abs`` and every radius had a finite
-    sample.
+    sample.  The radii are ``PROBE_RADII``.
 
     Each radius seeds its own generator with ``[seed, radius index]`` and
-    draws ``probe_samples`` standard-normal vectors over all parameters,
+    draws ``PROBE_SAMPLES`` standard-normal vectors over all parameters,
     ``W_h`` first, one vector after another; a vector of norm zero is
     skipped and the next one taken.  The draws come in chunks of rows
     sized so that no stacked array exceeds ``_CHUNK_ELEMENTS`` doubles,
@@ -212,10 +217,10 @@ def local_min_probe(point, tol=DEFAULT_TOL, seed=0):
     total = sum(sizes)
     widest = max([total] + [w.shape[0] * x.shape[1] for w in weights])
     chunk = max(1, _CHUNK_ELEMENTS // widest)
-    radii, min_deltas = [], []
-    for r_idx, radius in enumerate(tol.probe_radius_schedule):
+    min_deltas = []
+    for r_idx, radius in enumerate(PROBE_RADII):
         rng = np.random.default_rng([seed, r_idx])
-        least, left = np.inf, tol.probe_samples
+        least, left = np.inf, PROBE_SAMPLES
         while left:
             draws = rng.standard_normal((min(chunk, left), total))
             norms = np.sqrt(_row_dots(draws))
@@ -227,14 +232,13 @@ def local_min_probe(point, tol=DEFAULT_TOL, seed=0):
             stacks = [w + d.reshape(len(d), *w.shape) for w, d in zip(weights, cols)]
             resid = (_forward(stacks, x)[-1] - y).reshape(len(draws), y.size)
             least = min([least, *_least_half_squares(np.sqrt(_row_dots(resid)))])
-        radii.append(float(radius))
         # rounding is monotone, so this is the least of the sample deltas
         min_deltas.append(float(least - base))
     # a radius without one finite sample gives no evidence of minimality
     minimal = all(-tol.residual_abs <= d < np.inf for d in min_deltas)
     return ProbeReport(
-        radii=radii, min_deltas=min_deltas, locally_minimal=minimal,
-        samples=tol.probe_samples,
+        radii=list(PROBE_RADII), min_deltas=min_deltas, locally_minimal=minimal,
+        samples=PROBE_SAMPLES,
     )
 
 

@@ -57,15 +57,15 @@ class Tolerances:
     """Numerical policy shared by every module.
 
     ``rank_rel`` is the relative singular-value cutoff; ``None`` selects
-    the standard rule ``eps * max(rows, cols)`` per matrix.  Radii of the
-    probe schedule must be strictly decreasing, and every value finite.
+    the standard rule ``eps * max(rows, cols)`` per matrix.  ``grad_abs``
+    and ``residual_abs`` are absolute thresholds.  Every value given must
+    be finite and strictly positive.  The sphere probe's radii and sample
+    count are constants of ``landscape``, not tolerances.
     """
 
     rank_rel: float | None = None
     grad_abs: float = 1e-9
     residual_abs: float = 1e-10
-    probe_radius_schedule: tuple = (1e-2, 1e-3, 1e-4)
-    probe_samples: int = 2000
 
     def __post_init__(self):
         for name in ("rank_rel", "grad_abs", "residual_abs"):
@@ -76,16 +76,6 @@ class Tolerances:
             raise InputError("rank_rel must be positive")
         if self.grad_abs <= 0 or self.residual_abs <= 0:
             raise InputError("thresholds must be strictly positive")
-        if self.probe_samples <= 0:
-            raise InputError("probe_samples must be a positive count")
-        radii = tuple(float(r) for r in self.probe_radius_schedule)
-        if not all(map(math.isfinite, radii)):
-            raise InputError(f"probe radii must be finite, got {radii}")
-        if any(r <= 0 for r in radii):
-            raise InputError("probe radii must be strictly positive")
-        if any(a <= b for a, b in zip(radii, radii[1:])):
-            raise InputError("probe radii must be strictly decreasing")
-        object.__setattr__(self, "probe_radius_schedule", radii)
 
     def rank_cutoff(self, shape, smax):
         rel = self.rank_rel if self.rank_rel is not None else EPS * max(shape)

@@ -55,6 +55,9 @@ REGIME_DEFICIENT = "rank-deficient"
 # order-one perturbations a non-open point demands
 PROBE_NORM_SLACK = 1e3
 
+# sample_feasible_target's cap on its rescale-and-truncate rounds
+SAMPLER_ROUNDS = 80
+
 
 @dataclass
 class FactorPair:
@@ -277,7 +280,7 @@ def draw_directions(seed, trials, shape):
     return g
 
 
-def sample_feasible_target(z, rank_cap, delta, g, iters=80):
+def sample_feasible_target(z, rank_cap, delta, g):
     """One target per direction of the ``(trials, m, n)`` block ``g`` (of
     nonzero rows, as ``draw_directions`` gives), as a ``(trials, m, n)``
     stack: a matrix of rank at most ``rank_cap`` at Frobenius distance
@@ -287,11 +290,12 @@ def sample_feasible_target(z, rank_cap, delta, g, iters=80):
     Trial ``t`` truncates ``z + r`` with ``r`` along ``g[t]`` at norm
     ``delta``, and then rescales ``r = zt - z`` to norm ``delta`` and
     truncates again until ``|r|`` is ``delta`` to within
-    ``1e-12 delta + 8 EPS |z|``, for at most ``iters`` rounds.  The second
-    term is the rounding floor of ``(z + r) - z``, below which distances
-    cannot be told apart; the bound depends on ``z`` and ``delta`` alone.
-    When truncation swallows the move (``|r| <= 1e-9 delta``), ``r``
-    becomes ``g[t]`` truncated to rank ``max(1, rank_cap)``.  Each round
+    ``1e-12 delta + 8 EPS |z|``, for at most ``SAMPLER_ROUNDS`` rounds.
+    The second term is the rounding floor of ``(z + r) - z``, below which
+    distances cannot be told apart; the bound depends on ``z`` and
+    ``delta`` alone.  When truncation swallows the move
+    (``|r| <= 1e-9 delta``), ``r`` becomes ``g[t]`` truncated to rank
+    ``max(1, rank_cap)``.  Each round
     runs on the stack of trials still moving, so a slice equals, bit for
     bit, the target of a batch of one: ``g[t:t + 1]``.  ``delta == 0``
     returns copies of ``z``.
@@ -302,7 +306,7 @@ def sample_feasible_target(z, rank_cap, delta, g, iters=80):
     zt = truncated_svd(z + g * (delta / _norms(g))[:, None, None], rank_cap)
     floor = 1e-12 * delta + 8.0 * EPS * np.linalg.norm(z)
     live = np.arange(len(g))
-    for _ in range(iters):
+    for _ in range(SAMPLER_ROUNDS):
         r = zt[live] - z
         nr = _norms(r)
         swallowed = np.flatnonzero(nr <= delta * 1e-9)

@@ -1,6 +1,7 @@
 """The CLI's command table, parser reuse and error contract."""
 
 import argparse
+import concurrent.futures
 import json
 import os
 import warnings
@@ -24,7 +25,7 @@ def _error(capsys):
 @pytest.mark.parametrize("argv", [
     ["net", "classify"],  # required flags missing
     ["openness", "probe", "--w1", "a.json", "--w2", "b.json", "--delta", "abc"],
-    ["sym", "certify", "--w", "a.json", "--format", "xml"],
+    ["sym", "certify", "--w", "a.json", "--trials", "3"],  # runs no trials
     ["frobnicate", "--w", "a.json"],
     ["net"],  # a group, not a command
     ["realize", "--w1", "a.json", "--bogus", "1"],
@@ -55,17 +56,45 @@ def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert "not UTF-8" in err["message"]
 
 
-def test_environment_variables_set_no_defaults(monkeypatch, tmp_path, capsys):
+def test_environment_variables_set_no_defaults(monkeypatch, capsys):
     # --seed defaults to 0 and --jobs to the CPU count, whatever the
     # environment holds
-    path = tmp_path / "w.json"
-    path.write_text(json.dumps(matrix_to_payload(np.eye(2))))
     monkeypatch.setenv("OPENMAP_SEED", "5")
     monkeypatch.setenv("OPENMAP_JOBS", str((os.cpu_count() or 1) + 1))
-    assert main(["sym", "certify", "--w", str(path)]) == 0
+    assert main(["net", "fixture", "--name", "intro"]) == 0
     config = json.loads(capsys.readouterr().out)["config"]
     assert config["seed"] == 0
     assert config["jobs"] == (os.cpu_count() or 1)
+
+
+# the commands that draw at random, and the default --trials of those
+# that run trials; no other command takes either flag
+SEEDED = {("openness", "probe"), ("realize", "ratio-sweep"), ("net", "classify"),
+          ("net", "fixture"), ("net", "probe"), ("net", "gd-sweep")}
+TRIALS = {("openness", "probe"): 50, ("realize", "ratio-sweep"): 5,
+          ("net", "gd-sweep"): 20}
+
+
+@pytest.mark.parametrize("path", sorted(COMMANDS))
+def test_seed_and_trials_go_only_to_the_commands_that_read_them(path):
+    defaults = {action.dest: action.default for action in cli._leaf_parser(path)._actions}
+    assert ("seed" in defaults) == (path in SEEDED)
+    assert defaults.get("trials") == TRIALS.get(path)
+    assert ("tol_rank" in defaults) == (path != ("selftest",))
+    config = cli._config_from(argparse.Namespace(**defaults), " ".join(path)).to_payload()
+    assert ("seed" in config) == (path in SEEDED)
+    assert config.get("trials") == TRIALS.get(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["openness", "check", "--w1", "a.json", "--w2", "b.json", "--seed", "1"],
+    ["selftest", "--tol-grad", "1"],
+])
+def test_a_flag_the_command_does_not_read_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = _error(capsys)
+    assert err["error"] == "InputError"
+    assert "unrecognized arguments" in err["message"]
 
 
 @pytest.mark.parametrize("path", sorted(COMMANDS))
@@ -133,11 +162,10 @@ def test_an_empty_weight_list_is_an_input_error(command, tmp_path, capsys):
     assert _error(capsys)["error"] == "InputError"
 
 
-@pytest.mark.parametrize("fmt", ["json", "text-summary"])
-def test_a_result_that_is_not_finite_is_a_numerical_failure(fmt, tmp_path, capsys):
+def test_a_result_that_is_not_finite_is_a_numerical_failure(tmp_path, capsys):
     # the objective is finite at W2 W1 = 1, but every probe sample
     # overflows, so each radius reports an infinite least change
-    argv = ["net", "probe", *_net_files(tmp_path, [1e200, 1e-200]), "--format", fmt]
+    argv = ["net", "probe", *_net_files(tmp_path, [1e200, 1e-200])]
     assert main(argv) == 4
     err = _error(capsys)
     assert err["error"] == "NumericalFailure"
@@ -182,6 +210,36 @@ def test_gd_sweep_records_do_not_depend_on_jobs(capsys):
         del result["wall_clock_seconds"]
         results.append(result)
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("trials, jobs, workers", [
+    (2, 5000, None),  # one chunk of 8 trials runs in this process
+    (8, 2, None),
+    (9, 2, 2),
+    (20, 5000, 3),
+    (20, 2, 2),
+])
+def test_gd_sweep_starts_no_more_workers_than_chunks(monkeypatch, trials, jobs, workers):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    report = cli.gd_sweep(trials=trials, seed=0, tol=Tolerances(), depth=2, dim_cap=2,
+                          jobs=jobs, max_iter=5)
+    assert [rec["trial"] for rec in report.records] == list(range(trials))
+    assert started == ([] if workers is None else [workers])
 
 
 def test_gd_sweep_computes_one_global_value_per_trial(monkeypatch):
@@ -280,7 +338,7 @@ def test_a_mis_shaped_target_exits_2(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["openness", "probe", "--w1", "{w1}", "--w2", "{w2}", "--delta", "1e-5"],
-    ["openness", "check", "--w1", "{w1}", "--w2", "{w2}", "--witnesses"],
+    ["net", "gd-sweep", "--dims", "2,1,2"],
     ["realize", "ratio-sweep", "--w1", "{w1}", "--w2", "{w2}", "--deltas", "1e-3"],
 ])
 def test_a_negative_seed_exits_2(argv, tmp_path, capsys):

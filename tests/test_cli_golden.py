@@ -90,7 +90,9 @@ def _inputs():
     }
 
 
-COMMON = ["--seed", "7", "--jobs", "1"]
+COMMON = ["--jobs", "1"]
+# passed only to the commands that take --seed
+SEED = ["--seed", "7"]
 
 # case name -> (argv with {input} placeholders, expected exit code)
 CASES = {
@@ -173,7 +175,9 @@ def write_inputs(directory):
 def run_case(name, paths, capsys):
     """Run one case; returns (exit code, parsed stdout or stderr JSON)."""
     argv, _ = CASES[name]
-    argv = [tok.format(**paths) for tok in argv] + COMMON
+    flags = COMMANDS[tuple(takewhile(lambda tok: not tok.startswith("-"), argv))].flags
+    seed = SEED if any(flag == "--seed" for flag, _ in flags) else []
+    argv = [tok.format(**paths) for tok in argv] + COMMON + seed
     capsys.readouterr()
     code = main(argv)
     out, err = capsys.readouterr()

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from openmap import landscape
 from openmap.errors import InputError, NotConstructible, NumericalFailure
 from openmap.landscape import (
     GLOBAL_MIN,
@@ -140,26 +141,29 @@ class TestGlobalValue:
 
 
 class TestProbe:
-    def test_strict_minimum_probes_minimal(self):
+    def test_strict_minimum_probes_minimal(self, monkeypatch):
         x = np.eye(2)
         y = np.eye(2)
         point = NetworkPoint([np.eye(2), np.eye(2)], x, y)
-        rep = local_min_probe(point, tol=Tolerances(probe_samples=200))
+        monkeypatch.setattr(landscape, "PROBE_SAMPLES", 200)
+        rep = local_min_probe(point)
         assert rep.locally_minimal
 
-    def test_zero_saddle_probes_decrease(self):
+    def test_zero_saddle_probes_decrease(self, monkeypatch):
         point = NetworkPoint(
             [np.zeros((2, 1)), np.zeros((1, 2))], np.eye(2), np.eye(2)
         )
-        rep = local_min_probe(point, tol=Tolerances(probe_samples=500))
+        monkeypatch.setattr(landscape, "PROBE_SAMPLES", 500)
+        rep = local_min_probe(point)
         assert not rep.locally_minimal
         assert all(d < 0 for d in rep.min_deltas)
 
-    def test_no_finite_sample_is_not_minimal(self):
+    def test_no_finite_sample_is_not_minimal(self, monkeypatch):
         # every sample overflows, so no radius has a finite value
         point = NetworkPoint([[[1e200]], [[1e-200]]], [[1.0]], [[1.0]])
+        monkeypatch.setattr(landscape, "PROBE_SAMPLES", 50)
         with np.errstate(over="ignore", invalid="ignore"):
-            rep = local_min_probe(point, tol=Tolerances(probe_samples=50))
+            rep = local_min_probe(point)
         assert rep.min_deltas == [np.inf] * 3
         assert not rep.locally_minimal
 

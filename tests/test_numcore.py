@@ -32,11 +32,6 @@ class TestTolerances:
     def test_defaults_valid(self):
         tol = Tolerances()
         assert tol.residual_abs > 0
-        assert tol.probe_radius_schedule == (1e-2, 1e-3, 1e-4)
-
-    def test_radii_must_decrease(self):
-        with pytest.raises(InputError):
-            Tolerances(probe_radius_schedule=(1e-3, 1e-2))
 
     def test_thresholds_positive(self):
         with pytest.raises(InputError):
@@ -47,11 +42,6 @@ class TestTolerances:
     def test_non_finite_thresholds_rejected_by_name(self, name, value):
         with pytest.raises(InputError, match=f"{name} must be finite"):
             Tolerances(**{name: value})
-
-    @pytest.mark.parametrize("radii", [(np.nan,), (1e-2, np.inf), (np.inf, 1e-2)])
-    def test_non_finite_probe_radii_rejected(self, radii):
-        with pytest.raises(InputError, match="probe radii must be finite"):
-            Tolerances(probe_radius_schedule=radii)
 
 
 class TestSvd:

@@ -16,9 +16,12 @@ from openmap.landscape import (
     local_min_probe,
     rank_deficient_y_fixture,
 )
-from openmap.numcore import DEFAULT_TOL, Tolerances
 
-TOL = Tolerances(probe_samples=40)
+
+@pytest.fixture
+def samples(monkeypatch):
+    """Sets ``local_min_probe``'s sample count per radius for one test."""
+    return lambda count: monkeypatch.setattr(landscape, "PROBE_SAMPLES", count)
 
 
 def _sphere_direction(rng, shapes, radius):
@@ -36,7 +39,7 @@ def _sphere_direction(rng, shapes, radius):
     return out
 
 
-def reference_min_deltas(point, tol=DEFAULT_TOL, seed=0, base=None):
+def reference_min_deltas(point, seed=0, base=None):
     """The least ``objective(sample) - base`` at each radius, one sample at
     a time; ``base`` defaults to ``objective`` at the point."""
 
@@ -46,10 +49,10 @@ def reference_min_deltas(point, tol=DEFAULT_TOL, seed=0, base=None):
     base = objective_fn(point.weights) if base is None else base
     shapes = [w.shape for w in point.weights]
     min_deltas = []
-    for r_idx, radius in enumerate(tol.probe_radius_schedule):
+    for r_idx, radius in enumerate(landscape.PROBE_RADII):
         rng = np.random.default_rng([seed, r_idx])
         worst = np.inf
-        for _ in range(tol.probe_samples):
+        for _ in range(landscape.PROBE_SAMPLES):
             step = _sphere_direction(rng, shapes, radius)
             val = objective_fn([w + d for w, d in zip(point.weights, step)])
             if val - base < worst:
@@ -80,34 +83,36 @@ def _grid_dims(depth, seed):
 
 @pytest.mark.parametrize("depth,n_samples,zero", list(itertools.product(
     range(1, 5), range(1, 5), (True, False))))
-def test_min_deltas_equal_the_one_at_a_time_probe(depth, n_samples, zero):
+def test_min_deltas_equal_the_one_at_a_time_probe(depth, n_samples, zero, samples):
+    samples(40)
     for case, dims in enumerate(_grid_dims(depth, n_samples)):
         point = _point(dims, n_samples, zero, seed=[depth, n_samples, case])
-        got = local_min_probe(point, tol=TOL, seed=case).min_deltas
-        assert got == reference_min_deltas(point, tol=TOL, seed=case), dims
+        got = local_min_probe(point, seed=case).min_deltas
+        assert got == reference_min_deltas(point, seed=case), dims
 
 
 def test_the_full_sample_count_on_the_fixture_matches():
     _, _, point = rank_deficient_y_fixture()
-    got = local_min_probe(point, tol=DEFAULT_TOL, seed=3).min_deltas
-    assert got == reference_min_deltas(point, tol=DEFAULT_TOL, seed=3)
+    got = local_min_probe(point, seed=3).min_deltas
+    assert got == reference_min_deltas(point, seed=3)
 
 
-def test_nan_samples_are_skipped():
+def test_nan_samples_are_skipped(samples):
     # the two hidden units carry +-1.797e308; a sample that pushes one of
     # them past the largest double meets the other as inf - inf = NaN
     point = NetworkPoint([[[1.0, 1.0]], [[1.0], [-1.0]]], [[1.797e308]], [[0.0]])
     shapes = [w.shape for w in point.weights]
+    samples(40)
     rng = np.random.default_rng([0, 0])  # the stream of the first radius, 1e-2
     with np.errstate(over="ignore", invalid="ignore"):
         values = [
             landscape.objective(
                 [w + d for w, d in zip(point.weights, _sphere_direction(rng, shapes, 1e-2))],
                 point.x, point.y)
-            for _ in range(TOL.probe_samples)
+            for _ in range(landscape.PROBE_SAMPLES)
         ]
-        report = local_min_probe(point, tol=TOL)
-        want = reference_min_deltas(point, tol=TOL)
+        report = local_min_probe(point)
+        want = reference_min_deltas(point)
     assert np.isnan(values).any()
     assert report.min_deltas == want
     assert not report.locally_minimal
@@ -149,18 +154,18 @@ def _record_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("rows", [1, 7])
-def test_chunk_size_never_changes_a_result(monkeypatch, rows):
+def test_chunk_size_never_changes_a_result(monkeypatch, rows, samples):
     point = _point((3, 2, 2, 3), 4, zero=False, seed=9)
-    tol = Tolerances(probe_samples=45)
-    want = local_min_probe(point, tol=tol, seed=1)
+    samples(45)
+    want = local_min_probe(point, seed=1)
     _chunk_rows(monkeypatch, point, rows)
     chunks = _record_chunks(monkeypatch)
-    got = local_min_probe(point, tol=tol, seed=1)
+    got = local_min_probe(point, seed=1)
     assert got == want
     assert chunks == 3 * ([rows] * (45 // rows) + ([45 % rows] if 45 % rows else []))
 
 
-def test_zero_draws_are_skipped_in_stream_order(monkeypatch):
+def test_zero_draws_are_skipped_in_stream_order(monkeypatch, samples):
     """A draw of norm zero is replaced by the next draw of the stream,
     as the one-at-a-time probe redrew it, whatever the chunk size."""
     point = _point((2, 3, 2), 2, zero=False, seed=6)
@@ -181,12 +186,12 @@ def test_zero_draws_are_skipped_in_stream_order(monkeypatch):
             return out
 
     monkeypatch.setattr(np.random, "default_rng", ZeroingGenerator)
-    tol = Tolerances(probe_samples=30)
-    want = reference_min_deltas(point, tol=tol, seed=7)
+    samples(30)
+    want = reference_min_deltas(point, seed=7)
     for rows in (1, 7, None):
         if rows is not None:
             _chunk_rows(monkeypatch, point, rows)
-        assert local_min_probe(point, tol=tol, seed=7).min_deltas == want
+        assert local_min_probe(point, seed=7).min_deltas == want
 
 
 def test_memory_stays_bounded_on_a_wide_net():
@@ -196,7 +201,7 @@ def test_memory_stays_bounded_on_a_wide_net():
     point = _point(dims, 40, zero=False, seed=12)
     tracemalloc.start()
     try:
-        local_min_probe(point, tol=DEFAULT_TOL)
+        local_min_probe(point)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -206,11 +211,11 @@ def test_memory_stays_bounded_on_a_wide_net():
 def test_a_net_of_64_parameters_takes_one_chunk_per_radius(monkeypatch):
     point = _point((4, 4, 4, 4, 4), 4, zero=False, seed=13)
     chunks = _record_chunks(monkeypatch)
-    local_min_probe(point, tol=DEFAULT_TOL)
-    assert chunks == [DEFAULT_TOL.probe_samples] * len(DEFAULT_TOL.probe_radius_schedule)
+    local_min_probe(point)
+    assert chunks == [landscape.PROBE_SAMPLES] * len(landscape.PROBE_RADII)
 
 
-def test_a_non_degenerate_inconclusive_point_probes_from_its_objective():
+def test_a_non_degenerate_inconclusive_point_probes_from_its_objective(samples):
     """Two layers of width 1 on the second principal direction of ``y``
     are critical, of full product rank and above the rank-one optimum:
     ``Inconclusive``, and the probe's deltas are measured from the
@@ -221,8 +226,9 @@ def test_a_non_degenerate_inconclusive_point_probes_from_its_objective():
     u, s, vt = np.linalg.svd(y)
     root = np.sqrt(s[1])
     point = NetworkPoint([root * u[:, 1:2], root * vt[1:2] @ np.linalg.inv(x)], x, y)
-    report = classify(point, tol=TOL, seed=4)
+    samples(40)
+    report = classify(point, seed=4)
     assert report.status == INCONCLUSIVE and not report.degenerate
     assert report.objective > report.global_value
-    want = reference_min_deltas(point, tol=TOL, seed=4, base=report.objective)
+    want = reference_min_deltas(point, seed=4, base=report.objective)
     assert report.certificates[-1]["value"] == want
