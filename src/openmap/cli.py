@@ -2,7 +2,7 @@
 
 One table, ``COMMANDS``, declares every command.  It maps a command path
 such as ``("net", "gd-sweep")`` or ``("realize",)`` to the flags the
-command reads and its handler ``(args, config) -> payload``: the
+command reads and its handler ``(args, tol) -> payload``: the
 ``--tol-*`` flags on every command but ``selftest``, ``--seed`` only where
 the command draws at random, and ``--trials``, with its default, only on
 ``openness probe``, ``realize ratio-sweep`` and ``net gd-sweep``.  Every
@@ -11,11 +11,14 @@ stays on one-process commands because the benchmark passes ``--jobs 1``
 to each one.  ``run`` picks the longest path in the table that is a
 prefix of argv and parses the rest with that command's leaf parser,
 which is built on first use and kept for the life of the process, so no
-parser is built twice.  It then builds the run config, calls the handler
-and prints ``{"config": ..., "result": ...}``; ``config`` echoes the
-command, ``seed`` and ``trials`` where the command takes them, ``jobs``,
-the tolerances and the command's own settings.  ``selftest`` writes its
-own output: one line per criterion, and the ``--out`` file.
+parser is built twice.  It then checks the flags every command shares,
+calls the handler with the parsed flags and the run's ``Tolerances``, and
+prints ``{"config": ..., "result": ...}``.  ``config`` is derived from
+the parsed flags: the command, ``seed`` and ``trials`` where the command
+takes them, ``jobs``, the tolerances, then every other flag in table
+order but those naming files (``_FILE_FLAGS``: the inputs and ``--out``).
+``selftest`` writes its own output: one line per criterion, and the
+``--out`` file.
 
 Verdicts live in the JSON payload, never in exit codes: 0 means the
 command ran to completion.  ``_EXIT_CODES`` maps each error family to
@@ -42,7 +45,7 @@ import os
 import sys
 import time
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import takewhile
 
@@ -83,27 +86,6 @@ _FIXTURES = {
 
 
 @dataclass
-class RunConfig:
-    command: str
-    tolerances: Tolerances
-    jobs: int
-    out: str | None
-    seed: int | None = None  # None where the command takes no --seed
-    trials: int | None = None  # None where the command takes no --trials
-    extra: dict = field(default_factory=dict)
-
-    def to_payload(self):
-        echoed = {"seed": self.seed, "trials": self.trials}
-        return {
-            "command": self.command,
-            **{key: value for key, value in echoed.items() if value is not None},
-            "jobs": self.jobs,
-            "tolerances": self.tolerances,
-            **self.extra,
-        }
-
-
-@dataclass
 class ExperimentReport:
     records: list
     aggregates: dict
@@ -111,7 +93,12 @@ class ExperimentReport:
     version: str = __version__
 
 
-def _config_from(args, command):
+# flags whose values name files: the handlers read them, the echo leaves them out
+_FILE_FLAGS = {"w1", "w2", "target", "sigma", "r", "w", "weights", "x", "y", "out"}
+
+
+def _tolerances(args):
+    """Checks the flags every command shares; returns the run's tolerances."""
     kwargs = {}
     for flag, name in (("--tol-rank", "rank_rel"), ("--tol-grad", "grad_abs"),
                        ("--tol-residual", "residual_abs")):
@@ -120,24 +107,32 @@ def _config_from(args, command):
             if not 0 < value < np.inf:
                 raise InputError(f"{flag} must be positive and finite, got {value}")
             kwargs[name] = value
-    seed, trials = getattr(args, "seed", None), getattr(args, "trials", None)
-    for flag, value in (("--seed", seed), ("--trials", trials)):
+    for flag in ("--seed", "--trials"):
+        value = getattr(args, flag[2:], None)
         if value is not None and value < 0:
             raise InputError(f"{flag} must be non-negative")
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
-    return RunConfig(command=command, tolerances=Tolerances(**kwargs), jobs=args.jobs,
-                     out=args.out, seed=seed, trials=trials)
+    return Tolerances(**kwargs)
 
 
-def _emit(config, payload):
+def _config(path, args, tol):
+    flags = vars(args)
+    config = {"command": " ".join(path)}
+    config.update((key, flags[key]) for key in ("seed", "trials", "jobs") if key in flags)
+    config["tolerances"] = tol
+    config.update((key, value) for key, value in flags.items() if key not in config
+                  and key not in _FILE_FLAGS and not key.startswith("tol_"))
+    return config
+
+
+def _emit(config, out, payload):
     try:
-        text = dump_json({"config": to_jsonable(config.to_payload()),
-                          "result": to_jsonable(payload)})
+        text = dump_json({"config": to_jsonable(config), "result": to_jsonable(payload)})
     except ValueError as exc:  # NaN or Inf somewhere in the result
         raise NumericalFailure(f"the result is not finite: {exc}") from exc
-    if config.out:
-        with open(config.out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
             fh.write("\n")
     else:
@@ -246,29 +241,26 @@ def gd_sweep(trials, seed, tol, dims=None, depth=2, dim_cap=4, x=None, y=None,
     )
 
 
-# -- command handlers: (args, config) -> payload -------------------------------
+# -- command handlers: (args, tol) -> payload ----------------------------------
 
 
 def _pair(args):
     return FactorPair(load_matrix(args.w1), load_matrix(args.w2))
 
 
-def _openness_check(args, config):
+def _openness_check(args, tol):
     pair = _pair(args)
-    payload = to_jsonable(check_openness(pair, config.tolerances))
+    payload = to_jsonable(check_openness(pair, tol))
     if args.witnesses:
-        wt1, wt2 = construct_witnesses(pair, config.tolerances)
+        wt1, wt2 = construct_witnesses(pair, tol)
         payload.update(witness_w1_tilde=wt1, witness_w2_tilde=wt2)
     return payload
 
 
-def _openness_probe(args, config):
-    config.extra["delta"] = args.delta
+def _openness_probe(args, tol):
     pair = _pair(args)
     start = time.perf_counter()
-    result = probe_openness(
-        pair, args.delta, config.trials, config.tolerances, seed=config.seed
-    )
+    result = probe_openness(pair, args.delta, args.trials, tol, seed=args.seed)
     return ExperimentReport(
         records=result.pop("per_trial"),
         aggregates=result,
@@ -276,20 +268,14 @@ def _openness_probe(args, config):
     )
 
 
-def _realize(args, config):
-    return realize(_pair(args), load_matrix(args.target), config.tolerances)
+def _realize(args, tol):
+    return realize(_pair(args), load_matrix(args.target), tol)
 
 
-def _ratio_sweep(args, config):
-    try:
-        deltas = [float(tok) for tok in args.deltas.split(",") if tok]
-    except ValueError as exc:
-        raise InputError(f"--deltas must be comma-separated reals: {exc}") from exc
+def _ratio_sweep(args, tol):
     pair = _pair(args)
     start = time.perf_counter()
-    table = measure_delta_ratio(
-        pair, deltas, config.trials, config.tolerances, seed=config.seed
-    )
+    table = measure_delta_ratio(pair, args.deltas, args.trials, tol, seed=args.seed)
     return ExperimentReport(
         records=table,
         aggregates={
@@ -301,29 +287,19 @@ def _ratio_sweep(args, config):
     )
 
 
-def _load_sigma_diag(path):
-    mat = load_matrix(path)
-    if 1 in mat.shape:
-        return mat.ravel()
-    if mat.shape[0] == mat.shape[1]:
-        off = mat - np.diag(np.diag(mat))
-        if np.abs(off).max() > 0:
-            raise InputError(f"{path}: sigma must be diagonal or a vector")
-        return np.diag(mat)
-    raise InputError(f"{path}: sigma must be diagonal or a vector")
+def _sym_solve(args, tol):
+    sigma = load_matrix(args.sigma)
+    if 1 not in sigma.shape:
+        raise InputError(f"{args.sigma}: sigma must be a 1 x n or n x 1 vector")
+    return solve_p(sigma.ravel(), load_matrix(args.r), tol)
 
 
-def _sym_solve(args, config):
-    sigma = _load_sigma_diag(args.sigma)
-    return solve_p(sigma, load_matrix(args.r), config.tolerances)
+def _sym_realize(args, tol):
+    return sym_realize(load_matrix(args.w), load_matrix(args.target), tol)
 
 
-def _sym_realize(args, config):
-    return sym_realize(load_matrix(args.w), load_matrix(args.target), config.tolerances)
-
-
-def _sym_certify(args, config):
-    return certify_bm_transfer(load_matrix(args.w), config.tolerances)
+def _sym_certify(args, tol):
+    return certify_bm_transfer(load_matrix(args.w), tol)
 
 
 def _load_point(args):
@@ -331,8 +307,8 @@ def _load_point(args):
     return NetworkPoint(weights, load_matrix(args.x), load_matrix(args.y))
 
 
-def _net_classify(args, config):
-    return classify(_load_point(args), tol=config.tolerances, seed=config.seed)
+def _net_classify(args, tol):
+    return classify(_load_point(args), tol=tol, seed=args.seed)
 
 
 def _instance(x, y, point):
@@ -341,49 +317,43 @@ def _instance(x, y, point):
             "gradient_norm": gradient_norm(gradient(point.weights, x, y))}
 
 
-def _net_counterexample(args, config):
-    dims = _parse_dims(args.dims)
-    x, y, point = counterexample_factory(dims)
-    return {"dims": list(dims), **_instance(x, y, point),
-            "global_value": global_value(min(dims), x, y, config.tolerances)}
+def _net_counterexample(args, tol):
+    x, y, point = counterexample_factory(args.dims)
+    return {"dims": list(args.dims), **_instance(x, y, point),
+            "global_value": global_value(min(args.dims), x, y, tol)}
 
 
-def _net_fixture(args, config):
+def _net_fixture(args, tol):
     maker = _FIXTURES.get(args.name)
     if maker is None:
         raise InputError(
             f"unknown fixture {args.name!r}; choose from {sorted(_FIXTURES)}"
         )
     x, y, point = maker()
-    report = classify(point, tol=config.tolerances, seed=config.seed)
+    report = classify(point, tol=tol, seed=args.seed)
     return {"name": args.name, **_instance(x, y, point), "classification": report}
 
 
-def _net_probe(args, config):
-    return local_min_probe(_load_point(args), tol=config.tolerances, seed=config.seed)
+def _net_probe(args, tol):
+    return local_min_probe(_load_point(args), tol=tol, seed=args.seed)
 
 
-def _net_gd_sweep(args, config):
-    dims = _parse_dims(args.dims) if args.dims else None
-    config.extra.update(dims=list(dims) if dims else None, depth=args.depth,
-                        dim_cap=args.dim_cap, max_iter=args.max_iter)
-    x = load_matrix(args.x) if args.x else None
-    y = load_matrix(args.y) if args.y else None
+def _net_gd_sweep(args, tol):
     return gd_sweep(
-        trials=config.trials,
-        seed=config.seed,
-        tol=config.tolerances,
-        dims=dims,
+        trials=args.trials,
+        seed=args.seed,
+        tol=tol,
+        dims=args.dims,
         depth=args.depth,
         dim_cap=args.dim_cap,
-        x=x,
-        y=y,
-        jobs=config.jobs,
+        x=load_matrix(args.x) if args.x else None,
+        y=load_matrix(args.y) if args.y else None,
+        jobs=args.jobs,
         max_iter=args.max_iter,
     )
 
 
-def _selftest(args, config):
+def _selftest(args, tol):
     from . import selftest
 
     only = None
@@ -397,17 +367,18 @@ def _selftest(args, config):
             raise InputError(
                 f"--only: no criteria {unknown}; choose from {sorted(selftest.CRITERIA)}"
             )
-    results = selftest.run_all(only=only, jobs=config.jobs)
+    results = selftest.run_all(only=only, jobs=args.jobs)
     for res in results:
         print(f"[{'PASS' if res.passed else 'FAIL'}] criterion {res.number}: "
               f"{res.name} ({res.seconds:.1f}s)")
-    if config.out:
-        with open(config.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(dump_json(to_jsonable(results)))
             fh.write("\n")
 
 
-def _parse_dims(text):
+# flag types: argparse passes the InputError of a bad value on unchanged
+def _dims(text):
     try:
         dims = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
@@ -417,6 +388,13 @@ def _parse_dims(text):
     if min(dims) < 1:
         raise InputError("--dims widths must be at least 1")
     return dims
+
+
+def _deltas(text):
+    try:
+        return [float(tok) for tok in text.split(",") if tok]
+    except ValueError as exc:
+        raise InputError(f"--deltas must be comma-separated reals: {exc}") from exc
 
 
 # -- the command table ---------------------------------------------------------
@@ -449,16 +427,18 @@ COMMANDS = {
         + _trials(50), _openness_probe),
     ("realize",): Command(_PAIR + _required("--target") + _TOL, _realize),
     ("realize", "ratio-sweep"): Command(
-        _PAIR + _required("--deltas") + _TOL + _SEED + _trials(5), _ratio_sweep),
+        _PAIR + (("--deltas", {"type": _deltas, "required": True}),) + _TOL + _SEED
+        + _trials(5), _ratio_sweep),
     ("sym", "solve"): Command(_required("--sigma", "--r") + _TOL, _sym_solve),
     ("sym", "realize"): Command(_required("--w", "--target") + _TOL, _sym_realize),
     ("sym", "certify"): Command(_required("--w") + _TOL, _sym_certify),
     ("net", "classify"): Command(_POINT + _TOL + _SEED, _net_classify),
-    ("net", "counterexample"): Command(_required("--dims") + _TOL, _net_counterexample),
+    ("net", "counterexample"): Command(
+        (("--dims", {"type": _dims, "required": True}),) + _TOL, _net_counterexample),
     ("net", "fixture"): Command(_required("--name") + _TOL + _SEED, _net_fixture),
     ("net", "probe"): Command(_POINT + _TOL + _SEED, _net_probe),
     ("net", "gd-sweep"): Command((
-        ("--dims", {}),
+        ("--dims", {"type": _dims}),
         ("--depth", {"type": int, "default": 2}),
         ("--dim-cap", {"type": int, "default": 4}),
         ("--x", {}),
@@ -506,10 +486,10 @@ def run(argv):
         words = " ".join(takewhile(lambda tok: not tok.startswith("-"), argv))
         raise InputError(f"unknown command {words!r}; choose from {_NAMES}")
     args = _leaf_parser(path).parse_args(argv[len(path):])
-    config = _config_from(args, " ".join(path))
-    payload = COMMANDS[path].handler(args, config)
+    tol = _tolerances(args)
+    payload = COMMANDS[path].handler(args, tol)
     if payload is not None:
-        _emit(config, payload)
+        _emit(_config(path, args, tol), args.out, payload)
     return 0
 
 

@@ -66,18 +66,6 @@ class DeltaTooLarge(DomainRefusal):
 class RadicandNegative(DeltaTooLarge):
     """A diagonal-recursion radicand dropped below its safety floor."""
 
-    def __init__(self, message, index, delta0=None):
-        super().__init__(message, delta0=delta0)
-        self.index = index
-
-
-class PivotTooSmall(DomainRefusal):
-    """A diagonal-recursion pivot dropped below its safety floor."""
-
-    def __init__(self, message, index):
-        super().__init__(message)
-        self.index = index
-
 
 class NotConstructible(DomainRefusal):
     """No layer-width pair admits the ``counterexample_factory`` construction."""

@@ -61,7 +61,11 @@ SAMPLER_ROUNDS = 80
 
 @dataclass
 class FactorPair:
-    """A point of the product map; ``w1`` is m-by-k, ``w2`` is k-by-n."""
+    """A point of the product map; ``w1`` is m-by-k, ``w2`` is k-by-n.
+
+    ``product`` is ``w1 @ w2``, formed once at construction; finite
+    factors whose product overflows raise ``NumericalFailure``.
+    ``rank_cap`` is ``min(m, n, k)``, the highest rank in the image."""
 
     w1: np.ndarray
     w2: np.ndarray
@@ -73,6 +77,9 @@ class FactorPair:
             raise InputError(
                 f"inner dimensions differ: w1 is {self.w1.shape}, w2 is {self.w2.shape}"
             )
+        self.product = self.w1 @ self.w2
+        if not np.isfinite(self.product).all():
+            raise NumericalFailure("the product w1 @ w2 overflows")
 
     @property
     def m(self):
@@ -87,8 +94,8 @@ class FactorPair:
         return self.w2.shape[1]
 
     @property
-    def product(self):
-        return self.w1 @ self.w2
+    def rank_cap(self):
+        return min(self.m, self.n, self.k)
 
 
 @dataclass
@@ -375,9 +382,8 @@ def probe_openness(pair, delta, trials, tol=DEFAULT_TOL, seed=0):
     if trials <= 0:
         raise InputError("trials must be a positive count")
     z = pair.product
-    rank_cap = min(pair.m, pair.n, pair.k)
     g = draw_directions(seed, trials, z.shape)
-    targets = sample_feasible_target(z, rank_cap, delta, g)
+    targets = sample_feasible_target(z, pair.rank_cap, delta, g)
     input_deltas = _norms(targets - z)
     fit = gauss_newton_recover(pair.w1, pair.w2, targets, delta, tol, seed=seed)
     success = fit["success"]

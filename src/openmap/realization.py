@@ -150,7 +150,7 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, tol):
 def _column_classification(st, sp_st_t, r, k, tol):
     """Permutation putting the pivot columns first, then the remaining
     independent columns, then fills up to k; returns (perm, coeff matrix
-    for the far block over the first k columns, rank of the target).
+    for the far block over the first k columns).
     ``sp_st_t`` is the ``Spectrum`` of ``st.T``."""
     bb = bounded_basis(st.T, tol, sp_st_t)
     basis = list(bb.basis_rows)
@@ -169,7 +169,7 @@ def _column_classification(st, sp_st_t, r, k, tol):
     # positions inside the front block (zeros for the dependent fillers)
     a_bar = np.zeros((k, len(far)))
     a_bar[[front.index(col) for col in basis]] = bb.coeffs[k - r_t :].T
-    return front + far, a_bar, r_t
+    return front + far, a_bar
 
 
 def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, sp1, tol):
@@ -190,9 +190,7 @@ def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, sp1, tol):
     st = u.T @ z_tilde @ v
     # st.T = (v.T V_z) S_z (u.T U_z).T for z_tilde = U_z S_z V_z.T
     sp_st_t = Spectrum(v.T @ sp_z.v, sp_z.s, u.T @ sp_z.u, sp_z.rank, sp_z.ambiguous)
-    perm, a_bar, r_t = _column_classification(st, sp_st_t, r, k, tol)
-    if r_t < r:
-        raise IllConditioned("target rank dropped below the product rank")
+    perm, a_bar = _column_classification(st, sp_st_t, r, k, tol)
     c1 = st[:, perm[:k]]
     rhs = np.hstack([c1[:, :r] - np.eye(m, r) * s[:r], c1[:, r:]]).T
 
@@ -253,11 +251,12 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
             f"target shape {z_tilde.shape} does not match the product "
             f"shape {(pair.m, pair.n)}"
         )
-    rank_cap = min(pair.m, pair.n, pair.k)
     sp_z = spectrum(z_tilde, tol)
     r_target = sp_z.rank
-    if r_target > rank_cap:
-        raise RankInfeasible(f"target rank {r_target} exceeds the image bound {rank_cap}")
+    if r_target > pair.rank_cap:
+        raise RankInfeasible(
+            f"target rank {r_target} exceeds the image bound {pair.rank_cap}"
+        )
     report, sp1, sp2, product_spectrum = _openness_and_spectra(pair, tol)
     if not report.open:
         raise NotOpen("the product map is not locally open at this pair")
@@ -279,7 +278,6 @@ def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=0):
     for delta in deltas:
         check_delta(delta)
     z = pair.product
-    rank_cap = min(pair.m, pair.n, pair.k)
     table = []
     for d_idx, delta in enumerate(deltas):
         row = {
@@ -291,7 +289,7 @@ def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=0):
             "errors": [],
         }
         g = draw_directions([seed, d_idx], trials, z.shape)
-        for target in sample_feasible_target(z, rank_cap, delta, g):
+        for target in sample_feasible_target(z, pair.rank_cap, delta, g):
             try:
                 wit = realize(pair, target, tol)
             except OpenMapError as exc:

@@ -7,7 +7,9 @@ unconditionally, so a constructive realization exists at every point:
   equation ``P + P.T + P @ inv(Sigma) @ P.T = R`` by a backward
   column-by-column sweep; each scalar equation is satisfied exactly on
   assignment and never revisited, and the solution obeys
-  ``max|P| <= 3 * max|R|`` whenever the radicand/pivot floors hold.
+  ``max|P| <= 3 * max|R|`` whenever every radicand stays above its
+  floor of 1/4.  That one floor also bounds every pivot: the pivot is
+  the radicand's square root, so it stays above 1/2.
 * ``sym_realize`` realizes a nearby PSD target of admissible rank as
   ``(W + A)(W + A).T`` through the block decomposition of the rotated
   target: the top block via ``solve_p``, the off-diagonal block by a
@@ -27,17 +29,14 @@ from .errors import (
     InputError,
     NotPSD,
     NumericalFailure,
-    PivotTooSmall,
     RadicandNegative,
     RankInfeasible,
 )
 from .matrixio import as_matrix
 from .numcore import DEFAULT_TOL, _sv_rank, lm_recover, null_space
 
-# safety floors from the diagonal recursion: radicands must stay above
-# 1/4 and pivots above 1/2 for the sweep to be well defined
+# safety floor of the diagonal recursion: radicands must stay above 1/4
 _RADICAND_FLOOR = 0.25
-_PIVOT_FLOOR = 0.5
 
 
 @dataclass
@@ -96,18 +95,13 @@ def solve_p(sigma_diag, r_mat, tol=DEFAULT_TOL):
                 f"diagonal radicand {radicand:.3e} at index {j} fell below "
                 f"{_RADICAND_FLOOR}; the perturbation is too large for this "
                 "spectrum",
-                index=j,
                 delta0=solve_p_delta0(sigma),
             )
         # positive square-root branch: the scalar quadratic demands the
-        # signed value, and the pivot below equals sqrt(radicand) > 0
+        # signed value, and the pivot below equals sqrt(radicand) >= 1/2,
+        # up to one rounding
         p[j, j] = (np.sqrt(radicand) - 1.0) / s[j]
         pivot = s[j] * p[j, j] + 1.0
-        if pivot < _PIVOT_FLOOR:
-            raise PivotTooSmall(
-                f"pivot {pivot:.3e} at index {j} fell below {_PIVOT_FLOOR}",
-                index=j,
-            )
         if j > 0:
             correction = p[:j, j + 1 :] @ (s[j + 1 :] * p[j, j + 1 :])
             p[:j, j] = (r_mat[:j, j] - correction) / pivot

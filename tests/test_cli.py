@@ -75,15 +75,66 @@ TRIALS = {("openness", "probe"): 50, ("realize", "ratio-sweep"): 5,
           ("net", "gd-sweep"): 20}
 
 
+# flags that name files, which the config echo leaves out, and a value
+# for each required flag that names none
+FILE_FLAGS = {"w1", "w2", "target", "sigma", "r", "w", "weights", "x", "y", "out"}
+TOL_FLAGS = {"tol_rank", "tol_grad", "tol_residual"}
+VALUES = {"deltas": "1e-3", "dims": "2,1,2", "name": "intro"}
+
+
 @pytest.mark.parametrize("path", sorted(COMMANDS))
 def test_seed_and_trials_go_only_to_the_commands_that_read_them(path):
-    defaults = {action.dest: action.default for action in cli._leaf_parser(path)._actions}
+    parser = cli._leaf_parser(path)
+    actions = [action for action in parser._actions if action.dest != "help"]
+    defaults = {action.dest: action.default for action in actions}
     assert ("seed" in defaults) == (path in SEEDED)
     assert defaults.get("trials") == TRIALS.get(path)
     assert ("tol_rank" in defaults) == (path != ("selftest",))
-    config = cli._config_from(argparse.Namespace(**defaults), " ".join(path)).to_payload()
+    # every file flag gets a path, optional ones included
+    argv, files = [], []
+    for action in actions:
+        if action.dest in FILE_FLAGS:
+            files.append(f"{action.dest}.json")
+            argv += [action.option_strings[0], files[-1]]
+        elif action.required:
+            argv += [action.option_strings[0], VALUES[action.dest]]
+    args = parser.parse_args(argv)
+    config = cli._config(path, args, cli._tolerances(args))
+    head = ["command", *(key for key in ("seed", "trials") if key in defaults),
+            "jobs", "tolerances"]
+    assert list(config)[:len(head)] == head
+    for dest in defaults:
+        assert (dest in config) != (dest in FILE_FLAGS | TOL_FLAGS), dest
+    assert not any(value in files for value in config.values())
     assert ("seed" in config) == (path in SEEDED)
     assert config.get("trials") == TRIALS.get(path)
+
+
+def test_out_writes_the_line_stdout_would_hold(tmp_path, capsys):
+    argv = ["net", "counterexample", "--dims", "2,1,1,2", "--jobs", "1"]
+    assert main(argv) == 0
+    line = capsys.readouterr().out
+    out = tmp_path / "payload.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == line
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["net", "counterexample", "--dims", "2,1,2", "--jobs", "0"],
+     "--jobs must be at least 1"),
+    (["realize", "ratio-sweep", "--w1", "a.json", "--w2", "b.json", "--deltas", "1e-3,x"],
+     "--deltas must be comma-separated reals: could not convert string to float: 'x'"),
+    (["net", "counterexample", "--dims", "2"], "--dims needs at least two widths"),
+    (["net", "gd-sweep", "--dims", "2"], "--dims needs at least two widths"),
+    (["net", "counterexample", "--dims", "a,b"],
+     "--dims must be comma-separated integers: invalid literal for int() with base 10: 'a'"),
+    (["net", "gd-sweep", "--dims", "a,b"],
+     "--dims must be comma-separated integers: invalid literal for int() with base 10: 'a'"),
+])
+def test_a_bad_flag_value_exits_2_with_its_message(argv, message, capsys):
+    assert main(argv) == 2
+    assert _error(capsys) == {"error": "InputError", "message": message, "exit_code": 2}
 
 
 @pytest.mark.parametrize("argv", [
@@ -404,3 +455,44 @@ def test_a_non_finite_distance_exits_2_naming_delta(argv, value, tmp_path, capsy
     assert _error(capsys) == {"error": "InputError",
                               "message": f"delta must be finite, got {value}",
                               "exit_code": 2}
+
+
+@pytest.mark.parametrize("shapes, message", [
+    (((1, 2), (1, 1), (1, 1), (1, 1)), "weight chain dimensions do not compose"),
+    (((1, 1), (2, 1), (1, 1)), "input row count does not match the first layer"),
+    (((1, 1), (1, 1), (2, 1)), "target row count does not match the last layer"),
+    (((1, 1), (1, 1), (1, 2)), "input and target sample counts differ"),
+])
+def test_a_network_whose_shapes_do_not_fit_exits_2(shapes, message, tmp_path, capsys):
+    *weights, x, y = (np.ones(shape) for shape in shapes)
+    (tmp_path / "w.json").write_text(json.dumps([matrix_to_payload(w) for w in weights]))
+    argv = ["net", "classify", "--weights", str(tmp_path / "w.json"),
+            "--x", _write(tmp_path, "x", x), "--y", _write(tmp_path, "y", y), "--jobs", "1"]
+    assert main(argv) == 2
+    assert _error(capsys) == {"error": "InputError", "message": message, "exit_code": 2}
+
+
+def test_a_square_sigma_exits_2_naming_the_vector_forms(tmp_path, capsys):
+    argv = ["sym", "solve", "--sigma", _write(tmp_path, "sigma", np.diag([1.0, 2.0])),
+            "--r", _write(tmp_path, "r", np.zeros((2, 2))), "--jobs", "1"]
+    assert main(argv) == 2
+    err = _error(capsys)
+    assert err["error"] == "InputError"
+    assert "1 x n or n x 1" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["openness", "check", "--w1", "{w1}", "--w2", "{w2}"],
+    ["openness", "probe", "--w1", "{w1}", "--w2", "{w2}", "--trials", "2"],
+    ["realize", "--w1", "{w1}", "--w2", "{w2}", "--target", "{w1}"],
+    ["realize", "ratio-sweep", "--w1", "{w1}", "--w2", "{w2}", "--deltas", "1e-3",
+     "--trials", "2"],
+])
+def test_factors_whose_product_overflows_exit_4(argv, tmp_path, capsys):
+    # both factors are finite, w1 @ w2 is not
+    paths = {"w1": _write(tmp_path, "w1", [[1e200, 1.0], [1.0, 1.0]]),
+             "w2": _write(tmp_path, "w2", [[1e200, 1.0], [0.0, 1.0]])}
+    assert main([tok.format(**paths) for tok in argv] + ["--jobs", "1"]) == 4
+    assert _error(capsys) == {"error": "NumericalFailure",
+                              "message": "the product w1 @ w2 overflows",
+                              "exit_code": 4}

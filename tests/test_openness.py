@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from openmap.errors import InputError, NotOpen
+from openmap.errors import InputError, NotOpen, NumericalFailure
 from openmap.numcore import DEFAULT_TOL, rank, spectrum, truncated_svd
 from openmap.openness import (
     REGIME_DEFICIENT,
@@ -107,6 +107,17 @@ class TestCheckOpenness:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InputError):
             pair(np.eye(2), np.eye(3))
+
+    def test_a_product_that_overflows_is_a_numerical_failure(self):
+        # both factors are finite, w1 @ w2 is not
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericalFailure, match="the product w1 @ w2 overflows"):
+            pair([[1e200, 1.0], [1.0, 1.0]], [[1e200, 1.0], [0.0, 1.0]])
+
+    def test_product_and_rank_cap(self):
+        p = pair(np.ones((4, 2)), np.ones((2, 3)))
+        assert np.array_equal(p.product, np.full((4, 3), 2.0))
+        assert p.rank_cap == 2
 
     def test_one_decomposition_per_matrix(self, monkeypatch):
         # generic 4x2 . 2x5 pair: both subspace intersections are trivial,
