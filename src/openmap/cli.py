@@ -357,7 +357,7 @@ def _selftest(args, tol):
     from . import selftest
 
     only = None
-    if args.only:
+    if args.only is not None:
         try:
             only = {int(tok) for tok in args.only.split(",")}
         except ValueError as exc:

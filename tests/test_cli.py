@@ -131,9 +131,12 @@ def test_out_writes_the_line_stdout_would_hold(tmp_path, capsys):
      "--dims must be comma-separated integers: invalid literal for int() with base 10: 'a'"),
     (["net", "gd-sweep", "--dims", "a,b"],
      "--dims must be comma-separated integers: invalid literal for int() with base 10: 'a'"),
+    (["openness", "probe", "--w1", "{w1}", "--w2", "{w2}", "--delta", "1e-5", "--trials", "0"],
+     "trials must be a positive count"),
 ])
-def test_a_bad_flag_value_exits_2_with_its_message(argv, message, capsys):
-    assert main(argv) == 2
+def test_a_bad_flag_value_exits_2_with_its_message(argv, message, tmp_path, capsys):
+    paths = _open_pair_paths(tmp_path)
+    assert main([tok.format(**paths) for tok in argv]) == 2
     assert _error(capsys) == {"error": "InputError", "message": message, "exit_code": 2}
 
 
@@ -439,6 +442,24 @@ def test_a_non_finite_tolerance_exits_2_naming_its_flag(flag, value, tmp_path, c
     assert _error(capsys) == {"error": "InputError",
                               "message": f"{flag} must be positive and finite, got {value}",
                               "exit_code": 2}
+
+
+def test_valid_tolerance_flags_reach_the_run(tmp_path, capsys):
+    tols = ["--tol-rank", "1e-12", "--tol-grad", "1e-6", "--tol-residual", "1e-9"]
+    assert main(["net", "fixture", "--name", "intro", *tols, "--jobs", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["tolerances"] == {
+        "rank_rel": 1e-12, "grad_abs": 1e-6, "residual_abs": 1e-9}
+    # a scalar chain whose gradient norm, 1.4e-7, lies between the default
+    # --tol-grad 1e-9 and 1e-6
+    (tmp_path / "w.json").write_text(json.dumps([matrix_to_payload(np.ones((1, 1)))] * 2))
+    argv = ["net", "classify", "--weights", str(tmp_path / "w.json"),
+            "--x", _write(tmp_path, "x", [[1.0]]), "--y", _write(tmp_path, "y", [[1.0 + 1e-7]]),
+            "--jobs", "1"]
+    statuses = []
+    for extra in ([], ["--tol-grad", "1e-6"]):
+        assert main(argv + extra) == 0
+        statuses.append(json.loads(capsys.readouterr().out)["result"]["status"])
+    assert statuses[0] == "NotCritical" != statuses[1]
 
 
 @pytest.mark.parametrize("argv, value", [

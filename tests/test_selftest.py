@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from openmap import selftest
+from openmap import realization, selftest
 from openmap.cli import main
+from openmap.errors import NumericalFailure
 
 # criteria fast enough for tier-1, with the runtime check each one carries;
 # 3 and 8 take a minute or more and run in tests/test_selftest_slow.py
@@ -22,6 +23,9 @@ FAST_CRITERIA = {
 
 @pytest.mark.parametrize("number", sorted(FAST_CRITERIA))
 def test_fast_criterion_passes_inside_its_budget(number):
+    # the registry holds every criterion under its own number and name
+    assert sorted(selftest.CRITERIA) == list(range(1, 11))
+    assert selftest.CRITERIA[number] is getattr(selftest, f"criterion_{number}")
     res = selftest.CRITERIA[number]()
     assert res.number == number
     checks = res.details["checks"]
@@ -41,10 +45,25 @@ def test_fast_criterion_passes_inside_its_budget(number):
         assert res.details["escape_coefficients"][4] == ("-1/2" if number == 1 else "-2")
 
 
-@pytest.mark.parametrize("only", ["x", "42", "4,0"])
-def test_only_rejects_unknown_criteria(only, capsys):
+@pytest.mark.parametrize("only", ["x", "42", "4,0", ""])
+def test_only_rejects_unknown_criteria(only, monkeypatch, capsys):
+    def fail(only=None, jobs=1):
+        raise AssertionError(f"run_all called with only={only}")
+
+    monkeypatch.setattr(selftest, "run_all", fail)
     assert main(["selftest", "--only", only]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "InputError"
+
+
+def test_criterion_4_counts_a_numerical_failure_as_a_failed_check(monkeypatch):
+    def fail(pair, target, tol):
+        raise NumericalFailure("realized product misses the target")
+
+    monkeypatch.setattr(realization, "realize", fail)
+    res = selftest.criterion_4()
+    assert not res.passed
+    assert res.details["checks"]["no_failures"] is False
+    assert res.details["failures"][0] == "NumericalFailure at delta=0.001"
 
 
 def test_jobs_reaches_run_all(monkeypatch):

@@ -12,6 +12,10 @@ def test_criterion_8_passes_inside_its_budget():
     checks = res.details["checks"]
     assert res.passed, checks
     assert list(checks)[-1] == "runtime_under_10min"
+    # the converged endpoints criterion 7's accounting would not explain:
+    # at most the two that drift along the rescaling symmetry
+    drift = {((1, 1, 1, 1, 2), 100, 25), ((1, 1, 1, 1, 2), 100, 60)}
+    assert set(res.details["unexplained_endpoints"]) <= drift
 
 
 @pytest.mark.slow
