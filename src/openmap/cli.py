@@ -107,10 +107,10 @@ def _tolerances(args):
             if not 0 < value < np.inf:
                 raise InputError(f"{flag} must be positive and finite, got {value}")
             kwargs[name] = value
-    for flag in ("--seed", "--trials"):
-        value = getattr(args, flag[2:], None)
-        if value is not None and value < 0:
-            raise InputError(f"{flag} must be non-negative")
+    if getattr(args, "seed", 0) < 0:
+        raise InputError("--seed must be non-negative")
+    if getattr(args, "trials", 1) < 1:
+        raise InputError("trials must be a positive count")
     if args.jobs < 1:
         raise InputError("--jobs must be at least 1")
     return Tolerances(**kwargs)
@@ -392,9 +392,12 @@ def _dims(text):
 
 def _deltas(text):
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        deltas = [float(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise InputError(f"--deltas must be comma-separated reals: {exc}") from exc
+    if not deltas:
+        raise InputError("--deltas needs at least one distance")
+    return deltas
 
 
 # -- the command table ---------------------------------------------------------

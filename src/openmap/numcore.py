@@ -9,7 +9,8 @@ batched solver behind the recovery oracles.
   decomposed once.
 * A subspace is an array of orthonormal columns read off a ``Spectrum``:
   ``null_space`` and ``column_space`` return such slices, and
-  ``intersection_dim`` takes two of them.
+  ``intersection_dim`` takes two of them, whose one principal-angle SVD
+  counts their intersection and orders the first basis against the second.
 * ``truncated_svd`` takes a matrix or a ``(..., m, n)`` stack, as
   ``rank`` and ``singular_values`` do; ``_row_dots`` gives the squared
   row norms that ``np.linalg.norm`` computes, bit for bit.
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IllConditioned, InputError, NotRankDeficient, NumericalFailure
+from .errors import InputError, NotRankDeficient, NumericalFailure
 from .matrixio import as_matrix
 
 EPS = float(np.finfo(float).eps)
@@ -206,32 +207,24 @@ def column_space(mat, tol=DEFAULT_TOL):
 
 
 def intersection_dim(basis1, basis2, tol=DEFAULT_TOL):
-    """Dimension of the intersection of two subspaces, each given by an
-    array of orthonormal columns (a column slice of a ``Spectrum``).
+    """``(dim, ordered)`` for two subspaces, each given by an array of
+    orthonormal columns (a column slice of a ``Spectrum``): the dimension of
+    their intersection, and ``basis1`` farthest from ``span(basis2)`` first.
 
-    Computed two independent ways -- the dimension identity
-    ``dim(U) + dim(V) - rank([B1 B2])`` and the count of principal-angle
-    cosines at 1 -- and cross-checked.  Disagreement means the instance
-    sits too close to the rank threshold for a verdict.
+    One SVD ``basis1ᵀ basis2 = p diag(cos) qᵀ`` gives both (Björck & Golub):
+    the count of principal-angle cosines at 1, and ``basis1 @ p[:, ::-1]``.
+    An empty basis meets nothing, and ``basis1`` comes back as given.
     """
     if basis1.shape[0] != basis2.shape[0]:
         raise InputError("subspace bases live in different ambient dimensions")
-    d1, d2 = basis1.shape[1], basis2.shape[1]
-    if d1 == 0 or d2 == 0:
-        return 0
-    by_rank = d1 + d2 - rank(np.hstack([basis1, basis2]), tol)
-    cos = np.clip(np.linalg.svd(basis1.T @ basis2, compute_uv=False), 0.0, 1.0)
+    if basis1.shape[1] == 0 or basis2.shape[1] == 0:
+        return 0, basis1
+    p, cos, _ = np.linalg.svd(basis1.T @ basis2)
     # the cosines carry rounding from two SVD layers, so the threshold
     # keeps a floor of a few dozen ulps below exact alignment
     thr = tol.rank_rel if tol.rank_rel is not None else EPS * max(basis1.shape[0], 2)
     thr = max(thr, 64.0 * EPS)
-    by_angles = int(np.sum(cos >= 1.0 - thr))
-    if by_rank != by_angles:
-        raise IllConditioned(
-            "subspace intersection dimension is ambiguous: "
-            f"rank identity gives {by_rank}, principal angles give {by_angles}"
-        )
-    return by_rank
+    return int(np.sum(cos >= 1.0 - thr)), basis1 @ p[:, ::-1]
 
 
 def _pivot_rows(u, s):

@@ -113,16 +113,17 @@ def check_openness(pair, tol=DEFAULT_TOL):
     """Decide local openness of the product map at ``pair`` in its range.
 
     Raises ``IllConditioned`` when a rank decision sits inside the
-    ambiguity band or the two intersection-dimension computations
-    disagree; near the rank threshold no verdict is trustworthy.
+    ambiguity band or a rank identity disagrees with the principal angles;
+    near the rank threshold no verdict is trustworthy.
     """
     return _openness_and_spectra(pair, tol)[0]
 
 
 def _openness_and_spectra(pair, tol):
-    """``check_openness``'s report with the ``Spectrum`` of ``w1``, of
-    ``w2`` and of the product it read the ranks from: the one SVD of each
-    factor, off which the completion paths read their inputs too."""
+    """``check_openness``'s report, the ``Spectrum`` of ``w1``, ``w2`` and
+    the product (one SVD each, read by the completion paths too), and the
+    null bases the angle check ordered: ``N(w1)`` farthest from ``C(w2)``
+    first, and ``N(w2ᵀ)`` farthest from ``C(w1ᵀ)`` first."""
     m, k, n = pair.m, pair.k, pair.n
     sp1, sp2, spp = (spectrum(mat, tol) for mat in (pair.w1, pair.w2, pair.product))
     for name, sp in (("w1", sp1), ("w2", sp2), ("product", spp)):
@@ -134,17 +135,19 @@ def _openness_and_spectra(pair, tol):
 
     # dim(N(w1) & C(w2)) and dim(N(w2.T) & C(w1.T)) via the rank identity,
     # each cross-checked against principal angles on bases read off the
-    # spectra
+    # spectra, whose SVD also orders each null basis for the completions
     d_nc, d_cn = r2 - rp, r1 - rp
+    ordered = []
     for label, d_id, null_cols, col_cols in (
         ("intersection", d_nc, sp1.v[:, r1:], sp2.u[:, :r2]),
         ("transposed intersection", d_cn, sp2.u[:, r2:], sp1.v[:, :r1]),
     ):
-        d_angles = intersection_dim(null_cols, col_cols, tol)
+        d_angles, basis = intersection_dim(null_cols, col_cols, tol)
         if d_id != d_angles:
             raise IllConditioned(
                 f"{label} dim mismatch: rank identity {d_id}, angles {d_angles}"
             )
+        ordered.append(basis)
 
     if k >= min(m, n):
         # image is the whole space; openness iff some one-sided completion
@@ -177,37 +180,36 @@ def _openness_and_spectra(pair, tol):
         rank_product=rp,
         intersection_dim=int(d_nc),
         condition_flags=flags,
-    ), sp1, sp2, spp
+    ), sp1, sp2, spp, *ordered
 
 
 def null_completion(w, basis, sp, tol=DEFAULT_TOL, scales=None, transposed=False):
     """Per scale, ``(wt, u, sv, v)``: ``wt`` with columns in the span of the
     orthonormal ``basis`` making ``w + wt`` full rank, and the reduced SVD
     of ``w + wt`` (of ``(w + wt).T`` when ``transposed``) that verified it;
-    ``None`` where the rank is missed.  ``sp`` is the ``Spectrum`` of ``w``:
-    pass ``N(w1) = sp1.v[:, r1:]`` and ``sp2`` for ``w = w2``, and
-    ``N(w2.T) = sp2.u[:, r2:]`` and ``sp1.T`` for ``w = w1.T``.  The default
-    scale is half the least counted singular value of ``w``.
+    ``None`` where the rank is missed.  ``sp`` is the ``Spectrum`` of ``w``
+    and ``basis`` an ordered null basis of ``_openness_and_spectra``: its
+    ``N(w1)`` with ``sp2`` for ``w = w2``, its ``N(w2.T)`` with ``sp1.T``
+    for ``w = w1.T``.  The default scale is half the least counted
+    singular value of ``w``.
 
     Closed form, with ``r = sp.rank`` and ``t = min(w.shape) - r``: a basis
-    of fewer than ``t`` columns fails; one of more is cut to its ``t``
-    directions farthest outside ``C(w)``, the top right singular vectors of
-    ``P = sp.u[:, r:].T @ basis``; then ``wt = scale * basis @ G.T`` with
-    ``G = sp.v[:, r:r + t]``.  As ``w + wt = [u_r diag(s_r) | scale basis]
-    [v_r | G].T`` and ``[v_r | G]`` is orthonormal, ``rank(w + wt) = r +
-    rank(P)``.  For ``w = w2``, ``P`` has rank ``(k - r1) - d_nc`` before
-    the cut, which reaches ``t = n - r2`` exactly when
-    ``w2_completion_exists`` holds; for ``w = w1.T`` likewise with
-    ``w1_completion_exists``."""
+    of fewer than ``t`` columns fails; else ``wt = scale * B @ G.T`` with
+    ``B = basis[:, :t]`` and ``G = sp.v[:, r:r + t]``.  As ``w + wt = [u_r
+    diag(s_r) | scale B] [v_r | G].T`` and ``[v_r | G]`` is orthonormal,
+    ``rank(w + wt) = r + rank(P)`` with ``P = sp.u[:, r:].T @ B``.  The
+    basis lies on its principal vectors against ``C(w)``, so ``P`` has
+    orthogonal columns whose norms are the sines of the angles, largest
+    first.  For ``w = w2``, before the cut ``rank(P) = (k - r1) - d_nc``,
+    which reaches ``t = n - r2`` exactly when ``w2_completion_exists``
+    holds; for ``w = w1.T`` likewise with ``w1_completion_exists``."""
     r = sp.rank
     t = min(w.shape) - r
     if scales is None:
         scales = [0.5 * float(sp.s[r - 1]) if r else 1.0]
     if basis.shape[1] < t:
         return [None] * len(scales)
-    if basis.shape[1] > t:
-        basis = basis @ svd(sp.u[:, r:].T @ basis, full_matrices=False)[2][:, :t]
-    g = sp.v[:, r:r + t]
+    basis, g = basis[:, :t], sp.v[:, r:r + t]
 
     def complete(scale):
         wt = scale * basis @ g.T
@@ -229,13 +231,13 @@ def construct_witnesses(pair, tol=DEFAULT_TOL):
     have rank ``k``, and the witnesses are zero); a completion that misses
     the full rank contradicts the rank arithmetic and raises
     ``IllConditioned``."""
-    report, sp1, sp2, _ = _openness_and_spectra(pair, tol)
+    report, sp1, sp2, _, null1, null2t = _openness_and_spectra(pair, tol)
     if report.regime != REGIME_DEFICIENT or not report.open:
         raise NotOpen(
             "witnesses exist only at open points of the rank-deficient regime"
         )
-    (c2,) = null_completion(pair.w2, sp1.v[:, sp1.rank:], sp2, tol)
-    (c1,) = null_completion(pair.w1.T, sp2.u[:, sp2.rank:], sp1.T, tol)
+    (c2,) = null_completion(pair.w2, null1, sp2, tol)
+    (c1,) = null_completion(pair.w1.T, null2t, sp1.T, tol)
     if c1 is None or c2 is None:
         raise IllConditioned(
             "the null-space completion missed the full rank the openness check "

@@ -26,7 +26,8 @@ inside the other's null space in closed form, along the right singular
 vectors it lacks, so it succeeds exactly where the openness flag says a
 completion exists, with no seed and no retry; the SVD that verified the
 completed factor's rank gives its pseudo-inverse.  Every spectrum of
-``w1``, ``w2`` and the product is the one the openness check took.
+``w1``, ``w2`` and the product, and each angle-ordered null basis, is
+the one the openness check took.
 """
 
 from dataclasses import dataclass
@@ -109,12 +110,13 @@ def _pinv(u, sv, v):
     return v @ ((1 / sv)[:, None] * u.T)
 
 
-def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, tol):
-    """Direct completion in the regime where the image is everything;
-    ``sp1`` and ``sp2`` are the ``Spectrum`` of ``pair.w1`` and ``pair.w2``.
-    A factor of full rank on its side is inverted off its spectrum; else
-    each flagged side is completed (the flags force ``k >= m``, or
-    ``k >= n``) at five scales, and the least witness wins."""
+def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, null1, null2t, tol):
+    """Direct completion in the regime where the image is everything, off
+    the openness check's ``Spectrum`` of ``pair.w1`` and ``pair.w2`` and
+    its ordered ``N(w1)`` and ``N(w2.T)``.  A factor of full rank on its
+    side is inverted off its spectrum; else each flagged side is completed
+    (the flags force ``k >= m``, or ``k >= n``) at five scales, and the
+    least witness wins."""
     m, n = pair.m, pair.n
     w1, w2 = pair.w1, pair.w2
     r_delta = z_tilde - pair.product
@@ -132,10 +134,9 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, tol):
     flags = rep.condition_flags
     c1s = c2s = [None] * len(scales)
     if flags["w1_completion_exists"]:
-        c1s = null_completion(w1.T, sp2.u[:, sp2.rank:], sp1.T, tol, scales=scales,
-                              transposed=True)
+        c1s = null_completion(w1.T, null2t, sp1.T, tol, scales=scales, transposed=True)
     if flags["w2_completion_exists"]:
-        c2s = null_completion(w2, sp1.v[:, sp1.rank:], sp2, tol, scales=scales)
+        c2s = null_completion(w2, null1, sp2, tol, scales=scales)
 
     def candidates():
         for s, c1, c2 in zip(scales, c1s, c2s):
@@ -257,7 +258,7 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
         raise RankInfeasible(
             f"target rank {r_target} exceeds the image bound {pair.rank_cap}"
         )
-    report, sp1, sp2, product_spectrum = _openness_and_spectra(pair, tol)
+    report, sp1, sp2, spp, null1, null2t = _openness_and_spectra(pair, tol)
     if not report.open:
         raise NotOpen("the product map is not locally open at this pair")
     input_delta = float(np.linalg.norm(z_tilde - pair.product))
@@ -265,10 +266,10 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
         return _witness(pair, np.zeros_like(pair.w1), np.zeros_like(pair.w2),
                         z_tilde, 0.0, tol, None)
     if report.regime == REGIME_DEFICIENT:
-        return _realize_rank_deficient(
-            pair, z_tilde, input_delta, product_spectrum, sp_z, sp1, tol
-        )
-    return _realize_full_rank(pair, z_tilde, input_delta, report, sp1, sp2, tol)
+        return _realize_rank_deficient(pair, z_tilde, input_delta, spp, sp_z, sp1, tol)
+    return _realize_full_rank(
+        pair, z_tilde, input_delta, report, sp1, sp2, null1, null2t, tol
+    )
 
 
 def measure_delta_ratio(pair, deltas, trials, tol=DEFAULT_TOL, seed=0):

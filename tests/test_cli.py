@@ -133,6 +133,11 @@ def test_out_writes_the_line_stdout_would_hold(tmp_path, capsys):
      "--dims must be comma-separated integers: invalid literal for int() with base 10: 'a'"),
     (["openness", "probe", "--w1", "{w1}", "--w2", "{w2}", "--delta", "1e-5", "--trials", "0"],
      "trials must be a positive count"),
+    (["realize", "ratio-sweep", "--w1", "{w1}", "--w2", "{w2}", "--deltas", "1e-3",
+      "--trials", "0"], "trials must be a positive count"),
+    (["net", "gd-sweep", "--dims", "2,1,2", "--trials", "0"], "trials must be a positive count"),
+    (["realize", "ratio-sweep", "--w1", "{w1}", "--w2", "{w2}", "--deltas", ","],
+     "--deltas needs at least one distance"),
 ])
 def test_a_bad_flag_value_exits_2_with_its_message(argv, message, tmp_path, capsys):
     paths = _open_pair_paths(tmp_path)

@@ -163,17 +163,19 @@ class TestIntersectionDim:
         n1 = null_space(np.array([[1.0], [2.0]]).T)  # W1 = [1;2]: N(W1^T W?) ...
         # N of a 1x2 row [1 2]: dim 1; against zero-dim column space
         c2 = column_space(np.zeros((2, 2)))
-        assert intersection_dim(n1, c2) == 0
+        d, ordered = intersection_dim(n1, c2)
+        assert d == 0
+        assert ordered is n1
 
     def test_same_line(self):
         e1 = np.array([[1.0], [0.0]])
         b = column_space(e1)
-        assert intersection_dim(b, b) == 1
+        assert intersection_dim(b, b)[0] == 1
 
     def test_rank_identity_example(self):
         w1 = np.array([[1.0, 0.0], [0.0, 0.0]])
         w2 = np.array([[0.0, 0.0], [1.0, 0.0]])
-        d = intersection_dim(null_space(w1), column_space(w2))
+        d, _ = intersection_dim(null_space(w1), column_space(w2))
         assert d == 1
         assert d == rank(w2) - rank(w1 @ w2)
 
@@ -194,8 +196,31 @@ class TestIntersectionDim:
             ):
                 continue
             expected = rank(w2) - rank(w1 @ w2)
-            got = intersection_dim(null_space(w1), column_space(w2))
+            got, _ = intersection_dim(null_space(w1), column_space(w2))
             assert got == expected
+
+    def test_ordered_basis_spans_basis1_farthest_from_basis2_first(self):
+        # orthonormal, the same projector as basis1, and its columns'
+        # cosines against basis2 ascending; a column basis2 misses
+        # entirely (more columns than basis2 has) leads with cosine 0
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            a = int(rng.integers(1, 7))
+            d1, d2 = (int(x) for x in rng.integers(1, a + 1, size=2))
+            b1 = np.linalg.qr(rng.standard_normal((a, d1)))[0]
+            b2 = np.linalg.qr(rng.standard_normal((a, d2)))[0]
+            if rng.random() < 0.5 and min(d1, d2) > 1:
+                # share a direction, so the last cosine sits at 1
+                b2 = np.linalg.qr(np.hstack([b1[:, :1], b2[:, 1:]]))[0]
+                assert intersection_dim(b1, b2)[0] >= 1
+            _, ordered = intersection_dim(b1, b2)
+            assert ordered.shape == b1.shape
+            assert np.allclose(ordered.T @ ordered, np.eye(d1), rtol=0, atol=1e-13)
+            assert np.allclose(ordered @ ordered.T, b1 @ b1.T, rtol=0, atol=1e-13)
+            cos = np.linalg.norm(ordered.T @ b2, axis=1)
+            assert np.all(np.diff(cos) >= -1e-13)
+            if d1 > d2:
+                assert np.all(cos[: d1 - d2] <= 1e-13)
 
     def test_ambient_mismatch(self):
         with pytest.raises(InputError):

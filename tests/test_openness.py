@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from openmap.errors import InputError, NotOpen, NumericalFailure
+from openmap import openness
+from openmap.errors import IllConditioned, InputError, NotOpen, NumericalFailure
 from openmap.numcore import DEFAULT_TOL, rank, spectrum, truncated_svd
 from openmap.openness import (
     REGIME_DEFICIENT,
@@ -136,6 +137,65 @@ class TestCheckOpenness:
         assert rep.open and rep.regime == REGIME_DEFICIENT
         assert calls == [(4, 2), (2, 5), (4, 5)]
 
+    def test_one_angle_svd_per_nontrivial_intersection(self, monkeypatch):
+        # w1 = diag(1, 1, 0), w2 = e1 e1ᵀ: N(w1) = span(e3) meets C(w2) =
+        # span(e1) and N(w2ᵀ) = span(e2, e3) meets C(w1ᵀ) = span(e1, e2);
+        # beyond the three spectra, each pair takes the one SVD of its
+        # cosine matrix
+        w2 = np.zeros((3, 3))
+        w2[0, 0] = 1.0
+        p = pair(np.diag([1.0, 1.0, 0.0]), w2)
+        calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        rep = check_openness(p)
+        assert rep.open and rep.regime == REGIME_FULL
+        assert calls == [(3, 3), (3, 3), (3, 3), (1, 1), (2, 2)]
+
+    def test_subspace_rank_agrees_with_the_angles_near_the_threshold(self, monkeypatch):
+        # 2,000 pairs, m, k, n <= 5, each factor of random rank with its
+        # singular values graded over up to 15 decades, and 1e-13 noise on
+        # half of the w2s: on every intersection of two non-empty
+        # subspaces the check meets, the rank identity dim U + dim V -
+        # rank([B1 B2]) gives the count of principal-angle cosines at 1
+        rng = np.random.default_rng(3)
+
+        def graded(rows, cols):
+            r = int(rng.integers(0, min(rows, cols) + 1))
+            u = np.linalg.qr(rng.standard_normal((rows, rows)))[0][:, :r]
+            v = np.linalg.qr(rng.standard_normal((cols, cols)))[0][:, :r]
+            return (u * np.logspace(0, -rng.uniform(0, 15), r)) @ v.T
+
+        real = openness.intersection_dim
+        counts = []  # (by the [B1 B2] rank, by the angles)
+
+        def spy(basis1, basis2, tol):
+            got = real(basis1, basis2, tol)
+            if basis1.shape[1] and basis2.shape[1]:
+                by_rank = (basis1.shape[1] + basis2.shape[1]
+                           - rank(np.hstack([basis1, basis2]), tol))
+                counts.append((by_rank, got[0]))
+            return got
+
+        monkeypatch.setattr(openness, "intersection_dim", spy)
+        ill = 0
+        for _ in range(2000):
+            m, k, n = (int(x) for x in rng.integers(1, 6, size=3))
+            w1, w2 = graded(m, k), graded(k, n)
+            if rng.random() < 0.5:
+                w2 = w2 + 1e-13 * rng.standard_normal((k, n))
+            try:
+                check_openness(pair(w1, w2))
+            except IllConditioned:
+                ill += 1
+        assert [c for c in counts if c[0] != c[1]] == []
+        assert len(counts) > 1000 and ill > 0
+
 
 class TestConstructWitnesses:
     def test_full_rank_factors_trivial_witnesses(self):
@@ -178,7 +238,7 @@ class TestConstructWitnesses:
         w2 = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         wt1, wt2 = construct_witnesses(pair(w1, w2))
-        assert len(calls) <= 9
+        assert len(calls) <= 7
         assert rank(w1 + wt1) == rank(w2 + wt2) == 2
 
     def test_random_open_deficient_points(self):
@@ -270,9 +330,13 @@ class TestNullCompletion:
         # completion of a side the openness check flags (both sides at an
         # open point of the rank-deficient regime) meets the full rank at
         # every scale; in the full-rank regime an unflagged side with k at
-        # least its dimension never does.  No placement is searched: one SVD
-        # per scale, plus one that cuts a basis wider than the missing rank,
-        # and none when the basis is narrower.
+        # least its dimension never does.  No placement is searched and no
+        # basis is decomposed again: one SVD per scale, none when the
+        # ordered basis is narrower than the missing rank.  A wider basis
+        # is cut to its leading columns; against the cut read off the top
+        # right singular vectors of P = sp.u[:, r:].T @ (the spectrum's
+        # slice), it gives the same completion rank at every scale, and
+        # the same span wherever sigma_t(P) > sigma_{t+1}(P).
         rng = np.random.default_rng(27)
         scales = [1e-4, 0.5, 2.0]
         calls = []
@@ -282,22 +346,23 @@ class TestNullCompletion:
             calls.append(np.shape(a))
             return real_svd(a, *args, **kwargs)
 
-        flagged = 0
+        flagged = wider = split = 0
         for m, k, n in itertools.product(range(1, 4), repeat=3):
             for _ in range(40):
                 p = pair(rng.integers(-1, 2, (m, k)), rng.integers(-1, 2, (k, n)))
-                rep, sp1, sp2, _ = _openness_and_spectra(p, DEFAULT_TOL)
+                rep, sp1, sp2, _, null1, null2t = _openness_and_spectra(p, DEFAULT_TOL)
                 full = rep.regime == REGIME_FULL
-                for flag, w, basis, sp, other in (
-                    ("w1_completion_exists", p.w1.T, sp2.u[:, sp2.rank:], sp1.T, p.w2.T),
-                    ("w2_completion_exists", p.w2, sp1.v[:, sp1.rank:], sp2, p.w1),
+                for flag, w, basis, sliced, sp, other in (
+                    ("w1_completion_exists", p.w1.T, null2t, sp2.u[:, sp2.rank:], sp1.T,
+                     p.w2.T),
+                    ("w2_completion_exists", p.w2, null1, sp1.v[:, sp1.rank:], sp2, p.w1),
                 ):
                     calls.clear()
                     monkeypatch.setattr(np.linalg, "svd", counting_svd)
                     got = null_completion(w, basis, sp, scales=scales)
                     monkeypatch.undo()
                     missing, d = min(w.shape) - sp.rank, basis.shape[1]
-                    assert len(calls) == (d >= missing) * (len(scales) + (d > missing))
+                    assert len(calls) == (d >= missing) * len(scales)
                     if rep.condition_flags[flag] if full else rep.open:
                         flagged += 1
                         for scale, (wt, *_) in zip(scales, got):
@@ -305,7 +370,19 @@ class TestNullCompletion:
                             assert np.abs(other @ wt).max() <= 1e-13 * scale
                     elif full and w.shape[0] >= w.shape[1]:
                         assert got == [None] * len(scales)
+                    if d > missing > 0:
+                        wider += 1
+                        _, sig, vt = np.linalg.svd(sp.u[:, sp.rank:].T @ sliced)
+                        sig = np.pad(sig, (0, d - len(sig)))
+                        old, new = sliced @ vt[:missing].T, basis[:, :missing]
+                        g = sp.v[:, sp.rank:sp.rank + missing]
+                        for scale in scales:
+                            assert rank(w + scale * new @ g.T) == rank(w + scale * old @ g.T)
+                        if sig[missing - 1] - sig[missing] > 1e-8:
+                            split += 1
+                            assert np.abs(new @ new.T - old @ old.T).max() <= 1e-12
         assert flagged > 1000
+        assert (wider, split) == (60, 50)
 
 
 class TestSampleFeasibleTarget:
@@ -345,6 +422,12 @@ class TestProbeOpenness:
         p = pair([[1.0], [2.0]], [[1.0, 1.0]])
         with pytest.raises(InputError, match="delta must be finite"):
             probe_openness(p, delta, 5)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_non_positive_trials_rejected(self, trials):
+        p = pair([[1.0], [2.0]], [[1.0, 1.0]])
+        with pytest.raises(InputError, match="trials must be a positive count"):
+            probe_openness(p, 1e-5, trials)
 
     def test_zero_point_recoverable_with_sqrt_witnesses(self):
         p = pair(np.zeros((2, 1)), np.zeros((1, 2)))
