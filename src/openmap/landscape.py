@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InputError, NotConstructible, NumericalFailure
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, EPS, _row_dots, null_space, rank, spectrum
+from .numcore import DEFAULT_TOL, EPS, _flat_views, _row_dots, null_space, rank, spectrum
 
 GLOBAL_MIN = "GlobalMin"
 SECOND_ORDER_SADDLE = "SecondOrderSaddle"
@@ -555,12 +555,6 @@ class GDResult:
     objective: float
     gradient_norm: float
     exit_reason: str
-
-
-def _flat_views(flat, shapes):
-    """Weight matrices of ``shapes`` as reshaped views of one flat vector."""
-    ends = np.cumsum([r * c for r, c in shapes])
-    return [flat[end - r * c:end].reshape(r, c) for (r, c), end in zip(shapes, ends)]
 
 
 def _two_loop(grad, pairs):

@@ -21,15 +21,17 @@ batched solver behind the recovery oracles.
   combine as the rows of the matrix do, so each exchange step and the
   final coefficients are ``r x r`` solves.
 * ``lm_fit`` is the one batched Levenberg-Marquardt loop; each iteration
-  works only on the trials still live and solves the smaller of its two
-  normal systems, ``JᵀJ`` over the unknowns or ``JJᵀ`` over the residual
-  entries, which give the same step by
+  works only on the trials still live, ending one at its first accepted
+  step beyond twice the factor-norm cap, and solves the smaller of its
+  two normal systems, ``JᵀJ`` over the unknowns or ``JJᵀ`` over the
+  residual entries, which give the same step by
   ``(JᵀJ + λI)⁻¹Jᵀ = Jᵀ(JJᵀ + λI)⁻¹``; the smaller Gram matrix has the
   fewer null directions for ``1/λ`` to amplify rounding noise along.
 * ``lm_recover`` is the one retry engine of the two recovery oracles: a
   first ``lm_fit`` of every trial from zero, then one stacked ``lm_fit``
   of every seeded jittered retry round of the trials still failing,
-  keeping each trial's first accepted round.
+  keeping each trial's first round that reaches the residual goal within
+  the factor-norm cap, with no accepted iterate beyond twice the cap.
 
 All operations are pure functions of their arguments and safe to call
 concurrently.
@@ -335,31 +337,43 @@ def truncated_svd(mat, max_rank):
     return (u[..., :k] * s[..., None, :k]) @ vt[..., :k, :]
 
 
-def _lm_step(jac, res, lam):
+def _lm_step(jac, res, lam, eye):
     """``lm_fit``'s damped step ``-(JᵀJ + λI)⁻¹Jᵀr`` for each slice of a
-    ``(T, E, P)`` Jacobian stack, residuals ``(T, E, 1)`` and dampings
-    ``(T,)``: ``Jᵀz`` with ``(JJᵀ + λI_E) z = -r`` when ``E < P``, else the
-    ``JᵀJ`` system with ``Jᵀr`` and ``JᵀJ`` from one stacked matmul,
-    ``Jᵀ [r J]``.  Each slice's step is computed on its own."""
+    ``(T, E, P)`` Jacobian stack, residuals ``(T, E, 1)``, dampings ``(T,)``
+    and ``eye`` of order ``min(E, P)``: ``Jᵀz`` with ``(JJᵀ + λI) z = -r``
+    when ``E < P``, else the ``JᵀJ`` system with ``Jᵀr`` and ``JᵀJ`` from
+    one stacked matmul, ``Jᵀ [r J]``.  Each slice's step is its own."""
     e, p = jac.shape[1:]
     jac_t = jac.transpose(0, 2, 1)
-    damping = lam[:, None, None] * np.eye(min(e, p))
+    damping = lam[:, None, None] * eye
     if e < p:
         return (jac_t @ np.linalg.solve(jac @ jac_t + damping, -res))[..., 0]
     normal = jac_t @ np.concatenate([res, jac], axis=2)
     return np.linalg.solve(normal[..., 1:] + damping, -normal[..., :1])[..., 0]
 
 
-def lm_fit(product, jacobian, blocks, targets, tol, max_iter):
-    """Batched Levenberg-Marquardt on ``product(*blocks) = target``, one
-    slice of each ``(targets, ...)`` start block of ``blocks`` per target.
+def _flat_views(flat, shapes):
+    """The blocks of ``shapes``, in row-major order, as reshaped views of
+    the last axis of ``flat``: of one vector, or of each row of a stack."""
+    lead, end, views = flat.shape[:-1], 0, []
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[..., end:end + size].reshape(*lead, *shape))
+        end += size
+    return views
 
-    ``jacobian(*blocks)`` returns the ``(targets, entries, unknowns)``
-    Jacobian with unknowns in block order.  Each iteration runs only on the
-    live trials, those above the residual goal whose damping is below its
-    cap; ``product`` and ``jacobian`` see the live slices alone, and a
-    trial's iterates from its start equal, bit for bit, those of fitting it
-    with any other batch.  The start blocks are not modified.
+
+def lm_fit(product, jacobian, shapes, x, targets, tol, max_iter, cap):
+    """Batched Levenberg-Marquardt on ``product(*blocks) = target`` from
+    one row of the ``(targets, unknowns)`` stack ``x`` per target.
+
+    ``product`` and ``jacobian`` see the ``_flat_views`` of ``shapes`` of
+    the live rows alone; ``jacobian`` returns the ``(trials, entries,
+    unknowns)`` Jacobian.  The live trials are those above the residual
+    goal, damped below the damping cap, with no accepted iterate beyond
+    ``2 * cap`` in factor norm, the row's norm (a trial stops at the
+    first).  A trial's iterates from its start equal, bit for bit, those
+    of fitting it with any other batch.  ``x`` is not modified.
 
     Each step solves the smaller of the two normal systems, ``JᵀJ + λI``
     over the ``P`` unknowns or ``JJᵀ + λI`` over the ``E`` residual
@@ -368,41 +382,39 @@ def lm_fit(product, jacobian, blocks, targets, tol, max_iter):
     towards ``1e-14``, the ``1/λ`` amplification of rounding noise acts
     only on null directions of the Gram matrix solved, of which ``JJᵀ`` has
     ``E - rank J`` and ``JᵀJ`` has ``P - rank J``, so at a full-rank ``J``
-    the smaller one has none.  Returns (blocks, residual_norms).
+    the smaller one has none.  Returns (x, residual_norms).
     """
     t_count = targets.shape[0]
-    blocks = [np.array(blk, dtype=float) for blk in blocks]
-    offsets = np.cumsum([0] + [int(np.prod(blk.shape[1:])) for blk in blocks])
+    x = np.array(x, dtype=float)
+    eye = np.eye(min(math.prod(targets.shape[1:]), x.shape[1]))
     lam = np.full(t_count, 1e-4)
-    res = product(*blocks) - targets
+    res = product(*_flat_views(x, shapes)) - targets
     res_norm = np.linalg.norm(res.reshape(t_count, -1), axis=1)
     goal = 0.05 * tol.residual_abs
     for _ in range(max_iter):
         live = np.flatnonzero((res_norm > goal) & (lam < 1e14))
         if not live.size:
             break
-        live_blocks = [blk[live] for blk in blocks]
-        jac = jacobian(*live_blocks)
+        x_live = x[live]
+        jac = jacobian(*_flat_views(x_live, shapes))
         try:
-            step = _lm_step(jac, res[live].reshape(live.size, -1, 1), lam[live])
+            step = _lm_step(jac, res[live].reshape(live.size, -1, 1), lam[live], eye)
         except np.linalg.LinAlgError as exc:  # iterates that overflowed
             raise NumericalFailure(
                 f"Levenberg-Marquardt system is singular: {exc}") from exc
-        tried = [
-            blk + step[:, lo:hi].reshape(blk.shape)
-            for blk, lo, hi in zip(live_blocks, offsets, offsets[1:])
-        ]
-        res_try = product(*tried) - targets[live]
+        tried = x_live + step
+        res_try = product(*_flat_views(tried, shapes)) - targets[live]
         norm_try = np.linalg.norm(res_try.reshape(live.size, -1), axis=1)
         better = norm_try < res_norm[live]
         improved, worse = live[better], live[~better]
-        for blk, blk_try in zip(blocks, tried):
-            blk[improved] = blk_try[better]
+        x[improved] = tried[better]
         res[improved] = res_try[better]
         res_norm[improved] = norm_try[better]
         lam[improved] = np.maximum(lam[improved] * 0.3, 1e-14)
         lam[worse] *= 10.0
-    return blocks, res_norm
+        # an infinite damping ends a trial whose accepted step left 2 * cap
+        lam[live[better & (np.linalg.norm(tried, axis=1) > 2.0 * cap)]] = np.inf
+    return x, res_norm
 
 
 def _factor_norms(blocks):
@@ -422,42 +434,35 @@ def lm_recover(product, jacobian, shapes, targets, tol, rounds, seed, goals, cap
     Round ``i`` (from 1) starts trial ``t`` at its scale times row ``t`` of
     one ``(targets, unknowns)`` standard-normal draw from
     ``default_rng(seed + i)``, split into the blocks of ``shapes``.  A fit
-    is accepted when its residual norm is at most ``goals[t]`` and its
-    factor norm, ``sqrt(Σ‖block‖²)``, at most ``cap``; a failing trial
+    is accepted when it reaches ``goals[t]`` in residual norm and ends at
+    most ``cap`` in factor norm, ``sqrt(Σ‖block‖²)``, with no accepted
+    iterate beyond ``2 * cap`` (``lm_fit`` stops it there); a failing trial
     takes its first accepted round, in order, and keeps its first-fit
     outputs when none is.  So each trial's outputs depend on its target,
     ``seed`` and ``t`` alone and equal, bit for bit, those of a batch of
     one.  Returns (blocks, residual_norms, factor_norms, success).
     """
     max_iter, retry_iter, retry_scales = rounds
-    t_count = targets.shape[0]
-    zero = [np.zeros((t_count, *shape)) for shape in shapes]
-    blocks, res_norm = lm_fit(product, jacobian, zero, targets, tol, max_iter)
-    factor_norm = _factor_norms(blocks)
+    size = sum(math.prod(shape) for shape in shapes)
+    x, res_norm = lm_fit(product, jacobian, shapes, np.zeros((len(targets), size)),
+                         targets, tol, max_iter, cap)
+    factor_norm = _factor_norms(_flat_views(x, shapes))
     success = (res_norm <= goals) & (factor_norm <= cap)
     todo = np.flatnonzero(~success)
-    if not todo.size or not len(retry_scales):
-        return blocks, res_norm, factor_norm, success
-
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    jitter = np.concatenate([
-        scale * np.random.default_rng(seed + i).standard_normal((t_count, sum(sizes)))[todo]
-        for i, scale in enumerate(retry_scales, start=1)
-    ])
-    starts = [
-        part.reshape(len(jitter), *shape)
-        for part, shape in zip(np.split(jitter, np.cumsum(sizes)[:-1], axis=1), shapes)
-    ]
-    rows = np.tile(todo, len(retry_scales))
-    got, rn = lm_fit(product, jacobian, starts, targets[rows], tol, retry_iter)
-    norm = _factor_norms(got)
-    ok = ((rn <= goals[rows]) & (norm <= cap)).reshape(len(retry_scales), todo.size)
-    accepted = ok.any(axis=0)
-    # the first accepted round of each accepted trial, as a row of the stack
-    pick = ok.argmax(axis=0)[accepted] * todo.size + np.flatnonzero(accepted)
-    idx = todo[accepted]
-    success[idx] = True
-    for blk, new in zip(blocks, got):
-        blk[idx] = new[pick]
-    res_norm[idx], factor_norm[idx] = rn[pick], norm[pick]
-    return blocks, res_norm, factor_norm, success
+    if todo.size and len(retry_scales):
+        starts = np.concatenate([
+            scale * np.random.default_rng(seed + i).standard_normal((len(targets), size))[todo]
+            for i, scale in enumerate(retry_scales, start=1)
+        ])
+        rows = np.tile(todo, len(retry_scales))
+        got, rn = lm_fit(product, jacobian, shapes, starts, targets[rows], tol, retry_iter, cap)
+        norm = _factor_norms(_flat_views(got, shapes))
+        ok = ((rn <= goals[rows]) & (norm <= cap)).reshape(len(retry_scales), todo.size)
+        accepted = ok.any(axis=0)
+        # the first accepted round of each accepted trial, as a row of the stack
+        pick = ok.argmax(axis=0)[accepted] * todo.size + np.flatnonzero(accepted)
+        idx = todo[accepted]
+        success[idx] = True
+        x[idx] = got[pick]
+        res_norm[idx], factor_norm[idx] = rn[pick], norm[pick]
+    return _flat_views(x, shapes), res_norm, factor_norm, success

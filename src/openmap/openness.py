@@ -13,16 +13,16 @@ Two regimes, split by comparing the inner dimension ``k`` with
 ``probe_openness`` is the brute-force cross-check: it samples feasible
 targets near the product and attempts factor recovery with a damped
 Gauss-Newton solver, declaring the point empirically open when every
-sampled target is reachable with small factor perturbations.  Both stages
-run on the stack of all trials at once.  ``draw_directions`` draws every
-trial's direction as one block from one seeded stream, row ``t`` for
-trial ``t``; ``sample_feasible_target`` takes that block and stops a
-trial once its distance matches ``delta`` to within the rounding floor of
-``(z + r) - z``.  ``lm_recover`` fits every target from zero, then every
-jittered retry round of the trials still failing in one more stacked
-``lm_fit``, which iterates the live trials only, each step solving the
-smaller of its two normal systems (``m n`` residual entries against
-``k (m + n)`` unknowns).  A trial's direction depends on the seed and
+sampled target is reached with factor perturbations within
+``PROBE_NORM_SLACK * delta`` and no accepted iterate beyond twice that.
+Both stages run on the stack of all trials at once.  ``draw_directions``
+draws every trial's direction as one block from one seeded stream, row
+``t`` for trial ``t``; ``sample_feasible_target`` takes that block and
+stops a trial once its distance matches ``delta`` to within the rounding
+floor of ``(z + r) - z``.  ``lm_recover`` fits every target from zero,
+then every jittered retry round of the trials still failing in one more
+stacked ``lm_fit`` (``numcore``), over ``m n`` residual entries and
+``k (m + n)`` unknowns.  A trial's direction depends on the seed and
 ``t`` alone, and its retry jitter on the seed, the round and ``t``, so
 each sampled target and each trial's recovery is, bit for bit, what a
 batch of one would give, and a run of fewer trials reproduces the
@@ -335,8 +335,9 @@ def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
     """Independent factor-recovery oracle for a stack of targets.
 
     Solves ``(w1 + A)(w2 + B) = target`` by batched Levenberg-Marquardt
-    from ``A = B = 0``.  Success means residual within ``residual_abs``
-    and combined factor perturbation within ``PROBE_NORM_SLACK * delta``.
+    from ``A = B = 0``.  Success means residual within ``residual_abs`` and
+    factor perturbation ``‖(A, B)‖`` within ``PROBE_NORM_SLACK * delta``,
+    with no accepted iterate beyond twice that (the fit stops there).
     When ``delta > 0``, trials that fail from the degenerate start are
     retried from seeded jitter at four square-root-of-delta scales, all
     four rounds in one stacked fit (``lm_recover``); round ``i`` draws
@@ -346,20 +347,20 @@ def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
     one.
     """
     targets = np.asarray(targets, dtype=float)
-    m, k = w1.shape
-    n = w2.shape[1]
-    eye_m, eye_n = np.eye(m), np.eye(n)
+    (m, k), n = w1.shape, w2.shape[1]
+    diag_m, diag_n = np.arange(m), np.arange(n)
 
     def product(a, b):
         return (w1[None] + a) @ (w2[None] + b)
 
     def jacobian(a, b):
-        t_count = a.shape[0]
-        ja = np.einsum("ip,tqj->tijpq", eye_m, w2[None] + b)
-        jb = np.einsum("tip,jq->tijpq", w1[None] + a, eye_n)
-        return np.concatenate([
-            ja.reshape(t_count, m * n, m * k), jb.reshape(t_count, m * n, k * n)
-        ], axis=2)
+        # d res_ij / d a_iq = (w2 + b)_qj and d res_ij / d b_pj = (w1 + a)_ip
+        t = len(a)
+        jac = np.zeros((t, m, n, m * k + k * n))
+        ja, jb = jac[..., :m * k].reshape(t, m, n, m, k), jac[..., m * k:].reshape(t, m, n, k, n)
+        ja[:, diag_m, :, diag_m] = (w2 + b).transpose(0, 2, 1)
+        jb[:, :, diag_n, :, diag_n] = w1 + a
+        return jac.reshape(t, m * n, m * k + k * n)
 
     rounds = (80, 120, [f * np.sqrt(delta) for f in (0.5, 1.5, 0.25, 0.75) if delta > 0.0])
     (a, b), rn, pair_norm, success = lm_recover(

@@ -272,14 +272,13 @@ def gauss_newton_sym_recover(w, targets, delta, tol=DEFAULT_TOL, seed=0):
     Levenberg-Marquardt on ``(w + A)(w + A).T = target`` from ``A = 0``,
     with one jittered retry of the trials that fail (``lm_recover``),
     trial ``t`` starting from row ``t`` of one draw from
-    ``default_rng(seed + 1)``."""
+    ``default_rng(seed + 1)``.  Success means residual within
+    ``residual_abs · max(1, ‖target‖)`` and ``‖A‖ ≤ 1e3 δ``, with no
+    accepted iterate beyond ``2e3 δ`` (the fit stops there)."""
     targets = np.asarray(targets, dtype=float)
-    t_count = targets.shape[0]
     n, k = w.shape
     eye_n = np.eye(n)
-    scale = np.maximum(
-        1.0, np.linalg.norm(targets.reshape(t_count, -1), axis=1)
-    )
+    scale = np.maximum(1.0, np.linalg.norm(targets.reshape(len(targets), -1), axis=1))
 
     def product(a):
         wa = w[None] + a

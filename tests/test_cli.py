@@ -437,6 +437,17 @@ def test_a_singular_damped_system_exits_4(tmp_path, capsys):
     assert "singular" in err["message"]
 
 
+def test_a_delta_whose_squared_cap_overflows_exits_4(tmp_path, capsys):
+    # at delta 1e200 the LM iterates overflow as at 1e308, while twice the
+    # factor-norm cap, 2e203, is finite and its square is not
+    paths = _open_pair_paths(tmp_path)
+    argv = ["openness", "probe", "--w1", paths["w1"], "--w2", paths["w2"],
+            "--delta", "1e200", "--jobs", "1"]
+    assert main(argv) == 4
+    err = _error(capsys)
+    assert (err["error"], err["exit_code"]) == ("NumericalFailure", 4)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-grad", "--tol-residual"])
 def test_a_non_finite_tolerance_exits_2_naming_its_flag(flag, value, tmp_path, capsys):

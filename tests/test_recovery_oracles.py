@@ -9,7 +9,8 @@ comparator (ints and bools exactly, floats to a relative 1e-12).
 The cases cover each oracle's retry schedule: ``factor_open_boundary``
 and both rank-deficient ``sym`` cases stall from the zero start and
 succeed on a jittered retry; ``factor_closed`` fails every retry round
-and keeps its first-pass outputs.
+and keeps its first-pass outputs, where each fit stopped at its first
+accepted iterate beyond twice the factor-norm cap.
 """
 
 import json

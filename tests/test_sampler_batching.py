@@ -1,12 +1,15 @@
 """``sample_feasible_target`` runs its fixed-point rounds on a stack of
-trials, ``lm_fit`` iterates only the trials still live, and
-``lm_recover`` runs every retry round in one stacked fit; these tests pin
-all three, bit for bit, to the one-target-at-a-time sampler, the
-all-trials Levenberg-Marquardt loop and the one-round-at-a-time retry
-loop they replaced, which are kept here as the references, and pin each
-trial's draws and outputs to its own index whatever the batch."""
+trials, ``lm_fit`` iterates only the trials still live on one flat
+parameter stack, and ``lm_recover`` runs every retry round in one stacked
+fit; these tests pin all three, bit for bit, to the one-target-at-a-time
+sampler, the all-trials per-block Levenberg-Marquardt loop and the
+one-round-at-a-time retry loop they replaced, which are kept here as the
+references, and pin each trial's draws and outputs to its own index
+whatever the batch.  The references end a slice at its first accepted
+iterate beyond twice the factor-norm cap, as ``lm_fit`` does."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from openmap.openness import (
     sample_feasible_target,
 )
 from openmap.symmetric import gauss_newton_sym_recover
+from test_cli_golden import E1, E2, W1_OPEN, W2_CLOSED
 from test_recovery_oracles import FACTOR_CASES, SYM_CASES
 
 CRITERION_3_SHAPES = [(m, k, n) for m in (1, 2, 3) for k in (1, 2) for n in (1, 2, 3)]
@@ -59,21 +63,25 @@ def reference_target(z, rank_cap, delta, g, iters=80):
     return zt
 
 
-def reference_lm_fit(product, jacobian, blocks, targets, tol, max_iter):
-    """``lm_fit`` as it was before live-trial slicing, solving the smaller
-    of its two normal systems: every iteration computes the step of every
-    trial and keeps the active ones."""
+def reference_lm_fit(product, jacobian, shapes, x, targets, tol, max_iter, cap):
+    """``lm_fit`` as it was before live-trial slicing and the flat parameter
+    stack, solving the smaller of its two normal systems: every iteration
+    computes the step of every trial on its blocks and keeps the active
+    ones, a trial ending once an accepted step leaves ``2 * cap``."""
     t_count = targets.shape[0]
-    blocks = [blk.copy() for blk in blocks]
-    offsets = np.cumsum([0] + [int(np.prod(blk.shape[1:])) for blk in blocks])
+    ends = np.cumsum([int(np.prod(shape)) for shape in shapes])
+    blocks = [part.reshape(t_count, *shape).copy()
+              for part, shape in zip(np.split(x, ends[:-1], axis=1), shapes)]
+    offsets = [0, *ends]
     entries = int(np.prod(targets.shape[1:]))
     eye = np.eye(min(entries, offsets[-1]))
     lam = np.full(t_count, 1e-4)
+    ended = np.zeros(t_count, dtype=bool)
     res = product(*blocks) - targets
     res_norm = np.linalg.norm(res.reshape(t_count, -1), axis=1)
     goal = 0.05 * tol.residual_abs
     for _ in range(max_iter):
-        active = (res_norm > goal) & (lam < 1e14)
+        active = (res_norm > goal) & (lam < 1e14) & ~ended
         if not np.any(active):
             break
         jac = jacobian(*blocks)
@@ -98,7 +106,9 @@ def reference_lm_fit(product, jacobian, blocks, targets, tol, max_iter):
         res_norm[improved] = norm_try[improved]
         lam[improved] = np.maximum(lam[improved] * 0.3, 1e-14)
         lam[active & ~improved] *= 10.0
-    return blocks, res_norm
+        flat = np.concatenate([blk.reshape(t_count, -1) for blk in blocks], axis=1)
+        ended |= improved & (np.linalg.norm(flat, axis=1) > 2.0 * cap)
+    return np.concatenate([blk.reshape(t_count, -1) for blk in blocks], axis=1), res_norm
 
 
 def reference_lm_recover(product, jacobian, shapes, targets, tol, rounds, seed, goals, cap):
@@ -109,15 +119,15 @@ def reference_lm_recover(product, jacobian, shapes, targets, tol, rounds, seed, 
     t_count = targets.shape[0]
     sizes = [int(np.prod(shape)) for shape in shapes]
     todo = np.arange(t_count)
-    starts = [np.zeros((t_count, *shape)) for shape in shapes]
+    start = np.zeros((t_count, sum(sizes)))
     for i, scale in enumerate([0.0, *retry_scales]):
         if i:
-            jitter = scale * np.random.default_rng(seed + i).standard_normal(
+            start = scale * np.random.default_rng(seed + i).standard_normal(
                 (t_count, sum(sizes)))[todo]
-            starts = [part.reshape(todo.size, *shape) for part, shape in zip(
-                np.split(jitter, np.cumsum(sizes)[:-1], axis=1), shapes)]
-        got, rn = numcore.lm_fit(product, jacobian, starts, targets[todo], tol,
-                                 retry_iter if i else max_iter)
+        flat, rn = numcore.lm_fit(product, jacobian, shapes, start, targets[todo], tol,
+                                  retry_iter if i else max_iter, cap)
+        got = [part.reshape(todo.size, *shape) for part, shape in zip(
+            np.split(flat, np.cumsum(sizes)[:-1], axis=1), shapes)]
         norm = np.sqrt(sum(
             np.linalg.norm(blk.reshape(len(blk), -1), axis=1) ** 2 for blk in got
         ))
@@ -266,22 +276,29 @@ def test_a_zero_direction_is_redrawn_from_its_own_stream(monkeypatch):
 PAIR_14 = ([[-1.0, 1.0], [0.0, 0.0], [-1.0, 1.0]], [[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
 
 
-def _retried(w1, w2, targets, seed):
-    """Indices of the trials the first fit does not settle."""
-    fits = []
+def _lm_fit_calls(w1, w2, targets, seed):
+    """The arguments of each ``lm_fit`` that ``gauss_newton_recover`` runs
+    at delta 1e-5: the first fit's, then the retry fit's if any."""
+    calls = []
     lm_fit = numcore.lm_fit
 
     def recorded(*args):
-        fits.append(args[3])
+        calls.append(args)
         return lm_fit(*args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numcore, "lm_fit", recorded)
         gauss_newton_recover(w1, w2, targets, 1e-5, DEFAULT_TOL, seed=seed)
+    return calls
+
+
+def _retried(w1, w2, targets, seed):
+    """Indices of the trials the first fit does not settle."""
+    fits = _lm_fit_calls(w1, w2, targets, seed)
     if len(fits) == 1:
         return []
     return [t for t in range(len(targets))
-            if any(np.array_equal(targets[t], tg) for tg in fits[1])]
+            if any(np.array_equal(targets[t], tg) for tg in fits[1][4])]
 
 
 def test_a_retried_trial_does_not_depend_on_which_trials_failed_with_it():
@@ -390,6 +407,61 @@ def test_stacked_retry_rounds_match_the_one_round_at_a_time_loop(monkeypatch, na
     assert got == {key: val.tobytes() for key, val in run().items()}
 
 
+def test_the_stop_flips_no_success_on_a_criterion_3_sample(monkeypatch):
+    # ending slices beyond twice the cap moves only trials that fail either
+    # way: on {-1,0,1} pairs of every criterion-3 shape at delta 1e-5, each
+    # trial's success, and every output of a successful trial, equals that
+    # of a fit without the stop
+    runs = [_factor_run(*_grid_pair(shape, [*shape, case, 3]), 1e-5, 20, case)
+            for shape in CRITERION_3_SHAPES for case in range(3)]
+    stopped = [run() for run in runs]
+    lm_fit = numcore.lm_fit
+    monkeypatch.setattr(numcore, "lm_fit", lambda *args: lm_fit(*args[:7], math.inf))
+    moved = 0
+    for got, run in zip(stopped, runs):
+        want = run()
+        ok = want["success"]
+        assert got["success"].tobytes() == ok.tobytes()
+        for key, val in got.items():
+            assert val[ok].tobytes() == want[key][ok].tobytes(), key
+        moved += int((got["factor_norm"] != want["factor_norm"]).sum())
+    assert moved  # the stop ended some slices of this sample
+
+
+def test_a_slice_beyond_twice_the_cap_stops_there_as_in_a_batch_of_one():
+    # the closed pair's sampled targets are reached only 20 to 150 times
+    # beyond the probe's cap; a product of nearby factors lies inside it
+    w1, w2 = np.array(W1_OPEN), np.array(W2_CLOSED)
+    z = w1 @ w2
+    sampled = sample_feasible_target(z, 1, 1e-5, draw_directions(0, 6, z.shape))
+    near = (w1 + 1e-6 * np.array(E1)) @ (w2 + 1e-6 * np.array(E2))
+    targets = np.concatenate([sampled[:3], near[None], sampled[3:]])
+    product, jacobian, shapes, x, _, tol, max_iter, cap = _lm_fit_calls(w1, w2, targets, 0)[0]
+    slice_steps = []
+
+    def counted(*blocks):
+        slice_steps.append(len(blocks[0]))
+        return jacobian(*blocks)
+
+    got, res = numcore.lm_fit(product, counted, shapes, x, targets, tol, max_iter, cap)
+    stopped_steps = sum(slice_steps)
+    free, free_res = numcore.lm_fit(product, counted, shapes, x, targets, tol, max_iter,
+                                    math.inf)
+    goal = 0.05 * tol.residual_abs
+    far = np.linalg.norm(got, axis=1) > 2.0 * cap
+    assert far.tolist() == [True] * 3 + [False] + [True] * 3
+    assert (res[far] > goal).all() and (free_res <= goal).all()
+    assert (np.linalg.norm(free[far], axis=1) > 20.0 * cap).all()
+    assert got[3].tobytes() == free[3].tobytes()
+    assert stopped_steps < sum(slice_steps) - stopped_steps
+    want = reference_lm_fit(product, jacobian, shapes, x, targets, tol, max_iter, cap)
+    assert (got.tobytes(), res.tobytes()) == (want[0].tobytes(), want[1].tobytes())
+    for t in range(len(targets)):
+        one, one_res = numcore.lm_fit(product, jacobian, shapes, x[t:t + 1], targets[t:t + 1],
+                                      tol, max_iter, cap)
+        assert (one.tobytes(), one_res.tobytes()) == (got[t].tobytes(), res[t:t + 1].tobytes())
+
+
 def _solve_sizes(monkeypatch, run):
     """Orders of the systems ``np.linalg.solve`` is handed while ``run``
     runs."""
@@ -445,7 +517,7 @@ def test_smaller_system_step_matches_the_normal_equations(shape, lam):
         jac.append(_product_jacobian(w1, w2))
         res.append(rng.standard_normal(m * n))
     jac, res = np.stack(jac), np.stack(res)
-    got = _lm_step(jac, res[..., None], np.full(len(jac), lam))
+    got = _lm_step(jac, res[..., None], np.full(len(jac), lam), np.eye(min(jac.shape[1:])))
     for j, r, step in zip(jac, res, got):
         want = np.linalg.solve(j.T @ j + lam * np.eye(j.shape[1]), -j.T @ r)
         assert np.linalg.norm(step - want) <= 1e-10 * np.linalg.norm(want)
