@@ -18,6 +18,7 @@ import pytest
 
 from openmap.cli import COMMANDS, main
 from openmap.matrixio import matrix_to_payload
+from openmap.openness import draw_directions, sample_feasible_target
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -63,11 +64,15 @@ WEIGHT_LISTS = {
 
 def _inputs():
     w1g, w2g = np.array(W1_GENERIC), np.array(W2_GENERIC)
+    product_open = np.array(W1_OPEN) @ np.array(W2_OPEN)
     w_sym = np.array(W_SYM) + np.array(E_SYM)
     return {
         "w1_open": W1_OPEN,
         "w2_open": W2_OPEN,
         "w2_closed": W2_CLOSED,
+        # r = 1 < k = 2: a rank-2 target raises the product's rank
+        "target_rank_raising": sample_feasible_target(
+            product_open, 2, 1e-6, draw_directions(201, 1, (3, 3)))[0],
         "w1_generic": W1_GENERIC,
         "w2_generic": W2_GENERIC,
         "target_generic": (w1g + 1e-4 * np.array(E1)) @ (w2g + 1e-4 * np.array(E2)),
@@ -112,6 +117,9 @@ CASES = {
     "realize_full_rank_completion": (
         ["realize", "--w1", "{w1_diag110}", "--w2", "{w2_e1}",
          "--target", "{target_completion}"], 0),
+    "realize_rank_raising": (
+        ["realize", "--w1", "{w1_open}", "--w2", "{w2_open}",
+         "--target", "{target_rank_raising}"], 0),
     "realize_ratio_sweep": (
         ["realize", "ratio-sweep", "--w1", "{w1_open}", "--w2", "{w2_open}",
          "--deltas", "1e-3,1e-6", "--trials", "2"], 0),
