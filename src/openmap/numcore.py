@@ -352,6 +352,18 @@ def _lm_step(jac, res, lam, eye):
     return np.linalg.solve(normal[..., 1:] + damping, -normal[..., :1])[..., 0]
 
 
+def _product_jacobian(left, right):
+    """The ``(T, m·n, m·k + k·n)`` Jacobian of ``(L, R) -> L @ R`` at each
+    slice of ``left`` ``(T, m, k)`` and ``right`` ``(T, k, n)``: ``R_qj`` at
+    ``d/dL_iq`` and ``L_ip`` at ``d/dR_pj``, on the diagonals of one array."""
+    (t, m, k), n = left.shape, right.shape[2]
+    jac = np.zeros((t, m, n, m * k + k * n))
+    jl, jr = jac[..., :m * k].reshape(t, m, n, m, k), jac[..., m * k:].reshape(t, m, n, k, n)
+    jl[:, np.arange(m), :, np.arange(m)] = right.transpose(0, 2, 1)
+    jr[:, :, np.arange(n), :, np.arange(n)] = left
+    return jac.reshape(t, m * n, m * k + k * n)
+
+
 def _flat_views(flat, shapes):
     """The blocks of ``shapes``, in row-major order, as reshaped views of
     the last axis of ``flat``: of one vector, or of each row of a stack."""

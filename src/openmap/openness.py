@@ -38,6 +38,7 @@ from .matrixio import as_matrix
 from .numcore import (
     DEFAULT_TOL,
     EPS,
+    _product_jacobian,
     _row_dots,
     _sv_rank,
     intersection_dim,
@@ -347,20 +348,12 @@ def gauss_newton_recover(w1, w2, targets, delta, tol, seed=0):
     one.
     """
     targets = np.asarray(targets, dtype=float)
-    (m, k), n = w1.shape, w2.shape[1]
-    diag_m, diag_n = np.arange(m), np.arange(n)
 
     def product(a, b):
         return (w1[None] + a) @ (w2[None] + b)
 
     def jacobian(a, b):
-        # d res_ij / d a_iq = (w2 + b)_qj and d res_ij / d b_pj = (w1 + a)_ip
-        t = len(a)
-        jac = np.zeros((t, m, n, m * k + k * n))
-        ja, jb = jac[..., :m * k].reshape(t, m, n, m, k), jac[..., m * k:].reshape(t, m, n, k, n)
-        ja[:, diag_m, :, diag_m] = (w2 + b).transpose(0, 2, 1)
-        jb[:, :, diag_n, :, diag_n] = w1 + a
-        return jac.reshape(t, m * n, m * k + k * n)
+        return _product_jacobian(w1 + a, w2 + b)
 
     rounds = (80, 120, [f * np.sqrt(delta) for f in (0.5, 1.5, 0.25, 0.75) if delta > 0.0])
     (a, b), rn, pair_norm, success = lm_recover(

@@ -2,9 +2,13 @@
 
 Given an open pair ``(w1, w2)`` and a target ``z_tilde`` of admissible
 rank near ``z = w1 @ w2``, produce perturbations ``(dw1, dw2)`` with
-``(w1 + dw1) @ (w2 + dw2) == z_tilde`` exactly (to rounding), together
-with the certified input radius ``delta0`` below which the factor
-perturbations stay proportional to the target distance.
+``(w1 + dw1) @ (w2 + dw2) == z_tilde`` exactly (to rounding): the
+candidate of least norm that meets the target.  Only the radius
+``delta0``, half the product's least nonzero singular value, is
+certified; the witness is measured, not bounded.  It scales with the
+target distance where a factor is full rank on its side or ``r = k``;
+a completion along new directions (``r < k``, or the full-rank
+completion) scales with its square root, even on rank-keeping targets.
 
 The rank-deficient-regime pipeline:
 
@@ -59,49 +63,31 @@ from .openness import (
 
 @dataclass
 class RealizationWitness:
+    """The least-norm candidate, measured; only ``delta0`` (``None``
+    outside the rank-deficient regime) is certified."""
+
     delta_w1: np.ndarray
     delta_w2: np.ndarray
     target_residual: float
     delta_norm: float
     input_delta: float
     delta0: float | None = None
-    guarantee_eps: float | None = None
-
-
-def _witness(pair, dw1, dw2, z_tilde, input_delta, tol, delta0):
-    residual = float(
-        np.linalg.norm((pair.w1 + dw1) @ (pair.w2 + dw2) - z_tilde)
-    )
-    scale = max(1.0, float(np.linalg.norm(z_tilde)))
-    if residual > tol.residual_abs * scale:
-        raise NumericalFailure(
-            f"realized product misses the target: residual {residual:.3e}"
-        )
-    return RealizationWitness(
-        delta_w1=dw1,
-        delta_w2=dw2,
-        target_residual=residual,
-        delta_norm=float(max(np.linalg.norm(dw1), np.linalg.norm(dw2))),
-        input_delta=float(input_delta),
-        delta0=delta0,
-    )
 
 
 def _least_witness(candidates, pair, z_tilde, input_delta, tol, delta0):
-    """Of the ``(key, dw1, dw2)`` of ``candidates`` whose product meets
-    the target, the witness of least ``delta_norm`` (the first on ties)
-    and its key."""
-    best = best_key = None
-    for key, dw1, dw2 in candidates:
-        try:
-            cand = _witness(pair, dw1, dw2, z_tilde, input_delta, tol, delta0)
-        except NumericalFailure:
-            continue
-        if best is None or cand.delta_norm < best.delta_norm:
-            best, best_key = cand, key
+    """The first witness of least ``delta_norm`` among the ``(dw1, dw2)`` of
+    ``candidates`` whose product is within ``residual_abs · max(1, ‖z_tilde‖)``."""
+    bound = tol.residual_abs * max(1.0, float(np.linalg.norm(z_tilde)))
+    best, least = None, np.inf
+    for dw1, dw2 in candidates:
+        residual = float(np.linalg.norm((pair.w1 + dw1) @ (pair.w2 + dw2) - z_tilde))
+        least = min(least, residual)
+        norm = float(max(np.linalg.norm(dw1), np.linalg.norm(dw2)))
+        if residual <= bound and (best is None or norm < best.delta_norm):
+            best = RealizationWitness(dw1, dw2, residual, norm, float(input_delta), delta0)
     if best is None:
-        raise NumericalFailure("no candidate perturbation realized the target")
-    return best, best_key
+        raise NumericalFailure(f"realized product misses the target: least residual {least:.3e}")
+    return best
 
 
 def _pinv(u, sv, v):
@@ -122,10 +108,10 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, null1, null2t,
     r_delta = z_tilde - pair.product
     if rep.rank_w1 == m:
         dw2 = _pinv(sp1.u, sp1.s, sp1.v[:, :m]) @ r_delta
-        return _witness(pair, np.zeros_like(w1), dw2, z_tilde, input_delta, tol, None)
+        return _least_witness([(np.zeros_like(w1), dw2)], pair, z_tilde, input_delta, tol, None)
     if rep.rank_w2 == n:
         dw1 = r_delta @ _pinv(sp2.u[:, :n], sp2.s, sp2.v)
-        return _witness(pair, dw1, np.zeros_like(w2), z_tilde, input_delta, tol, None)
+        return _least_witness([(dw1, np.zeros_like(w2))], pair, z_tilde, input_delta, tol, None)
 
     # a one-sided completion exists by openness; scale it against the
     # target distance (rank-raising targets force sqrt-sized witnesses)
@@ -139,13 +125,13 @@ def _realize_full_rank(pair, z_tilde, input_delta, rep, sp1, sp2, null1, null2t,
         c2s = null_completion(w2, null1, sp2, tol, scales=scales)
 
     def candidates():
-        for s, c1, c2 in zip(scales, c1s, c2s):
+        for c1, c2 in zip(c1s, c2s):
             if c1 is not None:
-                yield s, c1[0].T, _pinv(*c1[1:]) @ r_delta
+                yield c1[0].T, _pinv(*c1[1:]) @ r_delta
             if c2 is not None:
-                yield s, r_delta @ _pinv(*c2[1:]), c2[0]
+                yield r_delta @ _pinv(*c2[1:]), c2[0]
 
-    return _least_witness(candidates(), pair, z_tilde, input_delta, tol, None)[0]
+    return _least_witness(candidates(), pair, z_tilde, input_delta, tol, None)
 
 
 def _column_classification(st, sp_st_t, r, k, tol):
@@ -179,8 +165,7 @@ def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, sp1, tol):
     m, k, n = pair.m, pair.k, pair.n
     u, s, v, r = sp.u, sp.s, sp.v, sp.rank
 
-    sigma_min = float(s[r - 1]) if r > 0 else None
-    delta0 = sigma_min / 2.0 if sigma_min is not None else None
+    delta0 = float(s[r - 1]) / 2.0 if r > 0 else None
     if delta0 is not None and input_delta > delta0:
         raise DeltaTooLarge(
             f"target distance {input_delta:.3e} exceeds the certified "
@@ -220,25 +205,15 @@ def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, sp1, tol):
                 continue
             dw2b = np.zeros((k, n))
             dw2b[:, perm] = np.hstack([wt21, m_block @ a_bar])
-            yield m_block, u @ w1b0, dw2b @ v.T
+            yield u @ w1b0, dw2b @ v.T
 
-    best, m_block = _least_witness(
-        candidates(), pair, z_tilde, input_delta, tol, delta0
-    )
-    if r < k:
-        n_cap = n * 2.0**n
-        term = 1.0 / max(np.linalg.svd(m_block, compute_uv=False)[-1], 1e-300)
-        if sigma_min is not None:
-            term = max(
-                term,
-                np.sqrt(2.0) * np.linalg.norm(w2b1) * (2.0 + 2.0 * n_cap) / sigma_min,
-            )
-        best.guarantee_eps = float(input_delta * (1.0 + term))
-    return best
+    return _least_witness(candidates(), pair, z_tilde, input_delta, tol, delta0)
 
 
 def realize(pair, z_tilde, tol=DEFAULT_TOL):
-    """Realize ``z_tilde`` as a product of perturbed factors.
+    """Realize ``z_tilde`` as a product of perturbed factors: the
+    candidate of least ``delta_norm`` that meets the target.  Only
+    ``delta0`` is certified; no bound on ``delta_norm`` is reported.
 
     Raises ``InputError`` when the target's shape is not the product's.
     Refuses with ``NotOpen`` when the point is not locally open,
@@ -253,18 +228,17 @@ def realize(pair, z_tilde, tol=DEFAULT_TOL):
             f"shape {(pair.m, pair.n)}"
         )
     sp_z = spectrum(z_tilde, tol)
-    r_target = sp_z.rank
-    if r_target > pair.rank_cap:
+    if sp_z.rank > pair.rank_cap:
         raise RankInfeasible(
-            f"target rank {r_target} exceeds the image bound {pair.rank_cap}"
+            f"target rank {sp_z.rank} exceeds the image bound {pair.rank_cap}"
         )
     report, sp1, sp2, spp, null1, null2t = _openness_and_spectra(pair, tol)
     if not report.open:
         raise NotOpen("the product map is not locally open at this pair")
     input_delta = float(np.linalg.norm(z_tilde - pair.product))
     if input_delta == 0.0:
-        return _witness(pair, np.zeros_like(pair.w1), np.zeros_like(pair.w2),
-                        z_tilde, 0.0, tol, None)
+        zeros = (np.zeros_like(pair.w1), np.zeros_like(pair.w2))
+        return _least_witness([zeros], pair, z_tilde, 0.0, tol, None)
     if report.regime == REGIME_DEFICIENT:
         return _realize_rank_deficient(pair, z_tilde, input_delta, spp, sp_z, sp1, tol)
     return _realize_full_rank(

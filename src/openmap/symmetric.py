@@ -33,7 +33,7 @@ from .errors import (
     RankInfeasible,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, _sv_rank, lm_recover, null_space
+from .numcore import DEFAULT_TOL, _product_jacobian, _sv_rank, lm_recover, null_space
 
 # safety floor of the diagonal recursion: radicands must stay above 1/4
 _RADICAND_FLOOR = 0.25
@@ -277,7 +277,6 @@ def gauss_newton_sym_recover(w, targets, delta, tol=DEFAULT_TOL, seed=0):
     accepted iterate beyond ``2e3 δ`` (the fit stops there)."""
     targets = np.asarray(targets, dtype=float)
     n, k = w.shape
-    eye_n = np.eye(n)
     scale = np.maximum(1.0, np.linalg.norm(targets.reshape(len(targets), -1), axis=1))
 
     def product(a):
@@ -285,11 +284,11 @@ def gauss_newton_sym_recover(w, targets, delta, tol=DEFAULT_TOL, seed=0):
         return wa @ np.transpose(wa, (0, 2, 1))
 
     def jacobian(a):
-        # d res_{ij} / d a_{pq} = delta_ip * wa_{jq} + delta_jp * wa_{iq}
-        j1 = np.einsum("ip,tjq->tijpq", eye_n, w[None] + a)
-        return (j1 + np.transpose(j1, (0, 2, 1, 3, 4))).reshape(
-            a.shape[0], n * n, n * k
-        )
+        # delta_ip wa_jq from the wa block, delta_jp wa_iq from the wa.T one
+        wa = w + a
+        jac = _product_jacobian(wa, wa.transpose(0, 2, 1))
+        jt = jac[..., n * k:].reshape(-1, n * n, k, n).transpose(0, 1, 3, 2)
+        return jac[..., :n * k] + jt.reshape(-1, n * n, n * k)
 
     rounds = (100, 100, [0.5 * np.sqrt(delta)] if delta > 0.0 else [])
     (a,), rn, norms, success = lm_recover(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openmap.errors import DeltaTooLarge, InputError, NotOpen, RankInfeasible
+from openmap.errors import DeltaTooLarge, InputError, NotOpen, NumericalFailure, RankInfeasible
 from openmap.matrixio import to_jsonable
 from openmap.numcore import DEFAULT_TOL, Tolerances, rank, svd
 from openmap.openness import (
@@ -73,10 +73,10 @@ class TestRealizeBasics:
         assert sum(np.array_equal(a, target) for a in svds) == 1
         assert len(svds) == 4
 
-    def test_the_guarantee_decomposes_the_winning_block_once(self, monkeypatch):
-        # r < k at the ratio-sweep golden pair: eight scale candidates, but
-        # only the winner's m_block is decomposed for guarantee_eps
-        # (16 SVDs when each candidate took its own)
+    def test_a_rank_raising_realize_takes_six_svds(self, monkeypatch):
+        # r < k at the ratio-sweep golden pair: eight scale candidates, none
+        # decomposed; the SVDs are the spectra of the target, w1, w2 and the
+        # product, and the openness check's two principal-angle SVDs
         p = pair([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         (target,) = sample_feasible_target(
             p.product, 2, 1e-3, np.random.default_rng([0, 0, 0]).standard_normal((1, 3, 3)))
@@ -89,8 +89,7 @@ class TestRealizeBasics:
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         wit = realize(p, target)
-        assert len(calls) <= 9
-        assert wit.guarantee_eps == 0.07171067811861778
+        assert len(calls) == 6
         assert wit.delta_norm == 0.029011546029110224
 
     def test_not_open_refused(self):
@@ -118,6 +117,22 @@ class TestRealizeBasics:
         with pytest.raises(DeltaTooLarge) as err:
             realize(p, big)
         assert err.value.delta0 == pytest.approx(sigma_min / 2.0)
+
+    def test_the_chooser_keeps_the_first_least_norm_candidate_that_meets_the_target(self):
+        p = pair(np.eye(2), np.eye(2))
+        r = np.array([[1e-3, 0.0], [0.0, 0.0]])
+        zero = np.zeros((2, 2))
+        candidates = [
+            (zero, np.full((2, 2), np.nan)),  # a NaN residual never meets the target
+            (zero, 0.5 * r),  # smaller, but misses by 5e-4
+            (zero, r),
+            (r, zero),  # meets at the same norm: the first one stays
+        ]
+        wit = realization._least_witness(candidates, p, np.eye(2) + r, 1e-3, DEFAULT_TOL, None)
+        assert wit.delta_w1 is zero and wit.delta_w2 is candidates[2][1]
+        assert (wit.target_residual, wit.delta_norm, wit.input_delta) == (0.0, 1e-3, 1e-3)
+        with pytest.raises(NumericalFailure, match="least residual 5.000e-04"):
+            realization._least_witness(candidates[:2], p, np.eye(2) + r, 1e-3, DEFAULT_TOL, None)
 
     def test_zero_point_realizes_any_small_target(self):
         p = pair(np.zeros((3, 2)), np.zeros((2, 3)))
