@@ -84,6 +84,12 @@ def _inputs():
         "eye2": np.eye(2),
         "w_sym": W_SYM,
         "target_sym": w_sym @ w_sym.T,
+        # rank 1 < k = 2: the target raises the Gram matrix's rank
+        "e11": E11,
+        "target_sym_rank_raising": np.diag([1.0, 1e-6]),
+        "zeros32": np.zeros((3, 2)),
+        "w_sym_column": [[1.0], [0.0]],
+        "target_sym_far": np.diag([9.0, 0.0]),
         "sigma": SIGMA,
         "r_sym": R_SYM,
         "net_x": NET_X,
@@ -126,7 +132,10 @@ CASES = {
     "sym_solve": (["sym", "solve", "--sigma", "{sigma}", "--r", "{r_sym}"], 0),
     "sym_realize": (
         ["sym", "realize", "--w", "{w_sym}", "--target", "{target_sym}"], 0),
+    "sym_realize_rank_raising": (
+        ["sym", "realize", "--w", "{e11}", "--target", "{target_sym_rank_raising}"], 0),
     "sym_certify": (["sym", "certify", "--w", "{w_sym}"], 0),
+    "sym_certify_zero_rank": (["sym", "certify", "--w", "{zeros32}"], 0),
     "net_classify": (
         ["net", "classify", "--weights", "{net_weights}", "--x", "{net_x}",
          "--y", "{net_y}"], 0),
@@ -161,6 +170,8 @@ CASES = {
     "error_domain": (
         ["realize", "--w1", "{w1_generic}", "--w2", "{w2_generic}",
          "--target", "{target_far}"], 3),
+    "error_domain_sym": (
+        ["sym", "realize", "--w", "{w_sym_column}", "--target", "{target_sym_far}"], 3),
     "error_numerical": (
         ["openness", "check", "--w1", "{w1_ambiguous}", "--w2", "{eye2}"], 4),
 }
