@@ -4,6 +4,8 @@ batched solver behind the recovery oracles.
 
 * One rank rule: ``_sv_rank`` alone compares singular values (of one
   matrix or of a stack) with ``Tolerances.rank_cutoff``.
+* One radius gate: ``certified_radius``, the only constant either
+  realization certifies, refuses a target beyond it.
 * A ``Spectrum`` holds one full SVD with the rank and ambiguity flag read
   off it, so a matrix whose ranks, flags and bases are all needed is
   decomposed once.
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NotRankDeficient, NumericalFailure
+from .errors import DeltaTooLarge, InputError, NotRankDeficient, NumericalFailure
 from .matrixio import as_matrix
 
 EPS = float(np.finfo(float).eps)
@@ -171,6 +173,19 @@ def _sv_rank(s, shape, tol, band=1.0):
     matrix has rank 0."""
     count = (s > tol.rank_cutoff(shape, s[..., :1]) * band).sum(axis=-1)
     return int(count) if count.ndim == 0 else count
+
+
+def certified_radius(s, r, distance):
+    """``delta0 = s[r - 1] / 2``, half the least of the ``r`` counted
+    singular values ``s`` of a product (``None`` at rank 0); a target
+    ``distance`` beyond it raises ``DeltaTooLarge`` carrying ``delta0``."""
+    delta0 = float(s[r - 1]) / 2.0 if r > 0 else None
+    if delta0 is not None and distance > delta0:
+        raise DeltaTooLarge(
+            f"target distance {distance:.3e} exceeds the certified radius {delta0:.3e}",
+            delta0=delta0,
+        )
+    return delta0
 
 
 def rank(mat, tol=DEFAULT_TOL):

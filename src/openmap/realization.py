@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DeltaTooLarge,
     IllConditioned,
     InputError,
     NotOpen,
@@ -48,7 +47,7 @@ from .errors import (
     RankInfeasible,
 )
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, Spectrum, bounded_basis, spectrum
+from .numcore import DEFAULT_TOL, Spectrum, bounded_basis, certified_radius, spectrum
 # read by perfbench's test_tracing_replaces_every_alias_and_restores_them
 from .numcore import rank  # noqa: F401
 from .openness import (
@@ -165,14 +164,7 @@ def _realize_rank_deficient(pair, z_tilde, input_delta, sp, sp_z, sp1, tol):
     m, k, n = pair.m, pair.k, pair.n
     u, s, v, r = sp.u, sp.s, sp.v, sp.rank
 
-    delta0 = float(s[r - 1]) / 2.0 if r > 0 else None
-    if delta0 is not None and input_delta > delta0:
-        raise DeltaTooLarge(
-            f"target distance {input_delta:.3e} exceeds the certified "
-            f"radius {delta0:.3e}",
-            delta0=delta0,
-        )
-
+    delta0 = certified_radius(s, r, input_delta)
     st = u.T @ z_tilde @ v
     # st.T = (v.T V_z) S_z (u.T U_z).T for z_tilde = U_z S_z V_z.T
     sp_st_t = Spectrum(v.T @ sp_z.v, sp_z.s, u.T @ sp_z.u, sp_z.rank, sp_z.ambiguous)

@@ -18,22 +18,21 @@ unconditionally, so a constructive realization exists at every point:
 * ``certify_bm_transfer`` packages the resulting guarantee: any local
   minimum of a loss in the factor variable maps to a local minimum of
   the same loss on the rank-constrained PSD cone.
+
+Openness certifies a radius, not a perturbation bound: ``sigma_min / 2``
+(``certified_radius``) is the only constant either function certifies.
+The witness is measured: it scales with the target distance when ``w``
+has full column rank; otherwise a Schur-factor term of the distance's
+square root can dominate, at any rank.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DeltaTooLarge,
-    InputError,
-    NotPSD,
-    NumericalFailure,
-    RadicandNegative,
-    RankInfeasible,
-)
+from .errors import InputError, NotPSD, NumericalFailure, RadicandNegative, RankInfeasible
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, _product_jacobian, _sv_rank, lm_recover, null_space
+from .numcore import DEFAULT_TOL, _sv_rank, certified_radius, lm_recover, null_space
 
 # safety floor of the diagonal recursion: radicands must stay above 1/4
 _RADICAND_FLOOR = 0.25
@@ -52,7 +51,6 @@ class SymRealizationWitness:
     residual: float
     a_norm: float
     input_delta: float
-    bound_coefficient: float | None = None
 
 
 def solve_p_delta0(sigma_diag):
@@ -130,20 +128,11 @@ def _gram_eigh(w, tol):
     return lam, u, _sv_rank(np.sort(np.abs(lam))[::-1], z.shape, tol)
 
 
-def bound_coefficient(rank_value, sigma_min):
-    """Proportionality constant between target distance and factor
-    perturbation at points with positive least curvature."""
-    if sigma_min is None or sigma_min <= 0:
-        return None
-    root = np.sqrt(sigma_min)
-    return float((3.0 * rank_value**2.5 + np.sqrt(2.0 * rank_value) + root) / root)
-
-
 def sym_realize(w, sigma_tilde, tol=DEFAULT_TOL):
     """Find ``a_eps`` with ``(w + a_eps)(w + a_eps).T == sigma_tilde``.
 
     ``sigma_tilde`` must be symmetric PSD with rank at most the column
-    count of ``w`` and within the certified distance of ``w @ w.T``.
+    count of ``w`` and within the certified radius of ``w @ w.T``.
     """
     w = as_matrix(w, "w")
     sigma_tilde = as_matrix(sigma_tilde, "sigma_tilde")
@@ -168,14 +157,7 @@ def sym_realize(w, sigma_tilde, tol=DEFAULT_TOL):
     r_delta = target_rot - np.diag(sigma)
     input_delta = float(np.linalg.norm(r_delta))
 
-    sigma_min = float(lam[r - 1]) if r > 0 else None
-    coeff = bound_coefficient(r, sigma_min)
-    if sigma_min is not None and input_delta > sigma_min / 2.0:
-        raise DeltaTooLarge(
-            f"target distance {input_delta:.3e} exceeds the certified "
-            f"radius {sigma_min / 2.0:.3e}",
-            delta0=sigma_min / 2.0,
-        )
+    certified_radius(lam, r, input_delta)
 
     # at r == 0 every top block is empty: the empty products vanish and
     # N(top) is all of R^k, so one path serves both cases
@@ -225,7 +207,6 @@ def sym_realize(w, sigma_tilde, tol=DEFAULT_TOL):
         residual=residual,
         a_norm=float(np.linalg.norm(a_eps)),
         input_delta=input_delta,
-        bound_coefficient=coeff,
     )
 
 
@@ -234,35 +215,24 @@ class TransferCertificate:
     open: bool
     rank: int
     sigma_min: float | None
-    bound_coefficient: float | None
-    zero_rank_degraded: bool
     statement: str
 
 
 def certify_bm_transfer(w, tol=DEFAULT_TOL):
     """Certificate that the symmetric product map is open at ``w`` in its
     range, so local minima of ``loss(W @ W.T)`` map to local minima of the
-    rank-constrained PSD problem; includes the realization constants."""
+    rank-constrained PSD problem; ``sigma_min / 2`` is the only certified
+    constant (``sigma_min`` is ``None`` at rank 0)."""
     w = as_matrix(w, "w")
     lam, _, r = _gram_eigh(w, tol)
-    sigma_min = float(lam[r - 1]) if r > 0 else None
-    coeff = bound_coefficient(r, sigma_min)
     return TransferCertificate(
         open=True,
         rank=r,
-        sigma_min=sigma_min,
-        bound_coefficient=coeff,
-        zero_rank_degraded=r == 0,
+        sigma_min=float(lam[r - 1]) if r > 0 else None,
         statement=(
             "the symmetric factorization map is open in its range; every "
             "local minimum of the factored problem maps to a local minimum "
             "of the rank-constrained PSD problem"
-            + (
-                "; at zero rank the perturbation bound degrades to the "
-                "square-root scale"
-                if r == 0
-                else ""
-            )
         ),
     )
 
@@ -284,11 +254,13 @@ def gauss_newton_sym_recover(w, targets, delta, tol=DEFAULT_TOL, seed=0):
         return wa @ np.transpose(wa, (0, 2, 1))
 
     def jacobian(a):
-        # delta_ip wa_jq from the wa block, delta_jp wa_iq from the wa.T one
+        # d(wa wa.T)_ij / d a_pq = delta_ip wa_jq + delta_jp wa_iq
         wa = w + a
-        jac = _product_jacobian(wa, wa.transpose(0, 2, 1))
-        jt = jac[..., n * k:].reshape(-1, n * n, k, n).transpose(0, 1, 3, 2)
-        return jac[..., :n * k] + jt.reshape(-1, n * n, n * k)
+        jac = np.zeros((len(wa), n, n, n, k))
+        ar = np.arange(n)
+        jac[:, ar, :, ar] = wa
+        jac[:, :, ar, ar] += wa[:, :, None]
+        return jac.reshape(-1, n * n, n * k)
 
     rounds = (100, 100, [0.5 * np.sqrt(delta)] if delta > 0.0 else [])
     (a,), rn, norms, success = lm_recover(

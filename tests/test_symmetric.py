@@ -130,7 +130,6 @@ class TestSymRealize:
         target = (w + e) @ (w + e).T
         wit = sym_realize(w, target)
         assert wit.residual <= 1e-10
-        assert wit.a_norm <= wit.bound_coefficient * wit.input_delta * (1 + 1e-9)
 
     def test_zero_factor_sqrt_scale(self):
         w = np.zeros((3, 2))
@@ -157,26 +156,36 @@ class TestSymRealize:
                 continue
             assert wit.residual <= 1e-10 * max(1.0, np.linalg.norm(target))
 
-    def test_bound_formula_on_rank_preserving_targets(self):
-        # column-space-preserving perturbations keep the trailing block
-        # second order, where the linear coefficient bound is sharp
+    def test_full_column_rank_witness_scales_with_the_distance(self):
+        # with r = k the Schur complement of (I + t x) w stays second
+        # order, so a_norm / input_delta settles to one constant per w
         rng = np.random.default_rng(11)
+        checked = 0
         for _ in range(30):
             n = int(rng.integers(2, 5))
-            k = int(rng.integers(1, 4))
+            k = int(rng.integers(1, n + 1))
             w = rng.standard_normal((n, k))
-            x = 1e-6 * rng.standard_normal((n, n))
-            wt = (np.eye(n) + x) @ w
-            target = wt @ wt.T
+            x = rng.standard_normal((n, n))
+            ratios = []
             try:
-                wit = sym_realize(w, target)
+                for t in (1e-3, 1e-5, 1e-7, 1e-9):
+                    wt = (np.eye(n) + t * x) @ w
+                    wit = sym_realize(w, wt @ wt.T)
+                    ratios.append(wit.a_norm / wit.input_delta)
             except DeltaTooLarge:
                 continue
-            assert wit.residual <= 1e-10 * max(1.0, np.linalg.norm(target))
-            if wit.bound_coefficient is not None and wit.input_delta > 0:
-                assert wit.a_norm <= wit.bound_coefficient * wit.input_delta * (
-                    1 + 1e-6
-                )
+            checked += 1
+            assert max(ratios) / min(ratios) < 1.01
+        assert checked >= 25
+
+    def test_rank_raising_witness_is_square_root_sized(self):
+        # rank 1 < k = 2: the new eigenvalue delta is reached only along
+        # the free column, at norm sqrt(delta) whatever the rank
+        w = np.array([[1.0, 0.0], [0.0, 0.0]])
+        for delta in (1e-4, 1e-6, 1e-8):
+            wit = sym_realize(w, np.diag([1.0, delta]))
+            assert wit.input_delta == pytest.approx(delta, rel=1e-12)
+            assert wit.a_norm == pytest.approx(np.sqrt(delta), rel=1e-12)
 
     def test_orthogonal_invariance(self):
         rng = np.random.default_rng(8)
@@ -225,12 +234,10 @@ class TestCertify:
     def test_zero_point_flagged(self):
         cert = certify_bm_transfer(np.zeros((3, 2)))
         assert cert.open
-        assert cert.zero_rank_degraded
+        assert cert.rank == 0
         assert cert.sigma_min is None
 
-    def test_full_rank_coefficient_formula(self):
-        w = 2.0 * np.eye(3)
-        cert = certify_bm_transfer(w)
-        r, smin = 3, 4.0
-        expected = (3 * r**2.5 + np.sqrt(2 * r) + np.sqrt(smin)) / np.sqrt(smin)
-        assert cert.bound_coefficient == pytest.approx(expected)
+    def test_full_rank_sigma_min(self):
+        cert = certify_bm_transfer(2.0 * np.eye(3))
+        assert cert.rank == 3
+        assert cert.sigma_min == pytest.approx(4.0)
