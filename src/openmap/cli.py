@@ -2,21 +2,36 @@
 
 One table, ``COMMANDS``, declares every command.  It maps a command path
 such as ``("net", "gd-sweep")`` or ``("realize",)`` to the flags the
-command reads and its handler ``(args, tol) -> payload``: the
-``--tol-*`` flags on every command but ``selftest``, ``--seed`` only where
-the command draws at random, and ``--trials``, with its default, only on
-``openness probe``, ``realize ratio-sweep`` and ``net gd-sweep``.  Every
-command also takes ``_COMMON``'s ``--jobs`` and ``--out``; ``--jobs``
-stays on one-process commands because the benchmark passes ``--jobs 1``
-to each one.  ``run`` picks the longest path in the table that is a
-prefix of argv and parses the rest with that command's leaf parser,
-which is built on first use and kept for the life of the process, so no
-parser is built twice.  It then checks the flags every command shares,
-calls the handler with the parsed flags and the run's ``Tolerances``, and
-prints ``{"config": ..., "result": ...}``.  ``config`` is derived from
-the parsed flags: the command, ``seed`` and ``trials`` where the command
-takes them, ``jobs``, the tolerances, then every other flag in table
-order but those naming files (``_FILE_FLAGS``: the inputs and ``--out``).
+command reads and its handler ``(args, tol) -> payload``.  A command takes
+the ``--tol-*`` flags of the tolerances its handler reads (``_TOL_FIELDS``
+maps each to its ``Tolerances`` field):
+
+* ``--tol-rank``, ``--tol-grad`` and ``--tol-residual``: ``net classify``,
+  ``net fixture``, ``net gd-sweep``;
+* ``--tol-rank`` and ``--tol-residual``: ``openness check`` (the residual
+  only with ``--witnesses``), ``realize``, ``realize ratio-sweep``,
+  ``sym realize``;
+* ``--tol-rank``: ``sym certify``, ``net counterexample``;
+* ``--tol-residual``: ``openness probe``, ``sym solve``, ``net probe``;
+* none: ``selftest``.
+
+``--seed`` goes only where the command draws at random, and ``--trials``,
+with its default, only on ``openness probe``, ``realize ratio-sweep`` and
+``net gd-sweep``.  Every command also takes ``_COMMON``'s ``--jobs`` and
+``--out``; ``--jobs`` stays on one-process commands because the benchmark
+passes ``--jobs 1`` to each one.  Flags must be spelled in full: a prefix
+such as ``--d`` or ``--tol`` is an unrecognized argument, which exits 2.
+
+``run`` picks the longest path in the table that is a prefix of argv and
+parses the rest with that command's leaf parser, which is built on first
+use and kept for the life of the process, so no parser is built twice.
+It then checks the flags every command shares, calls the handler with
+the parsed flags and the run's ``Tolerances``, and prints
+``{"config": ..., "result": ...}``.  ``config`` is derived from the
+parsed flags: the command, ``seed`` and ``trials`` where the command
+takes them, ``jobs``, all three tolerances (defaults included, whichever
+flags the command takes), then every other flag in table order but those
+naming files (``_FILE_FLAGS``: the inputs and ``--out``).
 ``selftest`` writes its own output: one line per criterion, and the
 ``--out`` file.
 
@@ -95,18 +110,19 @@ class ExperimentReport:
 
 # flags whose values name files: the handlers read them, the echo leaves them out
 _FILE_FLAGS = {"w1", "w2", "target", "sigma", "r", "w", "weights", "x", "y", "out"}
+# --tol-<name> sets the Tolerances field it maps to
+_TOL_FIELDS = {"rank": "rank_rel", "grad": "grad_abs", "residual": "residual_abs"}
 
 
 def _tolerances(args):
     """Checks the flags every command shares; returns the run's tolerances."""
     kwargs = {}
-    for flag, name in (("--tol-rank", "rank_rel"), ("--tol-grad", "grad_abs"),
-                       ("--tol-residual", "residual_abs")):
-        value = getattr(args, flag[2:].replace("-", "_"), None)
+    for name, field in _TOL_FIELDS.items():
+        value = getattr(args, f"tol_{name}", None)
         if value is not None:
             if not 0 < value < np.inf:
-                raise InputError(f"{flag} must be positive and finite, got {value}")
-            kwargs[name] = value
+                raise InputError(f"--tol-{name} must be positive and finite, got {value}")
+            kwargs[field] = value
     if getattr(args, "seed", 0) < 0:
         raise InputError("--seed must be non-negative")
     if getattr(args, "trials", 1) < 1:
@@ -416,30 +432,37 @@ def _trials(default):
     return (("--trials", {"type": int, "default": default}),)
 
 
-_TOL = tuple((flag, {"type": float})
-             for flag in ("--tol-rank", "--tol-grad", "--tol-residual"))
+def _tol(*names):
+    return tuple((f"--tol-{name}", {"type": float}) for name in names)
+
+
 _SEED = (("--seed", {"type": int, "default": 0}),)
 _PAIR = _required("--w1", "--w2")
 _POINT = _required("--weights", "--x", "--y")
 
 COMMANDS = {
     ("openness", "check"): Command(
-        _PAIR + (("--witnesses", {"action": "store_true"}),) + _TOL, _openness_check),
+        _PAIR + (("--witnesses", {"action": "store_true"}),) + _tol("rank", "residual"),
+        _openness_check),
     ("openness", "probe"): Command(
-        _PAIR + (("--delta", {"type": float, "default": 1e-5}),) + _TOL + _SEED
-        + _trials(50), _openness_probe),
-    ("realize",): Command(_PAIR + _required("--target") + _TOL, _realize),
+        _PAIR + (("--delta", {"type": float, "default": 1e-5}),) + _tol("residual")
+        + _SEED + _trials(50), _openness_probe),
+    ("realize",): Command(
+        _PAIR + _required("--target") + _tol("rank", "residual"), _realize),
     ("realize", "ratio-sweep"): Command(
-        _PAIR + (("--deltas", {"type": _deltas, "required": True}),) + _TOL + _SEED
-        + _trials(5), _ratio_sweep),
-    ("sym", "solve"): Command(_required("--sigma", "--r") + _TOL, _sym_solve),
-    ("sym", "realize"): Command(_required("--w", "--target") + _TOL, _sym_realize),
-    ("sym", "certify"): Command(_required("--w") + _TOL, _sym_certify),
-    ("net", "classify"): Command(_POINT + _TOL + _SEED, _net_classify),
+        _PAIR + (("--deltas", {"type": _deltas, "required": True}),)
+        + _tol("rank", "residual") + _SEED + _trials(5), _ratio_sweep),
+    ("sym", "solve"): Command(_required("--sigma", "--r") + _tol("residual"), _sym_solve),
+    ("sym", "realize"): Command(
+        _required("--w", "--target") + _tol("rank", "residual"), _sym_realize),
+    ("sym", "certify"): Command(_required("--w") + _tol("rank"), _sym_certify),
+    ("net", "classify"): Command(_POINT + _tol(*_TOL_FIELDS) + _SEED, _net_classify),
     ("net", "counterexample"): Command(
-        (("--dims", {"type": _dims, "required": True}),) + _TOL, _net_counterexample),
-    ("net", "fixture"): Command(_required("--name") + _TOL + _SEED, _net_fixture),
-    ("net", "probe"): Command(_POINT + _TOL + _SEED, _net_probe),
+        (("--dims", {"type": _dims, "required": True}),) + _tol("rank"),
+        _net_counterexample),
+    ("net", "fixture"): Command(
+        _required("--name") + _tol(*_TOL_FIELDS) + _SEED, _net_fixture),
+    ("net", "probe"): Command(_POINT + _tol("residual") + _SEED, _net_probe),
     ("net", "gd-sweep"): Command((
         ("--dims", {"type": _dims}),
         ("--depth", {"type": int, "default": 2}),
@@ -447,7 +470,7 @@ COMMANDS = {
         ("--x", {}),
         ("--y", {}),
         ("--max-iter", {"type": int, "default": 100000}),
-    ) + _TOL + _SEED + _trials(20), _net_gd_sweep),
+    ) + _tol(*_TOL_FIELDS) + _SEED + _trials(20), _net_gd_sweep),
     ("selftest",): Command((("--only", {}),), _selftest),
 }
 
@@ -467,7 +490,9 @@ class _Parser(argparse.ArgumentParser):
 
 @cache
 def _leaf_parser(path):
-    parser = _Parser(prog=" ".join(("openmap",) + path))
+    # allow_abbrev=False: a prefix such as --tol would otherwise stand for
+    # whichever one flag it begins
+    parser = _Parser(prog=" ".join(("openmap",) + path), allow_abbrev=False)
     for flag, kwargs in COMMANDS[path].flags + _COMMON:
         parser.add_argument(flag, **kwargs)
     return parser

@@ -239,8 +239,7 @@ def intersection_dim(basis1, basis2, tol=DEFAULT_TOL):
     p, cos, _ = np.linalg.svd(basis1.T @ basis2)
     # the cosines carry rounding from two SVD layers, so the threshold
     # keeps a floor of a few dozen ulps below exact alignment
-    thr = tol.rank_rel if tol.rank_rel is not None else EPS * max(basis1.shape[0], 2)
-    thr = max(thr, 64.0 * EPS)
+    thr = max(tol.rank_cutoff((basis1.shape[0], 2), 1.0), 64.0 * EPS)
     return int(np.sum(cos >= 1.0 - thr)), basis1 @ p[:, ::-1]
 
 

@@ -60,6 +60,12 @@ def solve_p_delta0(sigma_diag):
     return float(sigma.min()) / (8.0 * len(sigma))
 
 
+def _check_symmetric(mat, name, tol):
+    gap = float(np.abs(mat - mat.T).max())
+    if gap > tol.residual_abs:
+        raise InputError(f"{name} is not symmetric: max asymmetry {gap:.3e}")
+
+
 def solve_p(sigma_diag, r_mat, tol=DEFAULT_TOL):
     """Upper-triangular solution of ``P + P.T + P @ inv(Sigma) @ P.T = R``.
 
@@ -77,9 +83,7 @@ def solve_p(sigma_diag, r_mat, tol=DEFAULT_TOL):
     n = sigma.size
     if r_mat.shape != (n, n):
         raise InputError(f"r must be {n}x{n} to match sigma")
-    sym_gap = float(np.abs(r_mat - r_mat.T).max()) if n else 0.0
-    if sym_gap > tol.residual_abs:
-        raise InputError(f"r is not symmetric: max asymmetry {sym_gap:.3e}")
+    _check_symmetric(r_mat, "r", tol)
 
     s = 1.0 / sigma
     p = np.zeros((n, n))
@@ -109,7 +113,7 @@ def solve_p(sigma_diag, r_mat, tol=DEFAULT_TOL):
     return SymSolveResult(
         p=p,
         residual=residual,
-        p_inf_norm=float(np.abs(p).max()) if n else 0.0,
+        p_inf_norm=float(np.abs(p).max()),
     )
 
 
@@ -139,9 +143,7 @@ def sym_realize(w, sigma_tilde, tol=DEFAULT_TOL):
     n, k = w.shape
     if sigma_tilde.shape != (n, n):
         raise InputError(f"target must be {n}x{n}")
-    sym_gap = float(np.abs(sigma_tilde - sigma_tilde.T).max())
-    if sym_gap > tol.residual_abs:
-        raise InputError(f"target is not symmetric: max asymmetry {sym_gap:.3e}")
+    _check_symmetric(sigma_tilde, "target", tol)
     t_vals = np.linalg.eigvalsh(sigma_tilde)
     scale = max(1.0, float(np.abs(t_vals).max()))
     if t_vals.min() < -tol.residual_abs * scale:

@@ -80,6 +80,15 @@ TRIALS = {("openness", "probe"): 50, ("realize", "ratio-sweep"): 5,
 FILE_FLAGS = {"w1", "w2", "target", "sigma", "r", "w", "weights", "x", "y", "out"}
 TOL_FLAGS = {"tol_rank", "tol_grad", "tol_residual"}
 VALUES = {"deltas": "1e-3", "dims": "2,1,2", "name": "intro"}
+# the --tol-* flags of each command: those whose tolerance its handler reads
+RANK_RESIDUAL = {"tol_rank", "tol_residual"}
+TOLS = {("net", "classify"): TOL_FLAGS, ("net", "fixture"): TOL_FLAGS,
+        ("net", "gd-sweep"): TOL_FLAGS,
+        ("openness", "check"): RANK_RESIDUAL, ("realize",): RANK_RESIDUAL,
+        ("realize", "ratio-sweep"): RANK_RESIDUAL, ("sym", "realize"): RANK_RESIDUAL,
+        ("sym", "certify"): {"tol_rank"}, ("net", "counterexample"): {"tol_rank"},
+        ("openness", "probe"): {"tol_residual"}, ("sym", "solve"): {"tol_residual"},
+        ("net", "probe"): {"tol_residual"}, ("selftest",): set()}
 
 
 @pytest.mark.parametrize("path", sorted(COMMANDS))
@@ -89,7 +98,7 @@ def test_seed_and_trials_go_only_to_the_commands_that_read_them(path):
     defaults = {action.dest: action.default for action in actions}
     assert ("seed" in defaults) == (path in SEEDED)
     assert defaults.get("trials") == TRIALS.get(path)
-    assert ("tol_rank" in defaults) == (path != ("selftest",))
+    assert {dest for dest in defaults if dest.startswith("tol_")} == TOLS[path]
     # every file flag gets a path, optional ones included
     argv, files = [], []
     for action in actions:
@@ -148,6 +157,13 @@ def test_a_bad_flag_value_exits_2_with_its_message(argv, message, tmp_path, caps
 @pytest.mark.parametrize("argv", [
     ["openness", "check", "--w1", "a.json", "--w2", "b.json", "--seed", "1"],
     ["selftest", "--tol-grad", "1"],
+    ["realize", "--w1", "a.json", "--w2", "b.json", "--target", "c.json",
+     "--tol-grad", "1"],
+    ["sym", "certify", "--w", "a.json", "--tol-residual", "1"],
+    ["openness", "probe", "--w1", "a.json", "--w2", "b.json", "--tol-rank", "1"],
+    # prefixes of a flag the command takes are not that flag
+    ["openness", "probe", "--w1", "a.json", "--w2", "b.json", "--d", "1e-3"],
+    ["sym", "certify", "--w", "a.json", "--tol", "1e-9"],
 ])
 def test_a_flag_the_command_does_not_read_exits_2(argv, capsys):
     assert main(argv) == 2
@@ -450,10 +466,8 @@ def test_a_delta_whose_squared_cap_overflows_exits_4(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("flag", ["--tol-rank", "--tol-grad", "--tol-residual"])
-def test_a_non_finite_tolerance_exits_2_naming_its_flag(flag, value, tmp_path, capsys):
-    paths = _open_pair_paths(tmp_path)
-    argv = ["openness", "check", "--w1", paths["w1"], "--w2", paths["w2"],
-            flag, value, "--jobs", "1"]
+def test_a_non_finite_tolerance_exits_2_naming_its_flag(flag, value, capsys):
+    argv = ["net", "fixture", "--name", "intro", flag, value, "--jobs", "1"]
     assert main(argv) == 2
     assert _error(capsys) == {"error": "InputError",
                               "message": f"{flag} must be positive and finite, got {value}",

@@ -8,6 +8,7 @@ exactly, floats to a relative 1e-12.  ``wall_clock_seconds`` and
 object printed on stderr and the exit code.
 """
 
+import dataclasses
 import json
 import math
 from itertools import takewhile
@@ -16,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from openmap.cli import COMMANDS, main
+from openmap.cli import COMMANDS, Command, main
 from openmap.matrixio import matrix_to_payload
+from openmap.numcore import Tolerances
 from openmap.openness import draw_directions, sample_feasible_target
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -263,3 +265,41 @@ def test_every_command_in_the_table_has_a_golden_case():
     exercised = {tuple(takewhile(lambda tok: not tok.startswith("-"), argv))
                  for argv, _ in CASES.values()}
     assert exercised == set(COMMANDS) - {("selftest",)}
+
+
+_FIELDS = {field.name for field in dataclasses.fields(Tolerances)}
+# the Tolerances field each --tol-* flag sets
+_TOL_FLAGS = {"--tol-rank": "rank_rel", "--tol-grad": "grad_abs",
+              "--tol-residual": "residual_abs"}
+
+
+class _RecordingTolerances(Tolerances):
+    """Notes each field read once ``reads`` is set, after construction."""
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "__dict__").get("reads")
+        if reads is not None and name in _FIELDS:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_each_command_takes_the_tolerance_flags_its_handler_reads(
+        input_paths, monkeypatch, capsys):
+    reads = {}
+
+    def recording(path, handler):
+        def run(args, tol):
+            tol = _RecordingTolerances(**dataclasses.asdict(tol))
+            object.__setattr__(tol, "reads", reads.setdefault(path, set()))
+            return handler(args, tol)
+        return run
+
+    for path, command in COMMANDS.items():
+        monkeypatch.setitem(COMMANDS, path,
+                            Command(command.flags, recording(path, command.handler)))
+    for name, (_, code) in CASES.items():
+        assert run_case(name, input_paths, capsys)[0] == code, name
+    for path, fields in reads.items():
+        taken = {_TOL_FLAGS[flag] for flag, _ in COMMANDS[path].flags
+                 if flag.startswith("--tol-")}
+        assert fields == taken, " ".join(path)
