@@ -30,7 +30,8 @@ import numpy as np
 
 from .errors import InputError, NotConstructible, NumericalFailure
 from .matrixio import as_matrix
-from .numcore import DEFAULT_TOL, EPS, _flat_views, _row_dots, null_space, rank, spectrum
+from .numcore import (DEFAULT_TOL, EPS, _flat_views, _row_dots, null_space, rank,
+                      singular_values, spectrum, svd)
 
 GLOBAL_MIN = "GlobalMin"
 SECOND_ORDER_SADDLE = "SecondOrderSaddle"
@@ -150,7 +151,7 @@ def global_value(width, x, y, tol=DEFAULT_TOL):
     reachable = y_rot[:, : sp.rank]
     constant = float(np.linalg.norm(y_rot[:, sp.rank :]) ** 2)
     t = min(width, sp.rank)
-    sing = np.linalg.svd(reachable, compute_uv=False) if reachable.size else np.zeros(0)
+    sing = singular_values(reachable)
     tail = float(np.sum(sing[t:] ** 2))
     return 0.5 * (tail + constant)
 
@@ -319,7 +320,7 @@ def _path_curves(weights, g_x, tol):
     where some ``C`` is zero) is skipped.  Interior hops take exponent 1,
     then 2; end hops take 1."""
     h = len(weights)
-    u, _, vt = np.linalg.svd(g_x)
+    u, _, v = svd(g_x)
 
     def kernel(m):  # a zero matrix needs no SVD
         return null_space(m, tol) if m.any() else np.eye(m.shape[1])
@@ -334,9 +335,9 @@ def _path_curves(weights, g_x, tol):
         a_null, b_null = kernel(weights[h - hi] @ c), kernel((c @ weights[h - lo]).T)
         for a_sp, b_sp in ((a_null, b_null), (a_null, b_all), (a_all, b_null), (a_all, b_all)):
             if a_sp.shape[1] and b_sp.shape[1]:
-                lb, s, ra = np.linalg.svd(b_sp.T @ c @ a_sp)
+                lb, s, ra = svd(b_sp.T @ c @ a_sp)
                 if s[0] > _DIRECTION_TOL:
-                    return a_sp @ ra[0], b_sp @ lb[:, 0]
+                    return a_sp @ ra[:, 0], b_sp @ lb[:, 0]
         return None
 
     for size in range(h - 1):
@@ -344,7 +345,7 @@ def _path_curves(weights, g_x, tol):
             links = list(zip((1, *interior), (*interior, h)))
             if any(pair(*link) is None for link in links):
                 continue
-            outs, ins = {h: -u[:, 0]}, {1: vt[0]}
+            outs, ins = {h: -u[:, 0]}, {1: v[:, 0]}
             for lo, hi in links:
                 outs[lo], ins[hi] = pair(lo, hi)
             for inner_k in (1, 2) if interior else (1,):
@@ -412,9 +413,10 @@ def classify(point, tol=DEFAULT_TOL, seed=0):
     obj = _loss(acts[-1], y)
     g_out = acts[-1] - y
     gnorm = gradient_norm(_backward(weights, acts, g_out))
-    if not (np.isfinite(obj) and np.isfinite(gnorm)):
+    prod = product_matrix(weights)
+    if not (np.isfinite(obj) and np.isfinite(gnorm) and np.isfinite(prod).all()):
         raise NumericalFailure(
-            f"the objective or its gradient overflows at this point: "
+            f"the objective, its gradient or the product overflows at this point: "
             f"objective {obj}, gradient norm {gnorm}"
         )
     gv = global_value(min(point.dims), x, y, tol)
@@ -430,7 +432,6 @@ def classify(point, tol=DEFAULT_TOL, seed=0):
             certificates=certificates,
         )
 
-    prod = product_matrix(weights)
     prod_rank = rank(prod, tol)
     degenerate = prod_rank < min(point.dims)
     if gnorm > tol.grad_abs:

@@ -29,7 +29,12 @@ from .errors import InputError
 
 
 def as_matrix(obj, name="matrix"):
-    """Coerce to a finite 2-D float array, copying only when needed."""
+    """Coerce to a finite 2-D float array, copying only when needed.
+
+    The package's one input check.  It runs where a matrix enters: in the
+    loaders here, in the entry types (``FactorPair``, ``NetworkPoint``),
+    and in the public functions of ``openness``, ``realization``,
+    ``symmetric`` and ``landscape``; ``numcore`` checks nothing again."""
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 2:
         raise InputError(f"{name}: expected a 2-D matrix, got ndim={arr.ndim}")

@@ -2,6 +2,14 @@
 package, subspace bases, bounded-coefficient row-basis selection, and the
 batched solver behind the recovery oracles.
 
+The module's callers are the package's own modules, and every matrix they
+pass is a finite float ndarray already checked where it entered: by the
+loaders, the entry types, or the public functions of ``openness``,
+``realization``, ``symmetric`` and ``landscape``.  Nothing here coerces or
+checks an input again.  ``_svd`` is the one SVD call of the package; it
+turns LAPACK's failure and a non-finite singular value, which an
+overflowed intermediate leaves, into ``NumericalFailure``.
+
 * One rank rule: ``_sv_rank`` alone compares singular values (of one
   matrix or of a stack) with ``Tolerances.rank_cutoff``.
 * One radius gate: ``certified_radius``, the only constant either
@@ -45,7 +53,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeltaTooLarge, InputError, NotRankDeficient, NumericalFailure
-from .matrixio import as_matrix
 
 EPS = float(np.finfo(float).eps)
 
@@ -131,22 +138,24 @@ class BoundedBasisResult:
         return tuple(i for i in range(m) if i not in inside)
 
 
-def svd(mat, full_matrices=True):
-    """SVD returning (U, s, V) with ``U @ diag(s) @ V.T == mat``."""
-    mat = as_matrix(mat)
+def _svd(mat, **kwargs):
+    """``np.linalg.svd(mat, **kwargs)``, the one SVD call of the package.
+    LAPACK's failure (a NaN entry) and a non-finite singular value (an
+    infinite entry, which LAPACK turns into NaNs without failing) raise
+    ``NumericalFailure``."""
     try:
-        u, s, vt = np.linalg.svd(mat, full_matrices=full_matrices)
+        out = np.linalg.svd(mat, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    if not np.isfinite(out if isinstance(out, np.ndarray) else out.S).all():
+        raise NumericalFailure("SVD gave non-finite singular values")
+    return out
+
+
+def svd(mat, full_matrices=True):
+    """SVD returning (U, s, V) with ``U @ diag(s) @ V.T == mat``."""
+    u, s, vt = _svd(mat, full_matrices=full_matrices)
     return u, s, vt.T
-
-
-def _as_stack(mat):
-    """A matrix or a ``(..., m, n)`` stack as a float array; a stack
-    passes the matrix checks as one tall matrix."""
-    mat = np.asarray(mat, dtype=float)
-    as_matrix(mat.reshape(-1, mat.shape[-1]) if mat.ndim > 2 else mat)
-    return mat
 
 
 def _row_dots(a):
@@ -159,11 +168,7 @@ def _row_dots(a):
 def singular_values(mat):
     """Descending singular values of a matrix, or of each matrix of a
     ``(..., m, n)`` stack."""
-    mat = _as_stack(mat)
-    try:
-        return np.linalg.svd(mat, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    return _svd(mat, compute_uv=False)
 
 
 def _sv_rank(s, shape, tol, band=1.0):
@@ -191,7 +196,6 @@ def certified_radius(s, r, distance):
 def rank(mat, tol=DEFAULT_TOL):
     """Numerical rank: singular values above ``rank_rel * smax``; an int
     array of ranks for a ``(..., m, n)`` stack."""
-    mat = np.asarray(mat, dtype=float)
     return _sv_rank(singular_values(mat), mat.shape[-2:], tol)
 
 
@@ -203,7 +207,6 @@ def rank_is_ambiguous(mat, tol=DEFAULT_TOL):
 
 def spectrum(mat, tol=DEFAULT_TOL):
     """Full SVD of ``mat`` with its rank and ambiguity flag."""
-    mat = as_matrix(mat)
     u, s, v = svd(mat)
     r = _sv_rank(s, mat.shape, tol)
     return Spectrum(u, s, v, r, r != _sv_rank(s, mat.shape, tol, _AMBIGUITY_BAND))
@@ -232,11 +235,9 @@ def intersection_dim(basis1, basis2, tol=DEFAULT_TOL):
     the count of principal-angle cosines at 1, and ``basis1 @ p[:, ::-1]``.
     An empty basis meets nothing, and ``basis1`` comes back as given.
     """
-    if basis1.shape[0] != basis2.shape[0]:
-        raise InputError("subspace bases live in different ambient dimensions")
     if basis1.shape[1] == 0 or basis2.shape[1] == 0:
         return 0, basis1
-    p, cos, _ = np.linalg.svd(basis1.T @ basis2)
+    p, cos, _ = _svd(basis1.T @ basis2)
     # the cosines carry rounding from two SVD layers, so the threshold
     # keeps a floor of a few dozen ulps below exact alignment
     thr = max(tol.rank_cutoff((basis1.shape[0], 2), 1.0), 64.0 * EPS)
@@ -288,7 +289,6 @@ def bounded_basis(mat, tol=DEFAULT_TOL, sp=None):
     values, so ordering them by residual would order them by rounding
     noise.
     """
-    mat = as_matrix(mat)
     m = mat.shape[0]
     if sp is None:
         sp = spectrum(mat, tol)
@@ -338,16 +338,12 @@ def truncated_svd(mat, max_rank):
     """Best approximation of ``mat`` with rank at most ``max_rank``, or of
     each matrix of a ``(..., m, n)`` stack; a slice of a stack equals,
     bit for bit, the call on that matrix alone."""
-    mat = _as_stack(mat)
     k = int(max_rank)
     if k >= min(mat.shape[-2:]):
         return mat.copy()
     if k <= 0:
         return np.zeros_like(mat)
-    try:
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    u, s, vt = _svd(mat, full_matrices=False)
     return (u[..., :k] * s[..., None, :k]) @ vt[..., :k, :]
 
 

@@ -32,7 +32,7 @@ from .landscape import (
     product_matrix,
     rank_deficient_y_fixture,
 )
-from .numcore import DEFAULT_TOL, Tolerances, bounded_basis, rank
+from .numcore import DEFAULT_TOL, Tolerances, bounded_basis, rank, singular_values
 from .openness import FactorPair, check_openness, probe_openness
 from .realization import measure_delta_ratio
 from .symmetric import gauss_newton_sym_recover, solve_p, solve_p_delta0, sym_realize
@@ -345,7 +345,7 @@ def criterion_6():
             target = w @ w.T + 1e-4 * np.eye(n)  # full-rank mass: rank n > k
             delta = float(np.linalg.norm(target - w @ w.T))
         else:
-            svals = np.linalg.svd(w, compute_uv=False)
+            svals = singular_values(w)
             pos = svals[svals > 1e-12]
             # rank-raising mass admits only square-root-sized witnesses,
             # so keep the distance above the oracle's cap crossover 1e-6

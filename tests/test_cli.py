@@ -203,19 +203,25 @@ def test_repeated_calls_build_each_parser_once(monkeypatch, tmp_path, capsys):
     assert built == ["openmap net counterexample", "openmap realize"]
 
 
-def _net_files(tmp_path, entries):
+def _net_files(tmp_path, entries, x=1.0):
     weights = [{"rows": 1, "cols": 1, "data": [v]} for v in entries]
-    one = {"rows": 1, "cols": 1, "data": [1.0]}
-    for name, obj in (("w", weights), ("x", one)):
+    for name, obj in (("w", weights), ("x", {"rows": 1, "cols": 1, "data": [x]}),
+                      ("y", {"rows": 1, "cols": 1, "data": [1.0]})):
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
     return ["--weights", str(tmp_path / "w.json"), "--x", str(tmp_path / "x.json"),
-            "--y", str(tmp_path / "x.json"), "--jobs", "1"]
+            "--y", str(tmp_path / "y.json"), "--jobs", "1"]
 
 
-@pytest.mark.parametrize("command", ["probe", "classify"])
-def test_an_overflowing_objective_is_a_numerical_failure(command, tmp_path, capsys):
+@pytest.mark.parametrize("command, x", [
+    pytest.param("probe", 1.0, id="probe"),
+    pytest.param("classify", 1.0, id="classify"),
+    # the objective and gradient are finite at x = 1e-300, but classify
+    # also takes the rank of the product W2 W1 = 1e400
+    pytest.param("classify", 1e-300, id="classify-product"),
+])
+def test_an_overflowing_objective_is_a_numerical_failure(command, x, tmp_path, capsys):
     # every input is finite, but W2 W1 = 1e400 is not
-    assert main(["net", command, *_net_files(tmp_path, [1e200, 1e200])]) == 4
+    assert main(["net", command, *_net_files(tmp_path, [1e200, 1e200], x)]) == 4
     err = _error(capsys)
     assert err["error"] == "NumericalFailure"
     assert "overflows" in err["message"]
