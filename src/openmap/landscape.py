@@ -21,7 +21,7 @@ checked weight lists.  Weight lists are ordered ``W_h`` first throughout,
 matching the wire format.
 """
 
-from collections import deque
+import math
 from functools import cache
 from itertools import combinations, combinations_with_replacement, zip_longest
 from dataclasses import dataclass
@@ -50,7 +50,9 @@ _MAX_HALVINGS = 60
 # quasi-Newton steps can drift with the gradient norm growing, and only
 # this exit ends such a run short of max_iter
 _PLATEAU = 1500
-# curvature pairs kept by the L-BFGS two-loop recursion
+# curvature pairs kept by the L-BFGS history, whose inverse-Hessian
+# approximation is held in the compact form of Byrd, Nocedal & Schnabel
+# (1994): buffers of this many pairs and small matrices of this order
 _HISTORY = 10
 # length of a steepest-descent step, relative to the gradient, taken
 # before the first curvature pair and after a history reset
@@ -101,10 +103,22 @@ def _forward(weights, x):
     return acts
 
 
+def _norm(v):
+    """Euclidean norm of a flat vector as ``np.linalg.norm`` computes it,
+    the square root of ``v.dot(v)``, without its Python wrapper."""
+    return math.sqrt(v.dot(v))
+
+
 def _loss(output, y):
     """Half the squared Frobenius distance to the targets; its gradient in
     ``output`` is the residual ``output - y``."""
-    return 0.5 * float(np.linalg.norm(output - y) ** 2)
+    return 0.5 * _norm((output - y).ravel()) ** 2
+
+
+def _rounding_floor(value):
+    """``8 EPS |value|``: changes of an objective ``value`` this small are
+    within its rounding."""
+    return 8.0 * EPS * abs(value)
 
 
 def _backward(weights, acts, g_out):
@@ -133,7 +147,7 @@ def _flat(mats):
 
 def gradient_norm(grads):
     """Norm of the layer gradients taken as one flat vector."""
-    return float(np.linalg.norm(_flat(grads)))
+    return _norm(_flat(grads))
 
 
 def global_value(width, x, y, tol=DEFAULT_TOL):
@@ -191,8 +205,10 @@ def local_min_probe(point, tol=DEFAULT_TOL, seed=0):
     """Sampled local-minimality check of the objective: uniform directions
     on the parameter sphere at each scheduled radius; the verdict is
     minimal at resolution when no sampled value undercuts the base
-    objective by more than ``residual_abs`` and every radius had a finite
-    sample.  The radii are ``PROBE_RADII``.
+    objective by more than ``residual_abs``, every radius had a finite
+    sample, and the base objective's rounding floor ``8 EPS |f|`` is within
+    ``residual_abs``: past it no sample could undercut the base measurably,
+    so no radius counts as evidence.  The radii are ``PROBE_RADII``.
 
     Each radius seeds its own generator with ``[seed, radius index]`` and
     draws ``PROBE_SAMPLES`` standard-normal vectors over all parameters,
@@ -236,7 +252,8 @@ def local_min_probe(point, tol=DEFAULT_TOL, seed=0):
         # rounding is monotone, so this is the least of the sample deltas
         min_deltas.append(float(least - base))
     # a radius without one finite sample gives no evidence of minimality
-    minimal = all(-tol.residual_abs <= d < np.inf for d in min_deltas)
+    minimal = (_rounding_floor(base) <= tol.residual_abs
+               and all(-tol.residual_abs <= d < np.inf for d in min_deltas))
     return ProbeReport(
         radii=list(PROBE_RADII), min_deltas=min_deltas, locally_minimal=minimal,
         samples=PROBE_SAMPLES,
@@ -558,37 +575,101 @@ class GDResult:
     exit_reason: str
 
 
-def _two_loop(grad, pairs):
-    """L-BFGS direction ``-H grad`` from the curvature pairs
-    ``(s, y, 1 / s.y)``, oldest first, with ``H_0 = (s.y / y.y) I`` taken
-    from the newest pair (Liu & Nocedal 1989)."""
-    q = -grad
-    alphas = []
-    for s, y, rho in reversed(pairs):
-        alpha = rho * s.dot(q)
-        q -= alpha * y
-        alphas.append(alpha)
-    s, y, rho = pairs[-1]
-    q *= 1.0 / (rho * y.dot(y))
-    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * y.dot(q)) * s
-    return q
+class _History:
+    """The last ``_HISTORY`` curvature pairs ``(s, y)`` and the L-BFGS
+    inverse-Hessian approximation ``H`` they define, in the compact form
+    of Byrd, Nocedal & Schnabel (1994, Theorem 2.2):
+
+        H = c I + [S  c Y] [[R^-T (D + c Y^T Y) R^-1, -R^-T], [-R^-1, 0]] [S  c Y]^T
+
+    with ``S`` and ``Y`` the pairs as columns, oldest first, ``R`` the
+    upper triangle of ``S^T Y``, ``D`` its diagonal and ``H_0 = c I``,
+    ``c = s.y / y.y`` from the newest pair: the matrix of the two-loop
+    recursion (Liu & Nocedal 1989).
+
+    The pairs sit at the trailing end of one preallocated buffer, and
+    ``R^-1``, ``diag(R)`` and ``Y^T Y`` at the trailing end of theirs, all
+    zero in front, so every product has the same shape whatever the
+    number of pairs.  A new pair moves each buffer's contents one place
+    to the front, which drops the oldest pair once the history is full:
+    what stays of ``R^-1`` is its trailing block, the inverse of the
+    trailing block of ``R``.  The new pair then fills the last row and
+    column of each from one product with the pair buffer."""
+
+    def __init__(self, n):
+        m = _HISTORY
+        self.pairs = np.zeros((2, m, n))  # the rows of S^T, then of Y^T
+        self.rows = self.pairs.reshape(2 * m, n)
+        self.r_inv = np.zeros((m, m))
+        self.yy = np.zeros((m, m))
+        self.sy = np.zeros(m)  # diag(R)
+        self.coef = np.zeros(2 * m)
+        self.c = 0.0
+        self.size = 0
+
+    def clear(self):
+        for buf in (self.pairs, self.r_inv, self.yy, self.sy):
+            buf.fill(0.0)
+        self.size = 0
+
+    def add(self, s, y):
+        """Keep the pair ``(s, y)`` unless ``s.y <= 0``."""
+        sy = float(s.dot(y))
+        if not sy > 0.0:
+            return
+        m, pairs, r_inv, yy = _HISTORY, self.pairs, self.r_inv, self.yy
+        pairs[:, :-1] = pairs[:, 1:]
+        pairs[0, -1] = s
+        pairs[1, -1] = y
+        s_y = self.rows.dot(y)  # S^T y, then Y^T y
+        # R^-1 of [[R, S^T y], [0, s.y]] is [[R^-1, -R^-1 S^T y / s.y], [0, 1 / s.y]]
+        r_inv[:-1, :-1] = r_inv[1:, 1:]
+        col = r_inv[:-1, :-1].dot(s_y[:m - 1])
+        col *= -1.0 / sy
+        r_inv[:-1, -1] = col
+        r_inv[-1, -1] = 1.0 / sy
+        yy[:-1, :-1] = yy[1:, 1:]
+        yy[-1] = yy[:, -1] = s_y[m:]
+        self.sy[:-1] = self.sy[1:]
+        self.sy[-1] = sy
+        self.c = sy / s_y[-1]
+        self.size = min(self.size + 1, m)
+
+    def direction(self, grad):
+        """``-H grad``: with ``u = R^-1 S^T grad`` and
+        ``p = R^-T (D u + c Y^T Y u - c Y^T grad)`` it is
+        ``-c grad - S p + c Y u``."""
+        m, c, coef = _HISTORY, self.c, self.coef
+        s_y_g = self.rows.dot(grad)
+        u = self.r_inv.dot(s_y_g[:m])
+        cu = np.multiply(u, c, out=coef[m:])
+        minus_p = c * s_y_g[m:]
+        minus_p -= self.sy * u
+        minus_p -= self.yy.dot(cu)
+        np.dot(minus_p, self.r_inv, out=coef[:m])
+        step = coef.dot(self.rows)
+        step -= c * grad
+        return step
 
 
 def run_gradient_descent(point, tol=DEFAULT_TOL, max_iter=100000):
     """L-BFGS on the objective until the gradient norm falls below
     ``grad_abs``.
 
-    The direction comes from the two-loop recursion over the last
-    ``_HISTORY`` curvature pairs; a pair with ``s.y <= 0`` is skipped, and
-    when the recursion gives no descent direction (or before any pair is
-    kept) the history is cleared and the step falls back to ``-eta * g``
-    with ``eta = _STEEPEST_STEP``.  The step length starts at one and is
+    The direction is ``-H g`` for the L-BFGS approximation ``H`` of the
+    inverse Hessian over the last ``_HISTORY`` curvature pairs, held in
+    the compact form of Byrd, Nocedal & Schnabel (1994) by ``_History``,
+    so a direction costs a fixed number of array operations whatever the
+    number of pairs; a pair with ``s.y <= 0`` is skipped, and when ``H``
+    gives no descent direction (or before any pair is kept) the history
+    is cleared and the step falls back to ``-eta * g`` with
+    ``eta = _STEEPEST_STEP``.  The step length starts at one and is
     halved until the Armijo test passes.  Near a minimum the decrease
     drops under float resolution while the gradient still contracts, so
-    that test carries a rounding slack of ``8 EPS |f|``.  From a finite
-    objective, a trial step whose objective is not finite fails the test,
-    so the line search rejects it and halves the step.
+    that test carries a rounding slack of ``8 EPS |f|``
+    (``_rounding_floor``).  From a finite objective, a trial step whose
+    objective is not finite fails the test, so the line search rejects it
+    and halves the step.
 
     The result names why the descent stopped: ``converged``, ``max_iter``,
     ``plateau`` (no measurable gradient contraction over ``_PLATEAU``
@@ -611,13 +692,13 @@ def run_gradient_descent(point, tol=DEFAULT_TOL, max_iter=100000):
     acts = _forward(weights, x)
     obj = _loss(acts[-1], y)
     grad = _flat(_backward(weights, acts, acts[-1] - y))
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = _norm(grad)
     if not (np.isfinite(obj) and np.isfinite(gnorm)):
         raise NumericalFailure(
             f"the objective or its gradient overflows at the start of the "
             f"descent: objective {obj}, gradient norm {gnorm}"
         )
-    pairs = deque(maxlen=_HISTORY)
+    history = _History(flat.size)
     stall = 0
     best_gnorm = np.inf
     it = 0
@@ -636,13 +717,13 @@ def run_gradient_descent(point, tol=DEFAULT_TOL, max_iter=100000):
             if stall >= _PLATEAU:
                 reason = PLATEAU
                 break
-        direction = _two_loop(grad, pairs) if pairs else None
+        direction = history.direction(grad) if history.size else None
         slope = np.nan if direction is None else float(direction.dot(grad))
         if not slope < 0.0:
-            pairs.clear()
+            history.clear()
             direction = -_STEEPEST_STEP * grad
             slope = -_STEEPEST_STEP * gnorm**2
-        slack = 8.0 * EPS * abs(obj)
+        slack = _rounding_floor(obj)
         t = 1.0
         for _ in range(60):
             np.add(flat, t * direction, out=trial)
@@ -659,12 +740,9 @@ def run_gradient_descent(point, tol=DEFAULT_TOL, max_iter=100000):
             reason = LINE_SEARCH
             break
         new_grad = _flat(_backward(trial_weights, acts, acts[-1] - y))
-        change = new_grad - grad
-        curvature = float(step.dot(change))
-        if curvature > 0.0:
-            pairs.append((step, change, 1.0 / curvature))
+        history.add(step, new_grad - grad)
         flat, trial = trial, flat
         weights, trial_weights = trial_weights, weights
-        obj, grad, gnorm = val, new_grad, float(np.linalg.norm(new_grad))
+        obj, grad, gnorm = val, new_grad, _norm(new_grad)
         it += 1
     return GDResult(NetworkPoint(weights, x, y), reason == CONVERGED, it, obj, gnorm, reason)

@@ -167,6 +167,17 @@ class TestProbe:
         assert rep.min_deltas == [np.inf] * 3
         assert not rep.locally_minimal
 
+    def test_an_objective_past_rounding_resolution_is_not_minimal(self, monkeypatch):
+        # the objective is 5e199, whose ulp (about 1e184) dwarfs the
+        # changes a radius-1e-2 sample makes (about 1e48): every delta
+        # reads 0 at a point that is not critical
+        point = NetworkPoint([[[1e150]], [[1e150]]], [[1e-200]], [[1.0]])
+        monkeypatch.setattr(landscape, "PROBE_SAMPLES", 50)
+        rep = local_min_probe(point)
+        assert rep.min_deltas == [0.0] * 3
+        assert not rep.locally_minimal
+        assert classify(point).status == NOT_CRITICAL
+
 
 class TestClassify:
     def test_not_critical(self):
@@ -469,7 +480,69 @@ class TestFixture:
         assert rank(y) == 2
 
 
+def two_loop(grad, pairs):
+    """Reference L-BFGS direction ``-H grad``: the two-loop recursion
+    (Liu & Nocedal 1989) over ``(s, y)`` pairs, oldest first."""
+    q, alphas = -grad, []
+    for s, y in reversed(pairs):
+        alphas.append(s.dot(q) / s.dot(y))
+        q = q - alphas[-1] * y
+    q = q * (pairs[-1][0].dot(pairs[-1][1]) / pairs[-1][1].dot(pairs[-1][1]))
+    for (s, y), alpha in zip(pairs, reversed(alphas)):
+        q = q + (alpha - y.dot(q) / s.dot(y)) * s
+    return q
+
+
 class TestGradientDescent:
+    def test_the_compact_history_gives_the_two_loop_direction(self):
+        # curvature pairs y = A s of a seeded quadratic: every pair count
+        # up to a wrap-around past _HISTORY, then a reset, then pairs
+        # with s.y < 0 and s.y = 0, which neither side keeps
+        rng = np.random.default_rng(21)
+        n, m = 7, landscape._HISTORY
+        b = rng.standard_normal((n, n))
+        curv = b @ b.T + np.eye(n)
+        history, kept = landscape._History(n), []
+
+        def add(s, y):
+            nonlocal kept
+            history.add(s, y)
+            if s.dot(y) > 0:
+                kept = (kept + [(s, y)])[-m:]
+            assert history.size == len(kept)
+            grad = rng.standard_normal(n)
+            want = two_loop(grad, kept)
+            assert np.linalg.norm(history.direction(grad) - want) <= 1e-12 * np.linalg.norm(want)
+
+        for _ in range(2 * m + 3):
+            s = rng.standard_normal(n)
+            add(s, curv @ s)
+        history.clear()
+        kept = []
+        assert history.size == 0
+        for _ in range(3):
+            s = rng.standard_normal(n)
+            add(s, curv @ s)
+        s = rng.standard_normal(n)
+        add(s, -curv @ s)
+        add(s, np.zeros(n))
+        for _ in range(m):
+            s = rng.standard_normal(n)
+            add(s, curv @ s)
+
+    def test_the_dot_forms_equal_linalg_norm_bit_for_bit(self):
+        # the descent's loss and gradient norm skip np.linalg.norm's
+        # wrapper; payloads stay fixed only if the values do
+        rng = np.random.default_rng(22)
+        for scale in 10.0 ** np.arange(-150, 151, 10):
+            for _ in range(100):
+                out, y = scale * rng.standard_normal((2, 3, 5))
+                v = scale * rng.standard_normal(17)
+                assert landscape._loss(out, y) == 0.5 * float(np.linalg.norm(out - y) ** 2)
+                assert landscape._norm(v) == float(np.linalg.norm(v))
+                assert gradient_norm([out, y]) == float(np.linalg.norm(np.concatenate(
+                    [out.ravel(), y.ravel()])))
+
     def test_converges_on_easy_instance(self):
         rng = np.random.default_rng(8)
         x = np.eye(3)
