@@ -355,7 +355,7 @@ def test_a_drift_along_the_rescaling_symmetry_stops_on_the_plateau():
 
 def test_a_step_that_moves_no_weight_ends_the_descent():
     # widths (3, 3, 1, 2), seed 213347265, trial 0: the accepted step
-    # falls under the weights' rounding near gradient norm 2.6e-7, and
+    # falls under the weights' rounding near gradient norm 1.2e-6, and
     # from then on every iteration would repeat the same state
     def sweep(max_iter):
         return cli.gd_sweep(trials=1, seed=213347265, tol=Tolerances(grad_abs=1e-7),
