@@ -347,7 +347,9 @@ def _net_fixture(args, tol):
         )
     x, y, point = maker()
     report = classify(point, tol=tol, seed=args.seed)
-    return {"name": args.name, **_instance(x, y, point), "classification": report}
+    return {"name": args.name, "x": x, "y": y, "weights": point.weights,
+            "objective": report.objective, "gradient_norm": report.gradient_norm,
+            "classification": report}
 
 
 def _net_probe(args, tol):

@@ -12,7 +12,11 @@ framework:
   width) inherit local openness of the product chain, so their objective
   is compared against the rank-constrained optimum;
 * degenerate critical points get a verified escape along a rank-one
-  path curve ``W_i + s^{k_i} D_i`` whose leading term is negative;
+  path curve ``W_i + s^{k_i} D_i`` whose leading term is negative: the
+  objective's change along a curve is a polynomial in ``s``, whose
+  coefficients ``_expansion`` reads off one stack of the product's
+  powers of ``s`` with a fixed number of array operations per layer,
+  exactly on ``Fraction`` arrays;
 * what remains is ``Inconclusive``, with a seeded sphere probe attached.
 
 Entry points take a ``NetworkPoint``, the one input check, which carries
@@ -23,7 +27,7 @@ matching the wire format.
 
 import math
 from functools import cache
-from itertools import combinations, combinations_with_replacement, zip_longest
+from itertools import combinations, zip_longest
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,7 +160,10 @@ def global_value(width, x, y, tol=DEFAULT_TOL):
 
     Reduction: rotate by the SVD of ``x``, split off the constant mass
     outside the input row space, and truncate the reachable block to the
-    best approximation of rank ``width``.
+    best approximation of rank ``width``.  When that rank keeps every
+    singular value of the block, the truncation leaves nothing and no SVD
+    is taken.  Raises ``NumericalFailure`` when the rotated block is not
+    finite.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -165,8 +172,12 @@ def global_value(width, x, y, tol=DEFAULT_TOL):
     reachable = y_rot[:, : sp.rank]
     constant = float(np.linalg.norm(y_rot[:, sp.rank :]) ** 2)
     t = min(width, sp.rank)
-    sing = singular_values(reachable)
-    tail = float(np.sum(sing[t:] ** 2))
+    if t < min(reachable.shape):
+        tail = float(np.sum(singular_values(reachable)[t:] ** 2))
+    elif np.isfinite(reachable).all():
+        tail = 0.0
+    else:
+        raise NumericalFailure("the target rotated into the input's row space is not finite")
     return 0.5 * (tail + constant)
 
 
@@ -286,28 +297,61 @@ class ClassificationReport:
     certificates: list
 
 
+@cache
+def _antidiagonals(q, dtype):
+    """The ``(2q - 1, q * q)`` matrix that maps a flattened ``q x q``
+    matrix ``G`` to half its anti-diagonal sums, row ``m`` holding
+    ``sum_{i + j = m} G[i, j] / 2``; on ``object`` arrays the half is
+    ``Fraction(1, 2)``, so exact entries stay exact."""
+    half = 0.5
+    if dtype == object:
+        from fractions import Fraction  # only exact expansions need it
+
+        half = Fraction(1, 2)
+    i, j = np.indices((q, q)).reshape(2, -1)
+    out = np.zeros((2 * q - 1, q * q), dtype)
+    out[i + j, np.arange(q * q)] = half
+    return out
+
+
 def _expansion(weights, curve, x, y):
     """Coefficients ``c``, lowest power first, of
     ``f(w(s)) - f(w) = sum_m c[m] s^m`` on the curve moving each layer
     ``W_i`` (``W_h`` first) to ``W_i + s^k D_i`` for ``(k, D_i)`` in
-    ``curve``, a ``D_i`` of None leaving it fixed.  Only ``@``, ``*``,
-    ``+`` and ``.sum()`` touch the matrices, so ``Fraction`` object arrays
-    give exact coefficients; zero matrices and products are skipped."""
-    terms = {0: x}  # the layers applied so far, by power of s
+    ``curve``, a ``D_i`` of None leaving it fixed.
+
+    The layers are applied bottom up to one stack whose block ``p`` holds
+    the ``s^p`` term of the product so far, transposed: it starts as
+    ``x^T`` over ``K + 1`` blocks, ``K`` the sum of the moved layers'
+    exponents, and a layer maps it to ``stack W^T`` plus ``stack D^T``
+    moved ``k`` blocks up, a fixed number of array operations whatever
+    the terms.  Block 0, less ``y^T``, is the residual ``r``; with the
+    blocks ``R_0 = r, R_1, ..., R_K`` as rows, ``f(w(s)) = |sum_p s^p
+    R_p|^2 / 2``, so ``c[m]`` is half the sum of the Gram matrix's
+    entries ``<R_i, R_j>`` with ``i + j = m`` (and ``c[0] = 0``): one
+    Gram product and one product with ``_antidiagonals``.  The list ends
+    at ``c[2P]``, ``P`` the highest power above 0 whose block is nonzero
+    (it is ``[0]`` when none is).  Only products and sums touch the
+    matrices and the half is exact, so ``Fraction`` object arrays give
+    exact coefficients: the stack's zeros become ``Fraction`` zeros at
+    the first product with a layer."""
+    n = x.shape[1]
+    top = sum(k for k, d in curve if d is not None)
+    stack = np.zeros(((top + 1) * n, x.shape[0]), x.dtype)
+    stack[:n] = x.T
     for w, (k, d) in zip(reversed(weights), reversed(curve)):
-        grown = {}
-        for p, m in terms.items():
-            for q, a in ((p, w), (p + k, d)):
-                if a is not None and a.any() and (term := a @ m).any():
-                    grown[q] = grown[q] + term if q in grown else term
-        terms = grown
-    resid = terms.pop(0, 0) - y
-    coeffs = [0] * (2 * max(terms, default=0) + 1)
-    for p, m in terms.items():
-        coeffs[p] += (resid * m).sum()
-    for (p, m), (q, n) in combinations_with_replacement(sorted(terms.items()), 2):
-        coeffs[p + q] += (m * n).sum() / (2 if p == q else 1)
-    return coeffs
+        grown = stack.dot(w.T)
+        if d is not None:
+            grown[k * n:] += stack[:len(stack) - k * n].dot(d.T)
+        stack = grown
+    stack[:n] -= y.T
+    rows = stack.reshape(top + 1, -1)
+    coeffs = _antidiagonals(top + 1, rows.dtype).dot(rows.dot(rows.T).ravel()).tolist()
+    live = rows.any(axis=1).tolist()
+    while top and not live[top]:
+        top -= 1
+    coeffs[0] = 0
+    return coeffs[:2 * top + 1]
 
 
 def _leading(coeffs, curve, grad_abs):

@@ -2,9 +2,11 @@ import functools
 import hashlib
 import itertools
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from test_bench_contract import _factory_escapes, _golden_escapes
 
 from openmap import landscape
 from openmap.errors import InputError, NotConstructible, NumericalFailure
@@ -27,7 +29,7 @@ from openmap.landscape import (
     rank_deficient_y_fixture,
     run_gradient_descent,
 )
-from openmap.numcore import DEFAULT_TOL, Tolerances, rank
+from openmap.numcore import DEFAULT_TOL, Tolerances, rank, spectrum
 
 
 def intro_point():
@@ -138,6 +140,42 @@ class TestGlobalValue:
         y = np.diag([3.0, 2.0, 1.0])
         # best rank-1 approximation leaves 2^2 + 1^2 over two
         assert global_value(1, np.eye(3), y) == pytest.approx(2.5)
+
+    @staticmethod
+    def svd_global_value(width, x, y):
+        # the reduction with the reachable block's SVD always taken
+        sp = spectrum(x)
+        y_rot = y @ sp.v
+        sing = np.linalg.svd(y_rot[:, :sp.rank], compute_uv=False)
+        tail = float(np.sum(sing[min(width, sp.rank):] ** 2))
+        return 0.5 * (tail + float(np.linalg.norm(y_rot[:, sp.rank:]) ** 2))
+
+    @pytest.mark.parametrize("width, x_rank, svds", [
+        (1, 3, 1),  # the truncation drops two singular values
+        (2, 3, 0),  # width = the target's row count: every one is kept
+        (3, 3, 0),
+        (1, 2, 1),  # rank-deficient x
+        (2, 2, 0),  # rank-deficient x: width = its rank
+        (4, 1, 0),  # rank-one x: one reachable column
+    ])
+    def test_the_svd_is_taken_only_when_the_truncation_drops_a_value(
+            self, monkeypatch, width, x_rank, svds):
+        rng = np.random.default_rng(x_rank)
+        x = rng.standard_normal((4, x_rank)) @ rng.standard_normal((x_rank, 5))
+        y = rng.standard_normal((2, 5))
+        calls = []
+        monkeypatch.setattr(landscape, "singular_values",
+                            lambda m: calls.append(m) or np.linalg.svd(m, compute_uv=False))
+        assert global_value(width, x, y) == self.svd_global_value(width, x, y)
+        assert len(calls) == svds
+
+    def test_a_non_finite_rotated_target_is_a_numerical_failure(self):
+        # x's right singular vectors mix the two columns, so y @ v overflows
+        x, y = np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[1.5e308, 1.5e308], [1.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for width in (1, 2):  # with the SVD, then without it
+                with pytest.raises(NumericalFailure):
+                    global_value(width, x, y)
 
 
 class TestProbe:
@@ -394,41 +432,127 @@ class TestClassify:
         assert rep.status == GLOBAL_MIN
 
 
+def reference_expansion(weights, curve, x, y):
+    """The expansion as a dict of the layers applied so far by power of
+    ``s``, each term kept only while nonzero, with a coefficient list of
+    ``2 * (highest power) + 1`` entries: ``landscape._expansion`` before
+    it kept its terms in one stack."""
+    terms = {0: x}  # the layers applied so far, by power of s
+    for w, (k, d) in zip(reversed(weights), reversed(curve)):
+        grown = {}
+        for p, m in terms.items():
+            for q, a in ((p, w), (p + k, d)):
+                if a is not None and a.any() and (term := a @ m).any():
+                    grown[q] = grown[q] + term if q in grown else term
+        terms = grown
+    resid = terms.pop(0, 0) - y
+    coeffs = [0] * (2 * max(terms, default=0) + 1)
+    for p, m in terms.items():
+        coeffs[p] += (resid * m).sum()
+    for (p, m), (q, n) in combinations_with_replacement(sorted(terms.items()), 2):
+        coeffs[p + q] += (m * n).sum() / (2 if p == q else 1)
+    return coeffs
+
+
+exact = np.vectorize(Fraction, otypes=[object])
+
+
+def exact_curve(weights, curve, x, y):
+    """The same curve with every entry a ``Fraction``."""
+    return ([exact(w) for w in weights], [(k, None if d is None else exact(d)) for k, d in curve],
+            exact(x), exact(y))
+
+
+def seeded_curves():
+    """60 seeded curves ``(weights, curve, x, y)`` of depth 1 to 4, with
+    fixed layers, zero layers and zero moves."""
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        h = int(rng.integers(1, 5))
+        dims = [int(d) for d in rng.integers(1, 4, size=h + 1)]
+        shapes = [(dims[i], dims[i + 1]) for i in range(h)]
+        weights = [rng.uniform(-1, 1, size=s) * int(rng.integers(0, 2)) for s in shapes]
+        curve = [(k, rng.uniform(-1, 1, size=s) * int(rng.integers(0, 4) > 0) if k else None)
+                 for k, s in zip(map(int, rng.integers(0, 3, size=h)), shapes)]
+        n = int(rng.integers(1, 4))
+        x = rng.uniform(-1, 1, size=(dims[-1], n))
+        y = rng.uniform(-1, 1, size=(dims[0], n))
+        yield weights, curve, x, y
+
+
+def escape_curves(monkeypatch):
+    """Every curve ``_escape`` expands while classifying the points of the
+    classify and fixture goldens and the 60 depth-3 and depth-4 factory
+    points, each as it was when expanded."""
+    seen, expand = [], landscape._expansion
+
+    def recording(weights, curve, x, y):
+        seen.append((weights, list(curve), x, y))  # _escape rescales hops in place
+        return expand(weights, curve, x, y)
+
+    monkeypatch.setattr(landscape, "_expansion", recording)
+    for _, point, *_ in _golden_escapes():
+        classify(point)
+    for _ in _factory_escapes():  # classifies each factory point
+        pass
+    monkeypatch.undo()
+    return seen
+
+
 class TestExpansion:
     def test_float_and_fraction_coefficients_agree(self):
-        # seeded curves with fixed layers, zero layers and zero moves; the
-        # exact coefficients evaluated at s = 1/3 give the exact change of
-        # the objective there, and the float ones agree with them
-        exact = np.vectorize(Fraction, otypes=[object])
-
+        # the exact coefficients evaluated at s = 1/3 give the exact change
+        # of the objective there, and the float ones agree with them
         def value(weights, x, y):
             resid = (product_matrix(weights + [x]) - y).ravel()
             return resid.dot(resid) / 2
 
-        rng = np.random.default_rng(21)
         third = Fraction(1, 3)
-        for _ in range(60):
-            h = int(rng.integers(1, 5))
-            dims = [int(d) for d in rng.integers(1, 4, size=h + 1)]
-            shapes = [(dims[i], dims[i + 1]) for i in range(h)]
-            weights = [rng.uniform(-1, 1, size=s) * int(rng.integers(0, 2)) for s in shapes]
-            curve = [(k, rng.uniform(-1, 1, size=s) * int(rng.integers(0, 4) > 0) if k else None)
-                     for k, s in zip(map(int, rng.integers(0, 3, size=h)), shapes)]
-            n = int(rng.integers(1, 4))
-            x = rng.uniform(-1, 1, size=(dims[-1], n))
-            y = rng.uniform(-1, 1, size=(dims[0], n))
+        for weights, curve, x, y in seeded_curves():
             got = _expansion(weights, curve, x, y)
-            ex_w = [exact(w) for w in weights]
-            ex_curve = [(k, None if d is None else exact(d)) for k, d in curve]
-            want = _expansion(ex_w, ex_curve, exact(x), exact(y))
+            ex_w, ex_curve, ex_x, ex_y = exact_curve(weights, curve, x, y)
+            want = _expansion(ex_w, ex_curve, ex_x, ex_y)
             assert all(isinstance(c, (int, Fraction)) for c in want)
             moved = [w if d is None else w + third**k * d for w, (k, d) in zip(ex_w, ex_curve)]
-            change = value(moved, exact(x), exact(y)) - value(ex_w, exact(x), exact(y))
+            change = value(moved, ex_x, ex_y) - value(ex_w, ex_x, ex_y)
             assert sum(c * third**m for m, c in enumerate(want)) == change
             assert len(got) == len(want)
             scale = max(1.0, *(abs(float(c)) for c in want))
             for g, w in zip(got, want):
                 assert abs(float(g) - float(w)) <= 1e-12 * scale
+
+    @staticmethod
+    def assert_matches_reference(weights, curve, x, y):
+        # equal lengths, float coefficients within 1e-12 of the largest,
+        # and the same list exactly on the curve in Fractions
+        got, want = _expansion(weights, curve, x, y), reference_expansion(weights, curve, x, y)
+        assert len(got) == len(want)
+        scale = max(map(abs, want))
+        assert all(abs(g - w) <= 1e-12 * scale for g, w in zip(got, want)), (got, want)
+        ex = exact_curve(weights, curve, x, y)
+        assert _expansion(*ex) == reference_expansion(*ex)
+
+    def test_the_stack_matches_the_dict_of_powers_on_seeded_curves(self):
+        for weights, curve, x, y in seeded_curves():
+            self.assert_matches_reference(weights, curve, x, y)
+
+    def test_the_stack_matches_the_dict_of_powers_on_every_escape_curve(self, monkeypatch):
+        curves = escape_curves(monkeypatch)
+        assert len(curves) == 612  # 10 golden points and 60 factory points
+        for weights, curve, x, y in curves:
+            self.assert_matches_reference(weights, curve, x, y)
+
+    def test_the_stack_matches_the_dict_of_powers_on_zero_weights(self):
+        # every layer zero and moved: only the product of the moves survives,
+        # at the power 1 + 2 + 2 + 1
+        rng = np.random.default_rng(3)
+        shapes = [(3, 2), (2, 3), (3, 3), (3, 3)]
+        weights = [np.zeros(s) for s in shapes]
+        curve = [(k, rng.uniform(-1, 1, size=s)) for k, s in zip((1, 2, 2, 1), shapes)]
+        x, y = rng.standard_normal((3, 6)), rng.standard_normal((3, 6))
+        coeffs = _expansion(weights, curve, x, y)
+        assert len(coeffs) == 13 and [m for m, c in enumerate(coeffs) if c] == [6, 12]
+        self.assert_matches_reference(weights, curve, x, y)
 
 
 class TestFactory:
