@@ -7,20 +7,17 @@ Not collected by the test suite (the file name does not start with
 
 It times ``landscape._expansion`` on a full curve of widths
 (3, 2, 3, 3, 3), every layer moved at exponent 1, and ``_forward`` at the
-same point, and prints how many forward passes one expansion costs: an
-exact line search on the expansion's polynomial only pays when that is
-about two.  With ``pytest-benchmark`` installed its ``benchmark`` fixture
-times the two cases and ``--benchmark-json`` saves them; without it a
-stand-in below prints the median of ``ROUNDS`` timed calls.  The ratio
-is measured apart from either, by interleaved timed calls.  BLAS should
-run on one thread (``OPENBLAS_NUM_THREADS=1``), as in the benchmark runs.
+same point, in ``ROUNDS`` interleaved calls each, and prints both medians
+and how many forward passes one expansion costs: an exact line search on
+the expansion's polynomial only pays when that is about two.  BLAS
+should run on one thread (``OPENBLAS_NUM_THREADS=1``), as in the
+benchmark runs.
 """
 
 import statistics
 import time
 
 import numpy as np
-import pytest
 
 from openmap.landscape import _expansion, _forward
 
@@ -29,48 +26,15 @@ DIMS = (3, 2, 3, 3, 3)
 SAMPLES = 6
 ROUNDS = 2000
 
-try:
-    import pytest_benchmark  # noqa: F401
-except ImportError:
-    @pytest.fixture
-    def benchmark(request):
-        def run(fn, *args):
-            times = []
-            for _ in range(ROUNDS):
-                start = time.perf_counter()
-                result = fn(*args)
-                times.append(time.perf_counter() - start)
-            print(f"\n{request.node.name}: median {1e6 * statistics.median(times):.2f} us "
-                  f"over {ROUNDS} calls")
-            return result
-        return run
 
-
-def _curve():
-    """Seeded weights, moves, input and targets of the full curve."""
+def test_expansion_in_forward_passes():
     rng = np.random.default_rng(0)
     shapes = [(DIMS[i], DIMS[i + 1]) for i in range(len(DIMS) - 1)]
     weights = [rng.uniform(-1, 1, size=s) for s in shapes]
     curve = [(1, rng.uniform(-1, 1, size=s)) for s in shapes]
     x = rng.standard_normal((DIMS[-1], SAMPLES))
     y = rng.standard_normal((DIMS[0], SAMPLES))
-    return weights, curve, x, y
-
-
-def test_expansion_on_the_full_curve(benchmark):
-    weights, curve, x, y = _curve()
-    coeffs = benchmark(_expansion, weights, curve, x, y)
-    assert len(coeffs) == 2 * len(weights) + 1
-
-
-def test_forward_at_the_same_point(benchmark):
-    weights, _, x, _ = _curve()
-    acts = benchmark(_forward, weights, x)
-    assert acts[-1].shape == (DIMS[0], SAMPLES)
-
-
-def test_expansion_in_forward_passes():
-    weights, curve, x, y = _curve()
+    assert len(_expansion(weights, curve, x, y)) == 2 * len(weights) + 1
     calls = (lambda: _expansion(weights, curve, x, y), lambda: _forward(weights, x))
     times = ([], [])
     for _ in range(ROUNDS):
@@ -81,4 +45,3 @@ def test_expansion_in_forward_passes():
     expansion, forward = (statistics.median(t) for t in times)
     print(f"\nexpansion {1e6 * expansion:.2f} us, forward {1e6 * forward:.2f} us: "
           f"one expansion costs {expansion / forward:.1f} forward passes")
-    assert expansion > 0 and forward > 0
